@@ -266,6 +266,9 @@ let accept_loop t =
   loop ()
 
 let start ?config endpoint cat =
+  (* A peer that hangs up mid-reply must fail that connection's write with
+     EPIPE (swallowed by [handle_conn]), not kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listener, sockaddr =
     match endpoint with
     | Unix_socket path ->

@@ -30,7 +30,9 @@ type t
 
 val start : ?config:Service.config -> endpoint -> Storage.Catalog.t -> t
 (** Bind, listen and start accepting. Raises [Unix.Unix_error] if the
-    endpoint cannot be bound. An existing Unix-socket file is replaced. *)
+    endpoint cannot be bound. An existing Unix-socket file is replaced.
+    Sets SIGPIPE to be ignored process-wide, so a client that hangs up
+    mid-reply costs only its own connection. *)
 
 val service : t -> Service.t
 

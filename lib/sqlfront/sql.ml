@@ -310,10 +310,12 @@ let run_insert catalog table rows =
                  cols row))
           rows
       with
-      | tuples ->
-          Storage.Catalog.insert_into catalog ~table tuples;
-          ignore (Storage.Catalog.analyze catalog table);
-          Ok (Affected (List.length tuples))
+      | tuples -> (
+          match Storage.Catalog.insert_into catalog ~table tuples with
+          | () ->
+              ignore (Storage.Catalog.refresh_stats catalog table);
+              Ok (Affected (List.length tuples))
+          | exception Invalid_argument msg -> Error ("insert error: " ^ msg))
       | exception Failure msg -> Error ("insert error: " ^ msg)
       | exception Invalid_argument msg -> Error ("insert error: " ^ msg))
 
@@ -349,7 +351,7 @@ let run_delete catalog table where =
       | Ok pred -> (
           match Storage.Catalog.delete_from catalog ~table pred with
           | n ->
-              ignore (Storage.Catalog.analyze catalog table);
+              ignore (Storage.Catalog.refresh_stats catalog table);
               Ok (Affected n)
           | exception Invalid_argument msg -> Error ("delete error: " ^ msg)))
 
@@ -383,7 +385,7 @@ let run_update catalog table assignments where =
           | set -> (
               match Storage.Catalog.update_where catalog ~table pred ~set with
               | n ->
-                  ignore (Storage.Catalog.analyze catalog table);
+                  ignore (Storage.Catalog.refresh_stats catalog table);
                   Ok (Affected n)
               | exception Invalid_argument msg -> Error ("update error: " ^ msg))
           | exception Failure msg -> Error ("update error: " ^ msg)

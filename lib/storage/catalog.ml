@@ -45,6 +45,10 @@ type t = {
      the tables it actually reads — DML on table A no longer invalidates
      plans and cursors that only touch table B. *)
   table_epochs : (string, int) Hashtbl.t;
+  (* Per table, the non-null values of each numeric column (schema position,
+     bare name, sorted column). DML keeps them current, so statistics can be
+     re-derived without rescanning the heap. *)
+  sorted : (string, (int * string * Histogram.column) list) Hashtbl.t;
 }
 
 let create ?(pool_frames = 256) ?(tuples_per_page = 50) () =
@@ -56,6 +60,7 @@ let create ?(pool_frames = 256) ?(tuples_per_page = 50) () =
     tables = Hashtbl.create 16;
     stats_epoch = 0;
     table_epochs = Hashtbl.create 16;
+    sorted = Hashtbl.create 16;
   }
 
 let stats_epoch t = t.stats_epoch
@@ -83,37 +88,52 @@ let numeric_dtype = function
   | Value.Tint | Value.Tfloat -> true
   | Value.Tstring | Value.Tbool -> false
 
-let compute_stats schema tuples heap =
-  let cols = Schema.columns schema in
-  let col_stats =
-    List.mapi
-      (fun i col ->
-        if numeric_dtype col.Schema.dtype then begin
-          let values =
-            List.filter_map
-              (fun tu ->
-                let v = Tuple.get tu i in
-                if Value.is_null v then None else Some (Value.to_float v))
-              tuples
-          in
-          let hist = Histogram.build values in
-          Some
-            ( col.Schema.name,
-              {
-                cs_count = List.length values;
-                cs_distinct = Histogram.distinct_estimate hist;
-                cs_min = Histogram.min_value hist;
-                cs_max = Histogram.max_value hist;
-                cs_histogram = hist;
-              } )
-        end
-        else None)
-      cols
+(* The sorted numeric columns of [schema] over the [n] tuples that [iter]
+   visits. *)
+let sorted_columns schema n iter =
+  let numeric =
+    List.concat
+      (List.mapi
+         (fun i col ->
+           if numeric_dtype col.Schema.dtype then
+             [ (i, col.Schema.name, Float.Array.create n, ref 0) ]
+           else [])
+         (Schema.columns schema))
   in
+  iter (fun tu ->
+      List.iter
+        (fun (i, _, values, len) ->
+          let v = Tuple.get tu i in
+          if not (Value.is_null v) then begin
+            Float.Array.set values !len (Value.to_float v);
+            incr len
+          end)
+        numeric);
+  List.map
+    (fun (i, name, values, len) ->
+      let values = if !len = n then values else Float.Array.sub values 0 !len in
+      (i, name, Histogram.column values))
+    numeric
+
+(* The one statistics function: every table's stats are derived from its
+   sorted columns, whether they were just built or kept current by DML. *)
+let stats_of heap columns =
   {
-    ts_cardinality = List.length tuples;
+    ts_cardinality = Heap_file.cardinality heap;
     ts_pages = Heap_file.n_pages heap;
-    ts_columns = List.filter_map Fun.id col_stats;
+    ts_columns =
+      List.map
+        (fun (_, name, column) ->
+          let hist = Histogram.of_column column in
+          ( name,
+            {
+              cs_count = Histogram.count hist;
+              cs_distinct = Histogram.distinct_estimate hist;
+              cs_min = Histogram.min_value hist;
+              cs_max = Histogram.max_value hist;
+              cs_histogram = hist;
+            } ))
+        columns;
   }
 
 let create_table t name schema tuples =
@@ -122,16 +142,20 @@ let create_table t name schema tuples =
   let schema = Schema.rename_relation schema name in
   let heap = Heap_file.create ~tuples_per_page:t.tuples_per_page t.pool schema in
   Heap_file.load heap tuples;
+  let columns =
+    sorted_columns schema (List.length tuples) (fun f -> List.iter f tuples)
+  in
   let info =
     {
       tb_name = name;
       tb_schema = schema;
       tb_heap = heap;
-      tb_stats = compute_stats schema tuples heap;
+      tb_stats = stats_of heap columns;
       tb_indexes = [];
     }
   in
   Hashtbl.replace t.tables name info;
+  Hashtbl.replace t.sorted name columns;
   bump_stats_epoch t name;
   info
 
@@ -159,9 +183,10 @@ let create_index t ?(clustered = true) ~name ~table:tname ~key () =
     if clustered then
       List.map (fun tu -> (keyf tu, tu)) (Heap_file.to_list info.tb_heap)
     else
-      List.map
-        (fun (rid, tu) -> (keyf tu, rid_tuple rid))
-        (Heap_file.to_list_with_rids info.tb_heap)
+      List.rev
+        (Heap_file.fold_with_rids
+           (fun acc rid tu -> (keyf tu, rid_tuple rid) :: acc)
+           [] info.tb_heap)
   in
   let btree = Btree.bulk_load t.io entries in
   let ix =
@@ -172,40 +197,61 @@ let create_index t ?(clustered = true) ~name ~table:tname ~key () =
   bump_stats_epoch t tname;
   ix
 
+(* A tuple's non-null numeric cells, paired with their sorted columns.
+   Computing them for every tuple of a statement before touching anything
+   rejects a wrong-arity tuple or a string in a numeric column up front. *)
+let numeric_cells t info tu =
+  if Tuple.arity tu <> Schema.arity info.tb_schema then
+    invalid_arg ("Catalog: tuple arity mismatch for table " ^ info.tb_name);
+  List.filter_map
+    (fun (i, _, column) ->
+      let v = Tuple.get tu i in
+      if Value.is_null v then None else Some (column, Value.to_float v))
+    (Hashtbl.find t.sorted info.tb_name)
+
+let append_checked info (tu, cells) =
+  let rid = Heap_file.append info.tb_heap tu in
+  List.iter
+    (fun ix ->
+      let key = Expr.eval info.tb_schema ix.ix_key tu in
+      let payload = if ix.ix_clustered then tu else rid_tuple rid in
+      Btree.insert ix.ix_btree key payload)
+    info.tb_indexes;
+  List.iter (fun (column, v) -> Histogram.add column v) cells
+
+let remove_checked info (rid, tu, cells) =
+  List.iter
+    (fun ix ->
+      let key = Expr.eval info.tb_schema ix.ix_key tu in
+      let payload = if ix.ix_clustered then tu else rid_tuple rid in
+      ignore (Btree.delete ix.ix_btree key payload))
+    info.tb_indexes;
+  ignore (Heap_file.delete info.tb_heap rid);
+  List.iter (fun (column, v) -> Histogram.remove column v) cells
+
 let insert_into t ~table:tname tuples =
   let info = table t tname in
-  List.iter
-    (fun tu ->
-      let rid = Heap_file.append info.tb_heap tu in
-      List.iter
-        (fun ix ->
-          let key = Expr.eval info.tb_schema ix.ix_key tu in
-          let payload = if ix.ix_clustered then tu else rid_tuple rid in
-          Btree.insert ix.ix_btree key payload)
-        info.tb_indexes)
-    tuples
+  List.map (fun tu -> (tu, numeric_cells t info tu)) tuples
+  |> List.iter (append_checked info)
+
+(* The live tuples satisfying [pred], in storage order, with their numeric
+   cells: one pass over the heap pages that keeps only the matches. *)
+let matching t info pred =
+  let test = Expr.compile_bool info.tb_schema pred in
+  List.rev
+    (Heap_file.fold_with_rids
+       (fun acc rid tu ->
+         if test tu then (rid, tu, numeric_cells t info tu) :: acc else acc)
+       [] info.tb_heap)
 
 let delete_from t ~table:tname pred =
   let info = table t tname in
-  let test = Expr.compile_bool info.tb_schema pred in
-  let victims =
-    List.filter (fun (_, tu) -> test tu) (Heap_file.to_list_with_rids info.tb_heap)
-  in
-  List.iter
-    (fun (rid, tu) ->
-      List.iter
-        (fun ix ->
-          let key = Expr.eval info.tb_schema ix.ix_key tu in
-          let payload = if ix.ix_clustered then tu else rid_tuple rid in
-          ignore (Btree.delete ix.ix_btree key payload))
-        info.tb_indexes;
-      ignore (Heap_file.delete info.tb_heap rid))
-    victims;
+  let victims = matching t info pred in
+  List.iter (remove_checked info) victims;
   List.length victims
 
 let update_where t ~table:tname pred ~set =
   let info = table t tname in
-  let test = Expr.compile_bool info.tb_schema pred in
   let setters =
     List.map
       (fun (column, f) ->
@@ -214,37 +260,36 @@ let update_where t ~table:tname pred ~set =
         | None -> invalid_arg ("Catalog.update_where: unknown column " ^ column))
       set
   in
-  let victims =
-    List.filter (fun (_, tu) -> test tu) (Heap_file.to_list_with_rids info.tb_heap)
-  in
+  let victims = matching t info pred in
   let replacements =
     List.map
-      (fun (rid, tu) ->
+      (fun (_, tu, _) ->
         let fresh = Array.copy tu in
         List.iter (fun (i, f) -> fresh.(i) <- f tu) setters;
-        (rid, tu, fresh))
+        (fresh, numeric_cells t info fresh))
       victims
   in
-  List.iter
-    (fun (rid, old_tu, _) ->
-      List.iter
-        (fun ix ->
-          let key = Expr.eval info.tb_schema ix.ix_key old_tu in
-          let payload = if ix.ix_clustered then old_tu else rid_tuple rid in
-          ignore (Btree.delete ix.ix_btree key payload))
-        info.tb_indexes;
-      ignore (Heap_file.delete info.tb_heap rid))
-    replacements;
-  insert_into t ~table:tname (List.map (fun (_, _, fresh) -> fresh) replacements);
+  List.iter (remove_checked info) victims;
+  List.iter (append_checked info) replacements;
   List.length replacements
+
+let publish_stats t info columns =
+  let refreshed = { info with tb_stats = stats_of info.tb_heap columns } in
+  Hashtbl.replace t.tables info.tb_name refreshed;
+  bump_stats_epoch t info.tb_name;
+  refreshed
+
+let refresh_stats t tname =
+  publish_stats t (table t tname) (Hashtbl.find t.sorted tname)
 
 let analyze t tname =
   let info = table t tname in
-  let tuples = Heap_file.to_list info.tb_heap in
-  let refreshed = { info with tb_stats = compute_stats info.tb_schema tuples info.tb_heap } in
-  Hashtbl.replace t.tables tname refreshed;
-  bump_stats_epoch t tname;
-  refreshed
+  let columns =
+    sorted_columns info.tb_schema (Heap_file.cardinality info.tb_heap) (fun f ->
+        Heap_file.iter f info.tb_heap)
+  in
+  Hashtbl.replace t.sorted tname columns;
+  publish_stats t info columns
 
 let index_payload_to_tuple t ix payload =
   if ix.ix_clustered then payload

@@ -48,9 +48,9 @@ val io : t -> Io_stats.t
 
 val stats_epoch : t -> int
 (** Monotonically increasing version of the optimizer-visible statistics.
-    Bumped by {!create_table}, {!create_index} and {!analyze} (the three
-    operations that change what the optimizer sees); plan caches key on it
-    so a stats refresh invalidates stale plans. *)
+    Bumped by {!create_table}, {!create_index}, {!analyze} and
+    {!refresh_stats} (the operations that change what the optimizer sees);
+    plan caches key on it so a stats refresh invalidates stale plans. *)
 
 val table_epoch : t -> string -> int
 (** The slice of {!stats_epoch} attributable to one table (0 for unknown
@@ -85,25 +85,41 @@ val index_payload_to_tuple : t -> index_info -> Tuple.t -> Tuple.t
 
 val insert_into : t -> table:string -> Tuple.t list -> unit
 (** Append tuples to a table, maintaining all of its indexes (clustered
-    indexes receive the tuples, unclustered ones their record ids).
-    Statistics become stale until {!analyze} is called.
-    @raise Not_found for an unknown table. *)
+    indexes receive the tuples, unclustered ones their record ids) and its
+    sorted numeric columns. The published statistics ([tb_stats]) change
+    only at the next {!refresh_stats} or {!analyze}.
+    @raise Not_found for an unknown table.
+    @raise Invalid_argument before changing anything if a tuple has the
+    wrong arity or a string in a numeric column. *)
 
 val delete_from : t -> table:string -> Expr.t -> int
-(** Delete every tuple satisfying the predicate, maintaining all indexes;
-    returns the number of deleted tuples. Statistics become stale until
-    {!analyze}. @raise Not_found for an unknown table. *)
+(** Delete every tuple satisfying the predicate, maintaining all indexes
+    and the sorted numeric columns; returns the number of deleted tuples.
+    The predicate is tested in one pass over the heap pages. Published
+    statistics change only at the next {!refresh_stats} or {!analyze}.
+    @raise Not_found for an unknown table. *)
 
 val update_where :
   t -> table:string -> Expr.t -> set:(string * (Tuple.t -> Value.t)) list -> int
 (** Replace matching tuples with updated copies (implemented as
     delete + re-insert, so all indexes stay consistent); [set] maps bare
     column names to functions of the old tuple. Returns the number of
-    updated tuples. Statistics become stale until {!analyze}. *)
+    updated tuples. The sorted numeric columns are kept current; published
+    statistics change only at the next {!refresh_stats} or {!analyze}. *)
+
+val refresh_stats : t -> string -> table_info
+(** Publish statistics derived from the table's sorted numeric columns as
+    the DML mutators left them, without reading the heap, and bump the
+    table's epoch once. The result is equal (under [compare]) to what
+    {!analyze} would publish. Costs one histogram per numeric column: its
+    bucket counts are reused when the column's min and max did not move,
+    and recounted in one pass over the column when they did.
+    @raise Not_found for an unknown table. *)
 
 val analyze : t -> string -> table_info
-(** Recompute a table's statistics from its current contents (the
-    ANALYZE command of a real system). Returns the refreshed info. *)
+(** Recompute a table's statistics from its current contents by a full
+    heap scan (the ANALYZE command of a real system), rebuilding its sorted
+    numeric columns. Returns the refreshed info. *)
 
 val table : t -> string -> table_info
 (** @raise Not_found for an unknown table. *)

@@ -146,16 +146,16 @@ let to_list t =
   iter (fun tu -> acc := tu :: !acc) t;
   List.rev !acc
 
-let to_list_with_rids t =
+let fold_with_rids f init t =
   let pages = pages_in_order t in
-  let acc = ref [] in
+  let acc = ref init in
   Array.iter
     (fun pid ->
       let page = Buffer_pool.get t.pool pid in
       for slot = 0 to Page.count page - 1 do
         if Page.is_live page slot then
-          acc := ({ page_id = pid; slot }, Page.get page slot) :: !acc
+          acc := f !acc { page_id = pid; slot } (Page.get page slot)
       done)
     pages;
   Io_stats.add_tuples_read (Buffer_pool.stats t.pool) t.cardinality;
-  List.rev !acc
+  !acc

@@ -51,6 +51,8 @@ val iter : (Tuple.t -> unit) -> t -> unit
 
 val to_list : t -> Tuple.t list
 
-val to_list_with_rids : t -> (rid * Tuple.t) list
-(** Tuples paired with their record ids (used to build unclustered
-    indexes). *)
+val fold_with_rids : ('a -> rid -> Tuple.t -> 'a) -> 'a -> t -> 'a
+(** Fold over the live tuples and their record ids in storage order, one
+    pass over the pages through the pool. Charges one pool access per page
+    and the file's cardinality in [tuples_read] (used by unclustered index
+    builds and by DML predicate scans). *)

@@ -6,30 +6,130 @@ type t = {
   distinct : int;
 }
 
-let build ?(buckets = 32) values =
-  match values with
-  | [] -> { counts = [||]; total = 0; lo = infinity; hi = neg_infinity; distinct = 0 }
-  | _ ->
-      let lo = List.fold_left Float.min infinity values in
-      let hi = List.fold_left Float.max neg_infinity values in
-      let buckets = max 1 buckets in
-      let counts = Array.make buckets 0 in
-      let width = (hi -. lo) /. float_of_int buckets in
-      let bucket_of v =
-        if width <= 0.0 then 0
-        else
-          let b = int_of_float ((v -. lo) /. width) in
-          Rkutil.Mathx.iclamp ~lo:0 ~hi:(buckets - 1) b
-      in
-      List.iter (fun v -> counts.(bucket_of v) <- counts.(bucket_of v) + 1) values;
-      let sorted = List.sort_uniq Float.compare values in
-      {
-        counts;
-        total = List.length values;
-        lo;
-        hi;
-        distinct = List.length sorted;
-      }
+(* [Float.compare] refined so that -0. sorts before +0.: the two ends of a
+   column sorted this way are exactly what [Float.min] / [Float.max] folds
+   over the same values return. NaN sorts first. *)
+let order a b =
+  match Float.compare a b with
+  | 0 -> Bool.compare (Float.sign_bit b) (Float.sign_bit a)
+  | c -> c
+
+let bucket_index ~lo ~width ~buckets v =
+  if width <= 0.0 then 0
+  else Rkutil.Mathx.iclamp ~lo:0 ~hi:(buckets - 1) (int_of_float ((v -. lo) /. width))
+
+type column = {
+  buckets : int;
+  mutable values : Float.Array.t;  (* sorted by [order] below [len] *)
+  mutable len : int;
+  mutable distinct_values : int;  (* equal runs under [Float.compare] *)
+  (* Bucket counts of the live values under [base_lo]/[base_hi], the range of
+     the last histogram derived from the column; [[||]] when there is none.
+     They are reused as they stand whenever the next histogram has a
+     bitwise-identical range. *)
+  mutable base_lo : float;
+  mutable base_hi : float;
+  mutable base_counts : int array;
+}
+
+let column ?(buckets = 32) values =
+  Float.Array.stable_sort order values;
+  let len = Float.Array.length values in
+  let distinct = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if Float.compare (Float.Array.get values (i - 1)) (Float.Array.get values i) <> 0
+    then incr distinct
+  done;
+  {
+    buckets = max 1 buckets;
+    values;
+    len;
+    distinct_values = !distinct;
+    base_lo = nan;
+    base_hi = nan;
+    base_counts = [||];
+  }
+
+(* First position below [len] whose value is not below [v] under [order]
+   ([strict = false]), or is above it ([strict = true]); [len] if none. *)
+let search c v ~strict =
+  let lo = ref 0 and hi = ref c.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let cmp = order (Float.Array.get c.values mid) v in
+    if cmp < 0 || (strict && cmp = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let equal_at c i v =
+  i >= 0 && i < c.len && Float.compare (Float.Array.get c.values i) v = 0
+
+let move_base_count c v delta =
+  if Array.length c.base_counts > 0 then begin
+    let width = (c.base_hi -. c.base_lo) /. float_of_int c.buckets in
+    let b = bucket_index ~lo:c.base_lo ~width ~buckets:c.buckets v in
+    c.base_counts.(b) <- c.base_counts.(b) + delta
+  end
+
+let add c v =
+  let pos = search c v ~strict:true in
+  if not (equal_at c (pos - 1) v || equal_at c pos v) then
+    c.distinct_values <- c.distinct_values + 1;
+  if c.len = Float.Array.length c.values then begin
+    let grown = Float.Array.create (max 8 (2 * c.len)) in
+    Float.Array.blit c.values 0 grown 0 c.len;
+    c.values <- grown
+  end;
+  Float.Array.blit c.values pos c.values (pos + 1) (c.len - pos);
+  Float.Array.set c.values pos v;
+  c.len <- c.len + 1;
+  move_base_count c v 1
+
+let remove c v =
+  let pos = search c v ~strict:false in
+  if pos >= c.len || order (Float.Array.get c.values pos) v <> 0 then
+    invalid_arg "Histogram.remove: value not in column";
+  Float.Array.blit c.values (pos + 1) c.values pos (c.len - pos - 1);
+  c.len <- c.len - 1;
+  if not (equal_at c (pos - 1) v || equal_at c pos v) then
+    c.distinct_values <- c.distinct_values - 1;
+  move_base_count c v (-1)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let of_column c =
+  if c.len = 0 then begin
+    c.base_counts <- [||];
+    { counts = [||]; total = 0; lo = infinity; hi = neg_infinity; distinct = 0 }
+  end
+  else begin
+    let first = Float.Array.get c.values 0 in
+    (* NaN sorts first: any NaN makes both ends NaN, as [Float.min] /
+       [Float.max] folds do. *)
+    let lo, hi =
+      if Float.is_nan first then (nan, nan)
+      else (first, Float.Array.get c.values (c.len - 1))
+    in
+    if
+      not
+        (Array.length c.base_counts > 0 && same_bits lo c.base_lo
+       && same_bits hi c.base_hi)
+    then begin
+      let counts = Array.make c.buckets 0 in
+      let width = (hi -. lo) /. float_of_int c.buckets in
+      for i = 0 to c.len - 1 do
+        let b = bucket_index ~lo ~width ~buckets:c.buckets (Float.Array.get c.values i) in
+        counts.(b) <- counts.(b) + 1
+      done;
+      c.base_lo <- lo;
+      c.base_hi <- hi;
+      c.base_counts <- counts
+    end;
+    { counts = Array.copy c.base_counts; total = c.len; lo; hi;
+      distinct = c.distinct_values }
+  end
+
+let build ?buckets values = of_column (column ?buckets (Float.Array.of_list values))
 
 let count t = t.total
 
@@ -45,15 +145,8 @@ let width t =
 
 let bucket_of t v =
   if t.total = 0 || v < t.lo || v > t.hi then None
-  else begin
-    let w = width t in
-    if w <= 0.0 then Some 0
-    else
-      Some
-        (Rkutil.Mathx.iclamp ~lo:0
-           ~hi:(Array.length t.counts - 1)
-           (int_of_float ((v -. t.lo) /. w)))
-  end
+  else
+    Some (bucket_index ~lo:t.lo ~width:(width t) ~buckets:(Array.length t.counts) v)
 
 let selectivity_le t x =
   if t.total = 0 then 0.0

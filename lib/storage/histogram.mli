@@ -7,7 +7,36 @@
 type t
 
 val build : ?buckets:int -> float list -> t
-(** Default 32 buckets. The empty list yields an empty histogram. *)
+(** Default 32 buckets. The empty list yields an empty histogram. Same as
+    [of_column (column ?buckets (Float.Array.of_list values))]. *)
+
+(** {2 Sorted columns}
+
+    A column's values kept sorted in one unboxed array, together with their
+    exact distinct count and the bucket counts of the last histogram derived
+    from it. Adding or removing a value costs a binary search and one blit,
+    so a histogram over the current values can be re-derived without
+    re-reading or re-sorting them. *)
+
+type column
+
+val column : ?buckets:int -> Float.Array.t -> column
+(** Sort the values (taking ownership of the array) into a column whose
+    histograms have [buckets] buckets (default 32). *)
+
+val add : column -> float -> unit
+
+val remove : column -> float -> unit
+(** Remove one occurrence of a value.
+    @raise Invalid_argument if the column does not hold it. *)
+
+val of_column : column -> t
+(** The histogram of the column's current values, equal (under [compare])
+    to {!build} over the same values in any order: min and max come from
+    the array ends ([nan] for both when a NaN is present), the distinct
+    count is kept under [Float.compare] as values come and go, and the
+    bucket counts are reused as maintained when min and max did not move,
+    or recounted in one pass over the array when they did. *)
 
 val count : t -> int
 

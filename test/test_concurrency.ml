@@ -135,6 +135,59 @@ let with_listener f =
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f (Server.Listener.Unix_socket path))
 
+(* A client that hangs up in the middle of a large reply must cost only
+   its own connection: the server's write fails with EPIPE instead of
+   SIGPIPE killing the process, and the next session is answered. The
+   default disposition is restored first, so the listener itself has to
+   ignore the signal. *)
+let test_peer_hangup_mid_reply () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rankopt-pipe-%d.sock" (Unix.getpid ()))
+  in
+  let cat = Catalog.create () in
+  ignore
+    (Workload.Generator.load_scored_table cat
+       (Rkutil.Prng.create 11)
+       ~name:"A" ~n:40_000 ~key_domain:10 ());
+  let ep = Server.Listener.Unix_socket path in
+  let srv = Server.Listener.start ep cat in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Listener.stop srv;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      (* about 1 MB of rows: far more than the socket buffers hold *)
+      let q =
+        "QUERY SELECT A.id, A.key, A.score FROM A ORDER BY A.score DESC LIMIT 40000\n"
+      in
+      ignore (Unix.write_substring fd q 0 (String.length q));
+      let buf = Bytes.create 4096 in
+      ignore (Unix.read fd buf 0 (Bytes.length buf));
+      Unix.close fd;
+      (* Wait until the server has hit the dead peer and closed the
+         session. *)
+      let svc = Server.Listener.service srv in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Server.Service.sessions svc > 0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.005
+      done;
+      Alcotest.(check int) "dead session closed" 0 (Server.Service.sessions svc);
+      let c = Server.Client.connect ep in
+      (match
+         Server.Client.request c
+           "QUERY SELECT A.id FROM A ORDER BY A.score DESC LIMIT 3"
+       with
+      | Ok r ->
+          Alcotest.(check bool) "next session answered" true r.Server.Protocol.ok;
+          Alcotest.(check bool) "rows" true (List.length r.Server.Protocol.payload >= 3)
+      | Error e -> Alcotest.fail e);
+      Server.Client.close c)
+
 (* An overlong command must be answered with ERR PROTOCOL and consumed;
    the connection stays framed and usable afterwards. *)
 let test_oversized_line () =
@@ -238,6 +291,8 @@ let suites =
           test_catalog_stats_epoch;
         Alcotest.test_case "protocol: oversized line is shed, not fatal"
           `Quick test_oversized_line;
+        Alcotest.test_case "protocol: peer hangs up mid-reply" `Quick
+          test_peer_hangup_mid_reply;
         Alcotest.test_case "protocol: partial and pipelined writes" `Quick
           test_partial_and_batched_writes;
         Alcotest.test_case "protocol: FETCH/CLOSE interleaving hammer" `Slow

@@ -5,6 +5,7 @@ let () =
          Test_rkutil.suites;
          Test_relalg.suites;
          Test_storage.suites;
+         Test_dml_stats.suites;
          Test_btree.suites;
          Test_exec.suites;
          Test_vector.suites;
