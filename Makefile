@@ -116,14 +116,17 @@ shard-smoke: build
 # shard-coordinator smoke tests, the perf smoke subset, a short 2-domain
 # degree-sweep hammer (parallel execution must match serial exactly), a
 # short sharded differential sweep (scattered execution must match
-# single-node tuple-exactly) and a vectorized-execution sweep (batched
-# plans must match tuple-at-a-time bit-exactly, depth counters included),
-# then verify the working tree is clean (catches build artifacts or
-# generated files accidentally committed, and formatter/codegen drift).
+# single-node tuple-exactly), a vectorized-execution sweep (batched
+# plans must match tuple-at-a-time bit-exactly, depth counters included)
+# and a cursor-enumeration sweep (EXECUTE + FETCH prefixes must match the
+# full ranked list tuple-exactly), then verify the working tree is clean
+# (catches build artifacts or generated files accidentally committed, and
+# formatter/codegen drift).
 ci: build test lint sanitize serve-smoke shard-smoke bench-smoke
 	dune exec bin/rankopt.exe -- fuzz --degree 2 --seed 0 --cases 200
 	dune exec bin/rankopt.exe -- fuzz --shard 4 --seed 0 --cases 50
 	dune exec bin/rankopt.exe -- fuzz --vector --seed 0 --cases 400
+	dune exec bin/rankopt.exe -- fuzz --enum --seed 0 --cases 200
 	@status=$$(git status --porcelain); \
 	if [ -n "$$status" ]; then \
 	  echo "ci: working tree not clean after build+test:"; \

@@ -495,10 +495,10 @@ let ablate_nary () =
     (fun k ->
       (* Flat. *)
       let stream, nstats =
-        Exec.Rank_join_nary.hrjn_nary
+        Exec.Rank_join.hrjn ~combine:( +. )
           ~inputs:
             (List.map
-               (fun t -> { Exec.Rank_join_nary.stream = scored t; key = key_of t })
+               (fun t -> { Exec.Rank_join.stream = scored t; key = key_of t })
                [ "A"; "B"; "C" ])
           ()
       in

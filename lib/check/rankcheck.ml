@@ -8,7 +8,7 @@
    HRJN/NRJN variants, under several enumerator configurations — and
    executes each one, asserting:
 
-   - Plan_verify invariants on every plan;
+   - planlint structural and estimate rules on every plan;
    - top-k score-multiset equality against the oracle;
    - per rank-join node, no over-read past an exhausted-empty input and
      observed depth within the (slackened) Theorem-2 model bound.
@@ -316,27 +316,31 @@ let plan_scores score (res : Core.Executor.run_result) =
 (* Observed depths vs an exact Theorem-2 bound. Two rules:
 
    - exhausted-empty (Rule A): if one input of a rank join produced nothing
-     (depth 0), the join is provably empty and the other input must not be
+     (depth 0), the join is provably empty and the other inputs must not be
      read past the couple of pulls needed to learn that — the exact
      regression the rank-join exhaustion fix closes;
    - simulated corner bound (Rule B): for each rank-join node that finite
      top-k demand reaches, drain its input streams and compute the minimal
      corner depth d* at which the k demanded results dominate the HRJN
-     threshold max(l_1 + r_d, l_d + r_1) — the depth Theorem 2 proves
-     sufficient. A correct rank join stops within d*; we allow 2·d* + 8 for
-     pull-alternation overshoot. The bound is computed from the node's
-     actual streams, not from histogram estimates, so data skew and
+     threshold max_i f(top_1 .. s_i(d) .. top_m) — the depth Theorem 2
+     proves sufficient. A correct rank join stops within d*; we allow
+     2·d* + 8 for pull-alternation overshoot. The bound is computed from the
+     node's actual streams, not from histogram estimates, so data skew and
      score/key correlation cannot produce false alarms: when fewer than k
      results exist, d* is exhaustion and a full drain is accepted. *)
 
-(* Smallest d such that the k best join results among pairs within the d×d
-   corner dominate the threshold; returns the per-side depths actually
-   reachable. Streams are (key, score) in stream (score-descending) order. *)
-let corner_depth ~k left right =
-  let nl = Array.length left and nr = Array.length right in
-  if nl = 0 || nr = 0 then (min 1 nl, min 1 nr)
+(* Smallest d such that the k best join results among the combinations
+   within the d^m corner dominate the threshold; returns the per-input
+   depths actually reachable. Streams are (key, score) in stream
+   (score-descending) order. Scores combine like the operator's: [+.]
+   folded left in input order, so the threshold is bit-identical to the
+   one HRJN compares against. *)
+let corner_depth ~k streams =
+  let m = Array.length streams in
+  let sizes = Array.map Array.length streams in
+  if Array.exists (( = ) 0) sizes then Array.map (min 1) sizes
   else begin
-    let topk = ref [] (* best pair scores so far, descending, length <= k *) in
+    let topk = ref [] (* best result scores so far, descending, length <= k *) in
     let add s =
       let rec ins = function
         | [] -> [ s ]
@@ -347,89 +351,57 @@ let corner_depth ~k left right =
     let kth () =
       if List.length !topk < k then neg_infinity else List.nth !topk (k - 1)
     in
-    let l1 = snd left.(0) and r1 = snd right.(0) in
-    let d = ref 0 and stop = ref false in
-    while not !stop do
-      incr d;
-      let dd = !d in
-      (* Pairs entering the corner at depth dd. *)
-      if dd <= nl then begin
-        let kl, sl = left.(dd - 1) in
-        for j = 0 to min dd nr - 1 do
-          let kr, sr = right.(j) in
-          if Value.compare kl kr = 0 then add (sl +. sr)
-        done
-      end;
-      if dd <= nr then begin
-        let kr, sr = right.(dd - 1) in
-        for i = 0 to min (dd - 1) nl - 1 do
-          let kl, sl = left.(i) in
-          if Value.compare kl kr = 0 then add (sl +. sr)
-        done
-      end;
-      let t =
-        Float.max
-          (if dd < nl then snd left.(dd - 1) +. r1 else neg_infinity)
-          (if dd < nr then l1 +. snd right.(dd - 1) else neg_infinity)
-      in
-      if kth () >= t || (dd >= nl && dd >= nr) then stop := true
-    done;
-    (min !d nl, min !d nr)
-  end
-
-(* m-way generalization; the corner top-k is recomputed per depth (inputs
-   are tiny). Returns one reachable depth per input. *)
-let corner_depth_nary ~k streams =
-  let m = Array.length streams in
-  let sizes = Array.map Array.length streams in
-  if Array.exists (fun n -> n = 0) sizes then
-    Array.to_list (Array.map (fun n -> min 1 n) sizes)
-  else begin
-    let tops = Array.map (fun s -> snd s.(0)) streams in
-    let sum_tops = Array.fold_left ( +. ) 0.0 tops in
-    let n_max = Array.fold_left max 0 (Array.to_list sizes |> Array.of_list) in
-    let d = ref 0 and stop = ref false in
-    while not !stop do
-      incr d;
-      let dd = !d in
-      let topk = ref [] in
-      let add s =
-        let rec ins = function
-          | [] -> [ s ]
-          | x :: tl -> if s > x then s :: x :: tl else x :: ins tl
-        in
-        topk := List.filteri (fun i _ -> i < k) (ins !topk)
-      in
-      let rec enum i key acc =
+    let fold score =
+      let acc = ref (score 0) in
+      for i = 1 to m - 1 do
+        acc := !acc +. score i
+      done;
+      !acc
+    in
+    let top i = snd streams.(i).(0) in
+    let n_max = Array.fold_left max 0 sizes in
+    (* Combinations entering the corner at depth dd: the first input at
+       position dd - 1 is [p]; inputs before it stay below dd - 1, inputs
+       after it range up to dd - 1. *)
+    let enter dd p =
+      let rec go i key acc =
         if i = m then add acc
-        else
-          for x = 0 to min dd sizes.(i) - 1 do
+        else begin
+          let lo, hi =
+            if i = p then (dd - 1, dd)
+            else (0, min (if i < p then dd - 1 else dd) sizes.(i))
+          in
+          for x = lo to hi - 1 do
             let kx, sx = streams.(i).(x) in
-            let ok, key' =
-              match key with
-              | None -> (true, Some kx)
-              | Some k0 -> (Value.compare k0 kx = 0, key)
-            in
-            if ok then enum (i + 1) key' (acc +. sx)
+            match key with
+            | Some k0 when Value.compare k0 kx <> 0 -> ()
+            | _ -> go (i + 1) (Some kx) (if i = 0 then sx else acc +. sx)
           done
+        end
       in
-      enum 0 None 0.0;
-      let kth =
-        if List.length !topk < k then neg_infinity else List.nth !topk (k - 1)
-      in
+      if dd <= sizes.(p) then go 0 None 0.0
+    in
+    let d = ref 0 and stop = ref false in
+    while not !stop do
+      incr d;
+      let dd = !d in
+      for p = 0 to m - 1 do
+        enter dd p
+      done;
       let t = ref neg_infinity in
-      Array.iteri
-        (fun i s ->
-          if dd < sizes.(i) then
-            t := Float.max !t (snd s.(dd - 1) +. sum_tops -. tops.(i)))
-        streams;
-      if kth >= !t || dd >= n_max then stop := true
+      for i = 0 to m - 1 do
+        if dd < sizes.(i) then
+          t :=
+            Float.max !t
+              (fold (fun j -> if j = i then snd streams.(i).(dd - 1) else top j))
+      done;
+      if kth () >= !t || dd >= n_max then stop := true
     done;
-    Array.to_list (Array.map (fun n -> min !d n) sizes)
+    Array.map (min !d) sizes
   end
 
 (* Drain a rank-join input subplan into its (key, score) stream. *)
-let side_stream catalog plan score ~table ~column =
+let side_stream catalog (plan, score, table, column) =
   let res = Core.Executor.run catalog plan in
   let schema = res.Core.Executor.schema in
   let keyf = Expr.compile schema (Expr.col ~relation:table column) in
@@ -440,7 +412,7 @@ let side_stream catalog plan score ~table ~column =
   in
   (* Sort by score even though rank-join inputs already deliver descending
      order: an NRJN inner is a plain (heap-order) scan, and the corner
-     threshold needs its maximum as r_1. *)
+     threshold needs its maximum as its top score. *)
   let arr =
     Array.of_list
       (List.map (fun (tu, _) -> (keyf tu, scoref tu)) res.Core.Executor.rows)
@@ -452,21 +424,16 @@ let allowed_of_corner d = (2 * d) + 8
 
 (* Walk the plan propagating output demand: Top-k caps it, blocking
    operators (sort, filters above joins) reset it to "drain". Rank nodes
-   reached by finite demand get simulated corner bounds, keyed by their
-   [Plan.describe] label (the executor reports observed depths under the
-   same label); identical labels take the most lenient bound. *)
+   reached by finite demand get simulated corner bounds (one per input),
+   keyed by their [Plan.describe] label (the executor reports observed
+   depths under the same label); identical labels take the most lenient
+   bound. [max_int] means unbounded. *)
 let depth_bounds catalog plan =
-  let binary_tbl : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let nary_tbl : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-  let record_binary label (al, ar) =
-    match Hashtbl.find_opt binary_tbl label with
-    | Some (bl, br) -> Hashtbl.replace binary_tbl label (max al bl, max ar br)
-    | None -> Hashtbl.add binary_tbl label (al, ar)
-  in
-  let record_nary label bs =
-    match Hashtbl.find_opt nary_tbl label with
-    | Some prev -> Hashtbl.replace nary_tbl label (List.map2 max prev bs)
-    | None -> Hashtbl.add nary_tbl label bs
+  let tbl : (string, int array) Hashtbl.t = Hashtbl.create 8 in
+  let record label bounds =
+    match Hashtbl.find_opt tbl label with
+    | Some prev -> Hashtbl.replace tbl label (Array.map2 max prev bounds)
+    | None -> Hashtbl.add tbl label bounds
   in
   let rec walk demand plan =
     match plan with
@@ -490,150 +457,98 @@ let depth_bounds catalog plan =
           left_score;
           right_score;
         } ->
-        let label = Core.Plan.describe plan in
-        if demand = max_int then begin
-          record_binary label (max_int, max_int);
-          walk max_int left;
-          walk max_int right
-        end
-        else begin
-          let ls =
-            side_stream catalog left left_score ~table:cond.Core.Logical.left_table
-              ~column:cond.Core.Logical.left_column
-          in
-          let rs =
-            side_stream catalog right right_score
-              ~table:cond.Core.Logical.right_table
-              ~column:cond.Core.Logical.right_column
-          in
-          let dl, dr = corner_depth ~k:demand ls rs in
-          let al = allowed_of_corner dl and ar = allowed_of_corner dr in
-          record_binary label (al, ar);
-          walk al left;
-          (* NRJN rescans its inner per outer tuple; its inner depth is not
-             demand-bounded. *)
-          walk (if algo = Core.Plan.Nrjn then max_int else ar) right
-        end
+        rank_join plan demand ~nrjn:(algo = Core.Plan.Nrjn)
+          [|
+            (left, left_score, cond.Core.Logical.left_table,
+             cond.Core.Logical.left_column);
+            (right, right_score, cond.Core.Logical.right_table,
+             cond.Core.Logical.right_column);
+          |]
     | Core.Plan.Join { left; right; _ } ->
         walk max_int left;
         walk max_int right
     | Core.Plan.Nary_rank_join { inputs; scores; key; tables } ->
-        let label = Core.Plan.describe plan in
-        if demand = max_int then begin
-          record_nary label (List.map (fun _ -> max_int) inputs);
-          List.iter (walk max_int) inputs
-        end
-        else begin
-          let streams =
-            Array.of_list
-              (List.map2
-                 (fun (input, score) table ->
-                   side_stream catalog input (Some score) ~table ~column:key)
-                 (List.combine inputs scores)
-                 tables)
-          in
-          let ds = corner_depth_nary ~k:demand streams in
-          let allowed = List.map allowed_of_corner ds in
-          record_nary label allowed;
-          List.iter2 walk allowed inputs
-        end
+        rank_join plan demand ~nrjn:false
+          (Array.of_list
+             (List.map2
+                (fun (input, score) table -> (input, Some score, table, key))
+                (List.combine inputs scores)
+                tables))
     (* anyK's build drains every input regardless of demand; there is no
        depth bound to check on it *)
     | Core.Plan.Any_k { inputs; _ } -> List.iter (walk max_int) inputs
+  and rank_join plan demand ~nrjn sides =
+    let allowed =
+      if demand = max_int then Array.map (fun _ -> max_int) sides
+      else begin
+        let streams = Array.map (side_stream catalog) sides in
+        let allowed =
+          Array.map allowed_of_corner (corner_depth ~k:demand streams)
+        in
+        (* NRJN rescans its inner per outer tuple; its inner depth is not
+           demand-bounded. *)
+        if nrjn then allowed.(1) <- max_int;
+        allowed
+      end
+    in
+    record (Core.Plan.describe plan) allowed;
+    Array.iteri (fun i (input, _, _, _) -> walk allowed.(i) input) sides
   in
   walk max_int plan;
-  (binary_tbl, nary_tbl)
+  tbl
+
+(* Every rank-join node of a run, in plan pre-order per kind: an n-ary
+   node is HRJN over more than two inputs. *)
+let rank_join_nodes (res : Core.Executor.run_result) =
+  List.map
+    (fun (rn : Core.Executor.rank_node_stats) ->
+      (rn.Core.Executor.label, rn.Core.Executor.algo, rn.Core.Executor.stats))
+    res.Core.Executor.rank_nodes
+  @ List.map
+      (fun (nn : Core.Executor.nary_node_stats) ->
+        (nn.Core.Executor.nary_label, Core.Plan.Hrjn, nn.Core.Executor.nary_stats))
+      res.Core.Executor.nary_nodes
+
+(* First input [i] (with its depth) satisfying [p i depth]. *)
+let find_input st p =
+  let ds = Exec.Exec_stats.depths st in
+  let rec go i =
+    if i = Array.length ds then None
+    else if p i ds.(i) then Some (i, ds.(i))
+    else go (i + 1)
+  in
+  go 0
 
 let depth_check catalog plan (res : Core.Executor.run_result) =
-  let exhausted_empty =
-    List.find_map
-      (fun (rn : Core.Executor.rank_node_stats) ->
-        let l = Exec.Exec_stats.left_depth rn.Core.Executor.stats in
-        let r = Exec.Exec_stats.right_depth rn.Core.Executor.stats in
-        if l = 0 && r > 2 then
-          Some
-            (Printf.sprintf
-               "%s over-reads right input (depth %d) after empty left input"
-               rn.Core.Executor.label r)
-        else if r = 0 && l > 2 && rn.Core.Executor.algo <> Core.Plan.Nrjn then
-          (* NRJN legitimately learns the inner is empty only after the
-             first outer pull, but never needs more than one. *)
-          Some
-            (Printf.sprintf
-               "%s over-reads left input (depth %d) after empty right input"
-               rn.Core.Executor.label l)
-        else if r = 0 && l > 1 && rn.Core.Executor.algo = Core.Plan.Nrjn then
-          Some
-            (Printf.sprintf
-               "%s over-reads outer input (depth %d) with an empty inner"
-               rn.Core.Executor.label l)
-        else None)
-      res.Core.Executor.rank_nodes
+  let nodes = rank_join_nodes res in
+  (* After input [e] comes back empty, the others may be read only as far
+     as learning that takes: two pulls, or one outer pull for NRJN (it
+     finds the inner empty on its first scan). *)
+  let over_read (label, algo, st) =
+    Option.bind (find_input st (fun _ d -> d = 0)) (fun (e, _) ->
+        let slack = if algo = Core.Plan.Nrjn && e = 1 then 1 else 2 in
+        Option.map
+          (fun (i, d) ->
+            Printf.sprintf "%s over-reads input %d (depth %d) after empty input %d"
+              label i d e)
+          (find_input st (fun i d -> i <> e && d > slack)))
   in
-  let nary_exhausted =
-    List.find_map
-      (fun (nn : Core.Executor.nary_node_stats) ->
-        let st = nn.Core.Executor.nary_stats in
-        let m = Exec.Exec_stats.inputs st in
-        let ds = List.init m (Exec.Exec_stats.depth st) in
-        if List.mem 0 ds && List.exists (fun d -> d > 2) ds then
-          Some
-            (Printf.sprintf "%s over-reads live inputs after an empty input"
-               nn.Core.Executor.nary_label)
-        else None)
-      res.Core.Executor.nary_nodes
-  in
-  match exhausted_empty, nary_exhausted with
-  | Some msg, _ | None, Some msg -> Error msg
-  | None, None -> (
-      let binary_tbl, nary_tbl = depth_bounds catalog plan in
-      let binary_violation =
-        List.find_map
-          (fun (rn : Core.Executor.rank_node_stats) ->
-            match Hashtbl.find_opt binary_tbl rn.Core.Executor.label with
-            | None -> None
-            | Some (al, ar) ->
-                let obs_l = Exec.Exec_stats.left_depth rn.Core.Executor.stats in
-                let obs_r = Exec.Exec_stats.right_depth rn.Core.Executor.stats in
-                if al <> max_int && obs_l > al then
-                  Some
-                    (Printf.sprintf
-                       "%s left depth %d exceeds simulated Theorem-2 bound %d"
-                       rn.Core.Executor.label obs_l al)
-                else if
-                  rn.Core.Executor.algo <> Core.Plan.Nrjn
-                  && ar <> max_int && obs_r > ar
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s right depth %d exceeds simulated Theorem-2 bound %d"
-                       rn.Core.Executor.label obs_r ar)
-                else None)
-          res.Core.Executor.rank_nodes
+  match List.find_map over_read nodes with
+  | Some msg -> Error msg
+  | None -> (
+      let bounds = depth_bounds catalog plan in
+      let violation (label, _, st) =
+        Option.bind (Hashtbl.find_opt bounds label) (fun allowed ->
+            Option.map
+              (fun (i, d) ->
+                Printf.sprintf
+                  "%s input %d depth %d exceeds simulated Theorem-2 bound %d"
+                  label i d allowed.(i))
+              (find_input st (fun i d -> allowed.(i) <> max_int && d > allowed.(i))))
       in
-      let nary_violation =
-        List.find_map
-          (fun (nn : Core.Executor.nary_node_stats) ->
-            match Hashtbl.find_opt nary_tbl nn.Core.Executor.nary_label with
-            | None -> None
-            | Some allowed ->
-                let st = nn.Core.Executor.nary_stats in
-                List.find_map
-                  (fun (i, a) ->
-                    let obs = Exec.Exec_stats.depth st i in
-                    if a <> max_int && obs > a then
-                      Some
-                        (Printf.sprintf
-                           "%s input %d depth %d exceeds simulated Theorem-2 \
-                            bound %d"
-                           nn.Core.Executor.nary_label i obs a)
-                    else None)
-                  (List.mapi (fun i a -> (i, a)) allowed))
-          res.Core.Executor.nary_nodes
-      in
-      match binary_violation, nary_violation with
-      | Some msg, _ | None, Some msg -> Error msg
-      | None, None -> Ok ())
+      match List.find_map violation nodes with
+      | Some msg -> Error msg
+      | None -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Checking one case                                                   *)
@@ -821,41 +736,45 @@ let pp_failure fmt f =
   List.iter (fun ts -> Format.fprintf fmt "  %a@," pp_table ts) f.f_case.c_tables;
   Format.fprintf fmt "  replay: %s@]" f.f_replay
 
-let run_case seed =
-  let case = gen_case seed in
-  match check_case case with
-  | Ok plans -> Ok plans
-  | Error _ ->
-      let shrunk = shrink case in
-      let reason, plan =
-        match check_case shrunk with
-        | Error e -> e
-        | Ok _ -> (
-            (* The shrink overshot (flaky only if the harness itself is
-               nondeterministic — it is not); fall back to the original. *)
-            match check_case case with
-            | Error e -> e
-            | Ok _ -> ("unreproducible failure", None))
-      in
-      Error
-        {
-          f_seed = seed;
-          f_reason = reason;
-          f_plan = plan;
-          f_case = shrunk;
-          f_replay = replay_command seed;
-        }
-
-let run ?(progress = fun _ -> ()) ~seed ~cases () =
+(* The one sweep driver every mode shares: check [cases] consecutive seeds,
+   case [i] generated from [seed + i]. A failed check becomes a failure
+   whose reason carries the mode's [prefix] and whose replay command is
+   [replay] applied to the case's seed; with [shrink], the reported case is
+   the shrunk counterexample and the reason is re-derived from it. *)
+let sweep ?(progress = fun _ -> ()) ?shrink ~gen ~check ~prefix ~replay ~seed
+    ~cases () =
   let failures = ref [] in
-  let plans = ref 0 in
+  let checked = ref 0 in
   for i = 0 to cases - 1 do
     progress i;
-    match run_case (seed + i) with
-    | Ok n -> plans := !plans + n
-    | Error f -> failures := f :: !failures
+    let case = gen (seed + i) in
+    match check case with
+    | Ok n -> checked := !checked + n
+    | Error e ->
+        let case, (reason, plan) =
+          match shrink with
+          | None -> (case, e)
+          | Some shrink -> (
+              let shrunk = shrink case in
+              match check shrunk with
+              | Error e' -> (shrunk, e')
+              | Ok _ -> (shrunk, e))
+        in
+        failures :=
+          {
+            f_seed = seed + i;
+            f_reason = prefix ^ reason;
+            f_plan = plan;
+            f_case = case;
+            f_replay = replay (seed + i);
+          }
+          :: !failures
   done;
-  { o_cases = cases; o_plans = !plans; o_failures = List.rev !failures }
+  { o_cases = cases; o_plans = !checked; o_failures = List.rev !failures }
+
+let run ?progress ~seed ~cases () =
+  sweep ?progress ~shrink ~gen:gen_case ~check:check_case ~prefix:""
+    ~replay:replay_command ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Lint-only mode: static sweep, no execution                          *)
@@ -911,31 +830,12 @@ let lint_case case : (int, string * string option) result =
       Lint.Engine.Emit.disable ();
       result)
 
-let run_case_lint seed =
-  let case = gen_case seed in
-  match lint_case case with
-  | Ok plans -> Ok plans
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt lint --fuzz-seed %d --fuzz-cases 1" seed;
-        }
-
-let run_lint ?(progress = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  let plans = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_lint (seed + i) with
-    | Ok n -> plans := !plans + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !plans; o_failures = List.rev !failures }
+(* No shrinking: lint failures are already localized by the diagnostic's
+   plan path. *)
+let run_lint ?progress ~seed ~cases () =
+  sweep ?progress ~gen:gen_case ~check:lint_case ~prefix:""
+    ~replay:(Printf.sprintf "rankopt lint --fuzz-seed %d --fuzz-cases 1")
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Server mode: replay through a live server vs direct execution       *)
@@ -1069,31 +969,11 @@ let check_case_server case : (int, string * string option) result =
       | Some reason -> Error (reason, None))
   | Error reason -> Error (reason, None)
 
-let run_case_server seed =
-  let case = gen_case seed in
-  match check_case_server case with
-  | Ok n -> Ok n
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = "server-mode: " ^ reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --server --seed %d --cases 1" seed;
-        }
-
-let run_server ?(progress = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  let executions = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_server (seed + i) with
-    | Ok n -> executions := !executions + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !executions; o_failures = List.rev !failures }
+let run_server ?progress ~seed ~cases () =
+  sweep ?progress ~gen:gen_case ~check:check_case_server
+    ~prefix:"server-mode: "
+    ~replay:(Printf.sprintf "rankopt fuzz --server --seed %d --cases 1")
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Degree mode: parallel-execution determinism sweep                   *)
@@ -1202,34 +1082,13 @@ let check_case_degree ?pool ~degree case : (int, string * string option) result 
                               (List.length a) (List.length b),
                             desc )))))
 
-let run_case_degree ?pool ~degree seed =
-  let case = gen_case seed in
-  match check_case_degree ?pool ~degree case with
-  | Ok n -> Ok n
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = Printf.sprintf "degree-mode(%d): %s" degree reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --degree %d --seed %d --cases 1"
-              degree seed;
-        }
-
-let run_degree ?(progress = fun _ -> ()) ~seed ~cases ~degree () =
+let run_degree ?progress ~seed ~cases ~degree () =
   let pool = Rkutil.Task_pool.create ~domains:(max 2 degree) in
   Fun.protect ~finally:(fun () -> Rkutil.Task_pool.shutdown pool) @@ fun () ->
-  let failures = ref [] in
-  let executions = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_degree ~pool ~degree (seed + i) with
-    | Ok n -> executions := !executions + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !executions; o_failures = List.rev !failures }
+  sweep ?progress ~gen:gen_case ~check:(check_case_degree ~pool ~degree)
+    ~prefix:(Printf.sprintf "degree-mode(%d): " degree)
+    ~replay:(Printf.sprintf "rankopt fuzz --degree %d --seed %d --cases 1" degree)
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Vector mode: batched execution vs the tuple-at-a-time reference     *)
@@ -1247,7 +1106,7 @@ let run_degree ?(progress = fun _ -> ()) ~seed ~cases ~degree () =
    boundary never changes how far a rank join reads (Theorem 1/2
    accounting is untouched). *)
 
-let vector_stats_divergence kind label a b =
+let vector_stats_divergence label a b =
   let da = Exec.Exec_stats.depths a and db = Exec.Exec_stats.depths b in
   let show d =
     String.concat ";" (List.map string_of_int (Array.to_list d))
@@ -1255,11 +1114,11 @@ let vector_stats_divergence kind label a b =
   if da <> db then
     Some
       (Printf.sprintf
-         "%s %s: input depths [%s] (serial) vs [%s] (vectorized)" kind label
+         "rank join %s: input depths [%s] (serial) vs [%s] (vectorized)" label
          (show da) (show db))
   else if Exec.Exec_stats.emitted a <> Exec.Exec_stats.emitted b then
     Some
-      (Printf.sprintf "%s %s: emitted %d (serial) vs %d (vectorized)" kind
+      (Printf.sprintf "rank join %s: emitted %d (serial) vs %d (vectorized)"
          label
          (Exec.Exec_stats.emitted a)
          (Exec.Exec_stats.emitted b))
@@ -1267,62 +1126,19 @@ let vector_stats_divergence kind label a b =
 
 (* Rank-node stats are reported in plan pre-order by both runs of the same
    plan, so position-wise pairing is exact. *)
-let vector_counters_diverge (serial : Core.Executor.run_result)
-    (vec : Core.Executor.run_result) =
-  let pair_binary () =
-    if
-      List.length serial.Core.Executor.rank_nodes
-      <> List.length vec.Core.Executor.rank_nodes
-    then
-      Some
-        (Printf.sprintf "rank-join node count %d (serial) vs %d (vectorized)"
-           (List.length serial.Core.Executor.rank_nodes)
-           (List.length vec.Core.Executor.rank_nodes))
-    else
-      List.find_map
-        (fun ((a : Core.Executor.rank_node_stats),
-              (b : Core.Executor.rank_node_stats)) ->
-          if not (String.equal a.Core.Executor.label b.Core.Executor.label)
-          then
-            Some
-              (Printf.sprintf "rank-join node pairing: %s vs %s"
-                 a.Core.Executor.label b.Core.Executor.label)
-          else
-            vector_stats_divergence "rank join" a.Core.Executor.label
-              a.Core.Executor.stats b.Core.Executor.stats)
-        (List.combine serial.Core.Executor.rank_nodes
-           vec.Core.Executor.rank_nodes)
-  in
-  let pair_nary () =
-    if
-      List.length serial.Core.Executor.nary_nodes
-      <> List.length vec.Core.Executor.nary_nodes
-    then
-      Some
-        (Printf.sprintf
-           "n-ary rank-join node count %d (serial) vs %d (vectorized)"
-           (List.length serial.Core.Executor.nary_nodes)
-           (List.length vec.Core.Executor.nary_nodes))
-    else
-      List.find_map
-        (fun ((a : Core.Executor.nary_node_stats),
-              (b : Core.Executor.nary_node_stats)) ->
-          if
-            not
-              (String.equal a.Core.Executor.nary_label
-                 b.Core.Executor.nary_label)
-          then
-            Some
-              (Printf.sprintf "n-ary rank-join node pairing: %s vs %s"
-                 a.Core.Executor.nary_label b.Core.Executor.nary_label)
-          else
-            vector_stats_divergence "n-ary rank join"
-              a.Core.Executor.nary_label a.Core.Executor.nary_stats
-              b.Core.Executor.nary_stats)
-        (List.combine serial.Core.Executor.nary_nodes
-           vec.Core.Executor.nary_nodes)
-  in
-  match pair_binary () with Some m -> Some m | None -> pair_nary ()
+let vector_counters_diverge serial vec =
+  let a = rank_join_nodes serial and b = rank_join_nodes vec in
+  if List.length a <> List.length b then
+    Some
+      (Printf.sprintf "rank-join node count %d (serial) vs %d (vectorized)"
+         (List.length a) (List.length b))
+  else
+    List.find_map
+      (fun ((la, _, sa), (lb, _, sb)) ->
+        if not (String.equal la lb) then
+          Some (Printf.sprintf "rank-join node pairing: %s vs %s" la lb)
+        else vector_stats_divergence la sa sb)
+      (List.combine a b)
 
 let check_case_vector case : (int, string * string option) result =
   let catalog = build_catalog case in
@@ -1374,31 +1190,11 @@ let check_case_vector case : (int, string * string option) result =
           in
           check_all 0 plans)
 
-let run_case_vector seed =
-  let case = gen_case seed in
-  match check_case_vector case with
-  | Ok n -> Ok n
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = "vector-mode: " ^ reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --vector --seed %d --cases 1" seed;
-        }
-
-let run_vector ?(progress = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  let executions = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_vector (seed + i) with
-    | Ok n -> executions := !executions + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !executions; o_failures = List.rev !failures }
+let run_vector ?progress ~seed ~cases () =
+  sweep ?progress ~gen:gen_case ~check:check_case_vector
+    ~prefix:"vector-mode: "
+    ~replay:(Printf.sprintf "rankopt fuzz --vector --seed %d --cases 1")
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration mode: cursor FETCH prefixes vs a full ranked-list oracle *)
@@ -1652,31 +1448,10 @@ let check_case_enum case : (int, string * string option) result =
           | Ok () -> Ok !checked
           | Error reason -> Error (reason, !plan_desc)))
 
-let run_case_enum seed =
-  let case = enum_case seed in
-  match check_case_enum case with
-  | Ok n -> Ok n
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = "enum-mode: " ^ reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --enum --seed %d --cases 1" seed;
-        }
-
-let run_enum ?(progress = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  let prefixes = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_enum (seed + i) with
-    | Ok n -> prefixes := !prefixes + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !prefixes; o_failures = List.rev !failures }
+let run_enum ?progress ~seed ~cases () =
+  sweep ?progress ~gen:enum_case ~check:check_case_enum ~prefix:"enum-mode: "
+    ~replay:(Printf.sprintf "rankopt fuzz --enum --seed %d --cases 1")
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Rank mode: by-rank windows vs a sort-everything oracle              *)
@@ -1908,31 +1683,10 @@ let check_case_rank case : (int, string * string option) result =
                         desc )
                   else Ok (n + 1))))
 
-let run_case_rank seed =
-  let case = rank_case seed in
-  match check_case_rank case with
-  | Ok n -> Ok n
-  | Error (reason, plan) ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = "rank-mode: " ^ reason;
-          f_plan = plan;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --rank --seed %d --cases 1" seed;
-        }
-
-let run_rank ?(progress = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  let windows = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_rank (seed + i) with
-    | Ok n -> windows := !windows + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !windows; o_failures = List.rev !failures }
+let run_rank ?progress ~seed ~cases () =
+  sweep ?progress ~gen:rank_case ~check:check_case_rank ~prefix:"rank-mode: "
+    ~replay:(Printf.sprintf "rankopt fuzz --rank --seed %d --cases 1")
+    ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
 (* Shard mode: sharded coordinator vs single node                      *)
@@ -2123,29 +1877,10 @@ let check_case_shard ~shards case : (int, string) result =
     Ok 3
   with e -> Error ("shard-mode raised: " ^ Printexc.to_string e)
 
-let run_case_shard ~shards seed =
-  let case = gen_case seed in
-  match check_case_shard ~shards case with
-  | Ok n -> Ok n
-  | Error reason ->
-      Error
-        {
-          f_seed = seed;
-          f_reason = Printf.sprintf "shard-mode (%d shards): %s" shards reason;
-          f_plan = None;
-          f_case = case;
-          f_replay =
-            Printf.sprintf "rankopt fuzz --shard %d --seed %d --cases 1" shards
-              seed;
-        }
-
-let run_shard ?(progress = fun _ -> ()) ~seed ~cases ~shards () =
-  let failures = ref [] in
-  let checked = ref 0 in
-  for i = 0 to cases - 1 do
-    progress i;
-    match run_case_shard ~shards (seed + i) with
-    | Ok n -> checked := !checked + n
-    | Error f -> failures := f :: !failures
-  done;
-  { o_cases = cases; o_plans = !checked; o_failures = List.rev !failures }
+let run_shard ?progress ~seed ~cases ~shards () =
+  sweep ?progress ~gen:gen_case
+    ~check:(fun case ->
+      Result.map_error (fun r -> (r, None)) (check_case_shard ~shards case))
+    ~prefix:(Printf.sprintf "shard-mode (%d shards): " shards)
+    ~replay:(Printf.sprintf "rankopt fuzz --shard %d --seed %d --cases 1" shards)
+    ~seed ~cases ()

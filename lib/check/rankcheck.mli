@@ -62,9 +62,6 @@ val check_case : case -> (int, string * string option) result
 val shrink : case -> case
 (** Greedily minimize a failing case while it keeps failing. *)
 
-val run_case : int -> (int, failure) result
-(** [check_case] on [gen_case seed], shrinking on failure. *)
-
 val run : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
 (** Check [cases] consecutive seeds starting at [seed]. [progress] is called
     with the 0-based case index before each case. *)
@@ -82,10 +79,6 @@ val pp_failure : Format.formatter -> failure -> unit
 val lint_case : case -> (int, string * string option) result
 (** [Ok n]: [n] plans linted with zero diagnostics. *)
 
-val run_case_lint : int -> (int, failure) result
-(** [lint_case] on [gen_case seed] (no shrinking — lint failures are
-    already localized by the diagnostic's plan path). *)
-
 val run_lint : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
 (** Like {!run}, but [o_plans] counts plans linted. *)
 
@@ -99,13 +92,9 @@ val run_lint : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outco
     The second replay at each [k] must additionally be served from the
     plan cache. *)
 
-val check_case_server : case -> (int, string * string option) result
-(** [Ok n]: all [n] server executions matched direct execution. *)
-
-val run_case_server : int -> (int, failure) result
-
 val run_server : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
-(** Like {!run}, but [o_plans] counts server executions checked. *)
+(** Like {!run}, but [o_plans] counts server executions checked (plus
+    plan-cache entries audited). *)
 
 (** {2 Degree mode}
 
@@ -118,12 +107,6 @@ val run_server : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> out
     statement cross-checks the score multiset so a deterministic-but-wrong
     parallel plan cannot pass. This is what [rankopt fuzz --degree N]
     drives. *)
-
-val check_case_degree :
-  ?pool:Rkutil.Task_pool.t -> degree:int -> case -> (int, string * string option) result
-(** [Ok n]: [n] degree executions matched the degree-1 reference. *)
-
-val run_case_degree : ?pool:Rkutil.Task_pool.t -> degree:int -> int -> (int, failure) result
 
 val run_degree :
   ?progress:(int -> unit) -> seed:int -> cases:int -> degree:int -> unit -> outcome
@@ -142,12 +125,6 @@ val run_degree :
     the two runs, proving the vectorized spines never change how far a
     streaming rank join reads. This is what [rankopt fuzz --vector]
     drives. *)
-
-val check_case_vector : case -> (int, string * string option) result
-(** [Ok n]: [n] plans executed identically under both modes, counters
-    included. *)
-
-val run_case_vector : int -> (int, failure) result
 
 val run_vector : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
 (** Like {!run}, but [o_plans] counts vectorized/serial plan pairs
@@ -172,12 +149,6 @@ val run_vector : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> out
 val enum_case : int -> case
 (** {!gen_case} with scores snapped to the 1/8 grid and occasional NaNs. *)
 
-val check_case_enum : case -> (int, string * string option) result
-(** [Ok n]: [n] fetch prefixes (plus cursor-lifecycle checks) matched the
-    enumeration oracle. *)
-
-val run_case_enum : int -> (int, failure) result
-
 val run_enum : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
 (** Like {!run}, but [o_plans] counts prefix checks. *)
 
@@ -197,12 +168,6 @@ val run_enum : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outco
 val rank_case : int -> case
 (** Deterministic single-table by-rank window case for a seed. *)
 
-val check_case_rank : case -> (int, string * string option) result
-(** [Ok n]: [n] window executions (both variants plus the SQL path)
-    matched the oracle exactly. *)
-
-val run_case_rank : int -> (int, failure) result
-
 val run_rank : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outcome
 (** Like {!run}, but [o_plans] counts window executions compared. *)
 
@@ -219,11 +184,6 @@ val run_rank : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> outco
     through the coordinator followed by a re-query checks DML routing,
     scatter-cache invalidation and partitioning epochs. This is what
     [rankopt fuzz --shard N] drives. *)
-
-val check_case_shard : shards:int -> case -> (int, string) result
-(** [Ok n]: [n] sharded statements matched the single-node oracle. *)
-
-val run_case_shard : shards:int -> int -> (int, failure) result
 
 val run_shard :
   ?progress:(int -> unit) -> seed:int -> cases:int -> shards:int -> unit -> outcome

@@ -43,6 +43,13 @@ let score_fn schema = function
   | Some e -> Expr.compile_float schema e
   | None -> fun _ -> 0.0
 
+let rank_input op score ~table ~column =
+  let schema = op.Exec.Operator.schema in
+  {
+    Exec.Rank_join.stream = Exec.Operator.with_score (score_fn schema score) op;
+    key = key_extractor schema ~table ~column;
+  }
+
 let sort_budget catalog =
   Exec.Sort.budget
     ~tuples_per_page:(Storage.Catalog.tuples_per_page catalog)
@@ -484,19 +491,16 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
           List.mapi (fun i input -> go `Streaming (child_ann ann i) input) inputs
         in
         let profs = List.map snd compiled in
-        let nary_inputs =
-          List.map2
-            (fun ((op, _), score) table ->
-              let schema = op.Exec.Operator.schema in
-              {
-                Exec.Rank_join_nary.stream =
-                  Exec.Operator.with_score (Expr.compile_float schema score) op;
-                key = key_extractor schema ~table ~column:key;
-              })
-            (List.combine compiled scores)
-            tables
+        let stream, stats =
+          Exec.Rank_join.hrjn ~stats ~combine:( +. )
+            ~inputs:
+              (List.map2
+                 (fun ((op, _), score) table ->
+                   rank_input op (Some score) ~table ~column:key)
+                 (List.combine compiled scores)
+                 tables)
+            ()
         in
-        let stream, stats = Exec.Rank_join_nary.hrjn_nary ~stats ~inputs:nary_inputs () in
         nary_nodes :=
           { nary_label = Plan.describe plan; nary_stats = stats } :: !nary_nodes;
         instrument plan stats (Exec.Operator.scored_to_plain stream) profs
@@ -621,22 +625,6 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
         | Plan.Hrjn ->
             let lop, lprof = go `Streaming (child_ann ann 0) left
             and rop, rprof = go `Streaming (child_ann ann 1) right in
-            let lschema = lop.Exec.Operator.schema
-            and rschema = rop.Exec.Operator.schema in
-            let left_input =
-              {
-                Exec.Rank_join.stream =
-                  Exec.Operator.with_score (score_fn lschema left_score) lop;
-                key = key_extractor lschema ~table:lt ~column:lc;
-              }
-            in
-            let right_input =
-              {
-                Exec.Rank_join.stream =
-                  Exec.Operator.with_score (score_fn rschema right_score) rop;
-                key = key_extractor rschema ~table:rt ~column:rc;
-              }
-            in
             let polling =
               match ann with
               | Some { Propagate.depths = Some d; _ }
@@ -647,7 +635,12 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
             in
             let stream, stats =
               Exec.Rank_join.hrjn ~stats ~polling ~combine:( +. )
-                ~left:left_input ~right:right_input ()
+                ~inputs:
+                  [
+                    rank_input lop left_score ~table:lt ~column:lc;
+                    rank_input rop right_score ~table:rt ~column:rc;
+                  ]
+                ()
             in
             rank_nodes :=
               { label = Plan.describe plan; algo; stats } :: !rank_nodes;

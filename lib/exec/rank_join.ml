@@ -19,169 +19,216 @@ end)
 let result_heap () =
   Rkutil.Heap.create ~cmp:(fun (_, s1) (_, s2) -> Float.compare s2 s1)
 
-let stats_of = function
+let stats_of m = function
   | Some s ->
-      if Exec_stats.inputs s <> 2 then
-        invalid_arg "Rank_join: stats record must track exactly 2 inputs";
+      if Exec_stats.inputs s <> m then
+        invalid_arg
+          (Printf.sprintf "Rank_join: stats record must track exactly %d inputs" m);
       s
-  | None -> Exec_stats.create 2
+  | None -> Exec_stats.create m
 
-let hrjn ?stats ?(polling = Alternate) ~combine ~left ~right () =
-  let schema = Schema.concat left.stream.Operator.s_schema right.stream.Operator.s_schema in
-  let stats = stats_of stats in
-  let hash_l : (Tuple.t * float) list Vtbl.t = Vtbl.create 64 in
-  let hash_r : (Tuple.t * float) list Vtbl.t = Vtbl.create 64 in
+(* One tuple per input, concatenated in input order: at m = 2 a single
+   [Tuple.concat], the cheapest way to build a joined tuple. *)
+let join_parts parts =
+  let joined = ref parts.(0) in
+  for j = 1 to Array.length parts - 1 do
+    joined := Tuple.concat !joined parts.(j)
+  done;
+  !joined
+
+let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
+  let inputs = Array.of_list inputs in
+  let m = Array.length inputs in
+  if m < 2 then invalid_arg "Rank_join.hrjn: need at least 2 inputs";
+  (match polling with
+  | Ratio _ when m <> 2 ->
+      invalid_arg "Rank_join.hrjn: Ratio polling needs 2 inputs"
+  | _ -> ());
+  let schema =
+    Array.fold_left
+      (fun acc inp -> Schema.concat acc inp.stream.Operator.s_schema)
+      inputs.(0).stream.Operator.s_schema
+      (Array.sub inputs 1 (m - 1))
+  in
+  let stats = stats_of m stats in
+  let hashes : (Tuple.t * float) list Vtbl.t array =
+    Array.init m (fun _ -> Vtbl.create 64)
+  in
   let queue = result_heap () in
-  let top_l = ref nan and last_l = ref nan in
-  let top_r = ref nan and last_r = ref nan in
-  let started_l = ref false and started_r = ref false in
-  let done_l = ref false and done_r = ref false in
-  let turn = ref `L in
+  let top = Array.make m nan and last = Array.make m nan in
+  let started = Array.make m false and finished = Array.make m false in
+  let n_started = ref 0 and n_finished = ref 0 in
+  (* [bound i] per input, kept current from the moment every input has
+     started: it moves only when last_i does. *)
+  let bounds = Array.make m nan in
+  (* Set once an input is exhausted with nothing buffered (it was empty):
+     no further join result can exist, so polling the others is pure
+     over-read. *)
+  let blocked = ref false in
+  let turn = ref 0 in
+  (* Scratch for building results: per-input partner lists and the chosen
+     tuple per input. *)
+  let partners = Array.make m [] and parts = Array.make m [||] in
   let reset () =
-    Vtbl.clear hash_l;
-    Vtbl.clear hash_r;
+    Array.iter Vtbl.clear hashes;
     Rkutil.Heap.clear queue;
-    top_l := nan;
-    last_l := nan;
-    top_r := nan;
-    last_r := nan;
-    started_l := false;
-    started_r := false;
-    done_l := false;
-    done_r := false;
-    turn := `L;
+    Array.fill top 0 m nan;
+    Array.fill last 0 m nan;
+    Array.fill started 0 m false;
+    Array.fill finished 0 m false;
+    Array.fill bounds 0 m nan;
+    n_started := 0;
+    n_finished := 0;
+    blocked := false;
+    turn := 0;
     Exec_stats.reset stats
   in
-  (* Upper bound on the score of any join result not yet in the queue.
-     Before both inputs have produced a tuple the bound is +inf; once an
-     input is exhausted, its side of the bound stops tracking "+inf before
-     first tuple" and collapses to -inf (no future tuple can arrive). *)
+  (* f(top_1 .. last_i .. top_m), folded left in input order. *)
+  let bound i =
+    let acc = ref (if i = 0 then last.(0) else top.(0)) in
+    for j = 1 to m - 1 do
+      acc := combine !acc (if j = i then last.(j) else top.(j))
+    done;
+    !acc
+  in
+  (* Upper bound on the score of any join result not yet in the queue: it
+     must use an unseen tuple of some live input i. Before every input has
+     produced a tuple the bound is +inf — or -inf once an input is
+     exhausted without producing anything (no result can ever exist). *)
   let threshold () =
-    if not (!started_l && !started_r) then
-      if !done_l || !done_r then neg_infinity (* an input was empty *)
-      else infinity
+    if !n_started < m then if !n_finished > 0 then neg_infinity else infinity
     else begin
-      let via_l = if !done_l then neg_infinity else combine !last_l !top_r in
-      let via_r = if !done_r then neg_infinity else combine !top_l !last_r in
-      Float.max via_l via_r
+      let t = ref neg_infinity in
+      for i = 0 to m - 1 do
+        if not finished.(i) then t := Float.max !t bounds.(i)
+      done;
+      !t
     end
   in
-  (* Once an input is exhausted with nothing buffered (it was empty), no
-     join result beyond what is already queued can ever be produced, so
-     polling the live side any further is pure over-read. *)
-  let no_future_results () =
-    (!done_l && Vtbl.length hash_l = 0) || (!done_r && Vtbl.length hash_r = 0)
+  (* Queue every result pinning input [i] to its fresh entry: the product
+     of the other inputs' partners for the key, in input order, each
+     partner list newest first. *)
+  let rec product i ((tu, score) as entry) j acc =
+    if j = m then Rkutil.Heap.push queue (join_parts parts, acc)
+    else if j = i then begin
+      parts.(j) <- tu;
+      product i entry (j + 1) (if j = 0 then score else combine acc score)
+    end
+    else product_over i entry j acc partners.(j)
+  and product_over i entry j acc = function
+    | [] -> ()
+    | (t, s) :: rest ->
+        parts.(j) <- t;
+        product i entry (j + 1) (if j = 0 then s else combine acc s);
+        product_over i entry j acc rest
   in
-  let add_to tbl key entry =
-    let prev = Option.value ~default:[] (Vtbl.find_opt tbl key) in
-    Vtbl.replace tbl key (entry :: prev)
+  let ingest i =
+    match inputs.(i).stream.Operator.s_next () with
+    | None ->
+        finished.(i) <- true;
+        incr n_finished;
+        if Vtbl.length hashes.(i) = 0 then blocked := true
+    | Some ((tu, score) as entry) ->
+        Exec_stats.bump_depth stats i;
+        let first = not started.(i) in
+        if first then begin
+          top.(i) <- score;
+          started.(i) <- true;
+          incr n_started
+        end;
+        last.(i) <- score;
+        if !n_started = m then
+          if first then
+            (* the tops just became known: every term moves *)
+            for j = 0 to m - 1 do
+              bounds.(j) <- bound j
+            done
+          else bounds.(i) <- bound i;
+        let key = inputs.(i).key tu in
+        let prev = Option.value ~default:[] (Vtbl.find_opt hashes.(i) key) in
+        Vtbl.replace hashes.(i) key (entry :: prev);
+        let all_match = ref true in
+        for j = 0 to m - 1 do
+          if j <> i then
+            match Vtbl.find_opt hashes.(j) key with
+            | Some l -> partners.(j) <- l
+            | None -> all_match := false
+        done;
+        (* the first part's score seeds the fold *)
+        if !all_match then product i entry 0 nan;
+        Exec_stats.note_buffer stats (Rkutil.Heap.length queue)
   in
-  let ingest side =
-    match side with
-    | `L -> (
-        match left.stream.Operator.s_next () with
-        | None -> done_l := true
-        | Some (tu, score) ->
-            Exec_stats.bump_depth stats 0;
-            if not !started_l then top_l := score;
-            started_l := true;
-            last_l := score;
-            let k = left.key tu in
-            add_to hash_l k (tu, score);
-            (match Vtbl.find_opt hash_r k with
-            | None -> ()
-            | Some partners ->
-                List.iter
-                  (fun (rt, rscore) ->
-                    Rkutil.Heap.push queue
-                      (Tuple.concat tu rt, combine score rscore))
-                  partners);
-            Exec_stats.note_buffer stats (Rkutil.Heap.length queue))
-    | `R -> (
-        match right.stream.Operator.s_next () with
-        | None -> done_r := true
-        | Some (tu, score) ->
-            Exec_stats.bump_depth stats 1;
-            if not !started_r then top_r := score;
-            started_r := true;
-            last_r := score;
-            let k = right.key tu in
-            add_to hash_r k (tu, score);
-            (match Vtbl.find_opt hash_l k with
-            | None -> ()
-            | Some partners ->
-                List.iter
-                  (fun (lt, lscore) ->
-                    Rkutil.Heap.push queue
-                      (Tuple.concat lt tu, combine lscore score))
-                  partners);
-            Exec_stats.note_buffer stats (Rkutil.Heap.length queue))
+  (* The first live input that has produced nothing yet, or -1. *)
+  let first_unstarted () =
+    let j = ref 0 in
+    while !j < m && (finished.(!j) || started.(!j)) do
+      incr j
+    done;
+    if !j < m then !j else -1
   in
-  let pick_side () =
-    match !done_l, !done_r with
-    | true, true -> None
-    | true, false -> Some `R
-    | false, true -> Some `L
-    | false, false -> (
-        match polling with
-        | Alternate ->
-            let side = !turn in
-            turn := (match side with `L -> `R | `R -> `L);
-            Some side
-        | Adaptive ->
-            (* Poll the side whose last score is higher: it contributes the
-               larger term to the threshold, so draining it tightens the
-               bound fastest. *)
-            if not !started_l then Some `L
-            else if not !started_r then Some `R
-            else if !last_l >= !last_r then Some `L
-            else Some `R
-        | Ratio target ->
-            if not !started_l then Some `L
-            else if not !started_r then Some `R
-            else begin
-              let current =
-                float_of_int (Exec_stats.left_depth stats)
-                /. float_of_int (max 1 (Exec_stats.right_depth stats))
-              in
-              if current <= target then Some `L else Some `R
-            end)
+  (* Only called while some input is live. *)
+  let pick () =
+    match polling with
+    | Alternate ->
+        while finished.(!turn) do
+          turn := (!turn + 1) mod m
+        done;
+        let j = !turn in
+        turn := (j + 1) mod m;
+        j
+    | Adaptive ->
+        (* The live input with the highest last score contributes the
+           largest threshold term, so draining it tightens the bound
+           fastest. *)
+        let j = first_unstarted () in
+        if j >= 0 then j
+        else begin
+          let best = ref (-1) in
+          for j = 0 to m - 1 do
+            if (not finished.(j)) && (!best < 0 || not (last.(!best) >= last.(j)))
+            then best := j
+          done;
+          !best
+        end
+    | Ratio target ->
+        if finished.(0) then 1
+        else if finished.(1) then 0
+        else begin
+          let j = first_unstarted () in
+          if j >= 0 then j
+          else
+            let current =
+              float_of_int (Exec_stats.left_depth stats)
+              /. float_of_int (max 1 (Exec_stats.right_depth stats))
+            in
+            if current <= target then 0 else 1
+        end
   in
   let rec next () =
     let t = threshold () in
-    let finished = (!done_l && !done_r) || no_future_results () in
+    let stop = !n_finished = m || !blocked in
     match Rkutil.Heap.peek queue with
-    | Some (_, s) when s >= t || finished ->
-        let tu, s = Rkutil.Heap.pop_exn queue in
+    | Some (_, s) when s >= t || stop ->
+        let r = Rkutil.Heap.pop_exn queue in
         Exec_stats.bump_emitted stats;
-        Some (tu, s)
+        Some r
     | _ ->
-        if finished then None
-        else (
-          match pick_side () with
-          | None -> (
-              match Rkutil.Heap.pop queue with
-              | Some (tu, s) ->
-                  Exec_stats.bump_emitted stats;
-                  Some (tu, s)
-              | None -> None)
-          | Some side ->
-              ingest side;
-              next ())
+        if stop then None
+        else begin
+          ingest (pick ());
+          next ()
+        end
   in
   let stream =
     {
       Operator.s_schema = schema;
       s_open =
         (fun () ->
-          left.stream.Operator.s_open ();
-          right.stream.Operator.s_open ();
+          Array.iter (fun inp -> inp.stream.Operator.s_open ()) inputs;
           reset ());
       s_next = next;
       s_close =
-        (fun () ->
-          left.stream.Operator.s_close ();
-          right.stream.Operator.s_close ())
+        (fun () -> Array.iter (fun inp -> inp.stream.Operator.s_close ()) inputs);
     }
   in
   (stream, stats)
@@ -189,7 +236,7 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~left ~right () =
 let nrjn ?stats ~combine ~pred ~outer ~inner ~inner_score () =
   let schema = Schema.concat outer.Operator.s_schema inner.Operator.schema in
   let test = Expr.compile_bool schema pred in
-  let stats = stats_of stats in
+  let stats = stats_of 2 stats in
   let queue = result_heap () in
   let top_inner = ref nan in
   let inner_count = ref 0 in

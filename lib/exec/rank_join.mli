@@ -6,10 +6,10 @@
     monotone combining function.
 
     Instrumentation exposes exactly the quantities the paper's estimation
-    model predicts, through the shared {!Exec_stats.t} record (input 0 is
-    the left/outer side, input 1 the right/inner): the {e depth} consumed
-    from each input (Figures 13-14) and the high-water mark of the internal
-    result buffer (Figure 15). *)
+    model predicts, through the shared {!Exec_stats.t} record (input [i] is
+    the [i]-th HRJN input; NRJN's outer is input 0, its inner input 1): the
+    {e depth} consumed from each input (Figures 13-14) and the high-water
+    mark of the internal result buffer (Figure 15). *)
 
 open Relalg
 
@@ -20,28 +20,35 @@ type input = {
 
 type polling =
   | Alternate
+      (** Round-robin over the live inputs. *)
   | Adaptive
-      (** Poll the side whose last score is higher (it contributes the larger
-          threshold term). *)
+      (** Poll the first input that has produced nothing yet; after that,
+          the live input whose last score is highest (it contributes the
+          largest threshold term), the lowest index on a tie. *)
   | Ratio of float
-      (** Keep [left_depth / right_depth] near the given target — used by the
-          optimizer to steer the operator toward the depth-model's optimal
-          (possibly asymmetric) consumption, cf. Section 4.3. *)
+      (** Two inputs only: keep [depth 0 / depth 1] near the given target —
+          used by the optimizer to steer the operator toward the
+          depth-model's optimal (possibly asymmetric) consumption, cf.
+          Section 4.3. *)
 
 val hrjn :
   ?stats:Exec_stats.t ->
   ?polling:polling ->
   combine:(float -> float -> float) ->
-  left:input ->
-  right:input ->
+  inputs:input list ->
   unit ->
   Operator.scored * Exec_stats.t
-(** Hash rank-join: symmetric hash tables over the tuples seen so far plus a
-    priority queue of buffered results; a result is reported once its
-    combined score is at least the threshold
-    [max (f(lastL, topR), f(topL, lastR))]. When [stats] is supplied (e.g. a
-    metrics-registry record) the operator reports into it and returns it;
-    it must have been created for 2 inputs. *)
+(** Hash rank-join over m ≥ 2 inputs sharing one equi-join key: a hash
+    table per input over the tuples seen so far plus a priority queue of
+    buffered results. A result's score is [combine] folded left over its
+    parts in input order, and its tuple concatenates the parts in input
+    order. A result is reported once its score is at least the threshold:
+    the maximum over live inputs [i] of that fold with [last_i] in place of
+    [top_i] — at m = 2, [max (f(last_0, top_1), f(top_0, last_1))].
+    When [stats] is supplied (e.g. a metrics-registry record) the operator
+    reports into it and returns it; it must have been created for m inputs.
+    @raise Invalid_argument for fewer than 2 inputs, or [Ratio] polling
+    with m ≠ 2. *)
 
 val nrjn :
   ?stats:Exec_stats.t ->

@@ -103,7 +103,3 @@ module Emit = struct
     count := 0;
     acc := []
 end
-
-(* Make the historical entry point delegate to the lint catalog the moment
-   this library is linked. *)
-let () = Core.Plan_verify.register check

@@ -1,9 +1,5 @@
 (** Planlint entry points: lint whole plans, memos, planned statements and
-    plan-cache entries; install the emit-time assertion mode.
-
-    Linking this library also registers the engine behind
-    {!Core.Plan_verify.check}, so the historical entry point keeps working
-    with the lint catalog as its single implementation. *)
+    plan-cache entries; install the emit-time assertion mode. *)
 
 val lint_plan :
   ?query:Core.Logical.t ->
@@ -36,8 +32,8 @@ val lint_prepared :
     {!lint_planned} on the entry's plan. *)
 
 val check : Storage.Catalog.t -> Core.Plan.t -> (unit, string) result
-(** The [Core.Plan_verify] compatible view: [Ok ()] when the structural
-    rules produce no errors, otherwise the first diagnostic as a string. *)
+(** First-error view of the structural rules: [Ok ()] when they produce
+    no errors, otherwise the first diagnostic as a string. *)
 
 val errors : Diag.t list -> Diag.t list
 (** Just the error-severity diagnostics. *)

@@ -94,7 +94,7 @@ type t = {
   cat : Storage.Catalog.t;
   config : config;
   cache : Plan_cache.t;
-  lock : Rwlock.t;
+  lock : Rkutil.Latch.Rw.rw;
   metrics : Metrics.t;
   pool : Rkutil.Task_pool.t;
       (* One pool serves both layers: whole statements (inter-query) and
@@ -141,7 +141,12 @@ let create ?(config = default_config) cat =
     cat;
     config;
     cache = Plan_cache.create ~capacity:config.cache_capacity ();
-    lock = Rwlock.create ();
+    (* Writer-preferring: a waiting DML blocks new readers, so updates
+       cannot starve under a steady query load. Long-class by design: it
+       is held across whole statements, page-fault I/O included. *)
+    lock =
+      Rkutil.Latch.Rw.create ~name:"server.catalog.rwlock" ~rank:20
+        ~cls:Rkutil.Latch.Long ();
     metrics = Metrics.create ();
     pool = Rkutil.Task_pool.create ~domains:config.workers;
     queued = Atomic.make 0;
@@ -315,7 +320,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
               match (cursor_name, eff_k) with
               | Some name, Some fetch_k
                 when Sqlfront.Sql.cursor_eligible prepared ->
-                  Rwlock.with_read t.lock (fun () ->
+                  Rkutil.Latch.Rw.with_read t.lock (fun () ->
                       let oc_deadline = ref deadline in
                       let cur =
                         Sqlfront.Sql.open_cursor
@@ -348,7 +353,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
                           Sqlfront.Sql.cursor_close cur;
                           raise e)
               | _ ->
-                  Rwlock.with_read t.lock (fun () ->
+                  Rkutil.Latch.Rw.with_read t.lock (fun () ->
                       match
                         Sqlfront.Sql.run_prepared ~interrupt ~pool:t.pool t.cat
                           prepared
@@ -367,7 +372,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
                 | Error e -> Error (Bind_error e)
                 | Ok ast -> (
                     match
-                      Rwlock.with_read t.lock (fun () ->
+                      Rkutil.Latch.Rw.with_read t.lock (fun () ->
                           Sqlfront.Sql.prepare_ast ~dop:t.config.dop t.cat ast)
                     with
                     | Error e -> Error (Plan_error e)
@@ -441,7 +446,7 @@ let fetch sess ?timeout_s ~name n =
               end
               else begin
                 oc.oc_deadline := deadline;
-                Rwlock.with_read t.lock (fun () ->
+                Rkutil.Latch.Rw.with_read t.lock (fun () ->
                     let rows, scores =
                       Sqlfront.Sql.cursor_fetch oc.oc_cursor n
                     in
@@ -495,7 +500,7 @@ let run_dml sess ?timeout_s text =
   let deadline = start +. timeout in
   let result =
     submit t ~label:text ~deadline (fun () ->
-        Rwlock.with_write t.lock (fun () ->
+        Rkutil.Latch.Rw.with_write t.lock (fun () ->
             match Sqlfront.Sql.execute t.cat text with
             | Ok (Sqlfront.Sql.Affected n) -> Ok n
             | Ok (Sqlfront.Sql.Rows _) ->
@@ -529,7 +534,7 @@ let query sess ?timeout_s ?k text =
 
 let explain sess text =
   let t = sess.svc in
-  match Rwlock.with_read t.lock (fun () -> Sqlfront.Sql.explain t.cat text) with
+  match Rkutil.Latch.Rw.with_read t.lock (fun () -> Sqlfront.Sql.explain t.cat text) with
   | Ok s -> Ok s
   | Error e -> Error (Plan_error e)
 
@@ -538,7 +543,7 @@ let explain sess text =
    lock (no worker round-trip — it touches O(height) pages). *)
 let rank_probe sess ?(dense = false) ~table ~column value =
   let t = sess.svc in
-  Rwlock.with_read t.lock (fun () ->
+  Rkutil.Latch.Rw.with_read t.lock (fun () ->
       match Storage.Catalog.find_table t.cat table with
       | None -> Error (Bind_error (Printf.sprintf "unknown table %s" table))
       | Some _ -> (

@@ -1,7 +1,7 @@
 (** The concurrent query service.
 
     A {!t} owns a catalog, a rank-aware plan cache ({!Plan_cache}), a
-    writer-preferring catalog lock ({!Rwlock}) and a pool of OCaml 5
+    writer-preferring catalog lock ({!Rkutil.Latch.Rw}) and a pool of OCaml 5
     {!Domain} workers fed by a bounded job queue. Connection threads (or
     in-process callers) open {!session}s and submit statements:
 

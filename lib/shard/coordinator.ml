@@ -22,7 +22,17 @@ type link = {
   lk_id : int;
   lk_endpoint : Server.Listener.endpoint;
   mutable lk_client : Server.Client.t option;
+  mutable lk_session : int;
+      (* Bumped whenever the connection drops: the shard-side statements
+         of the old session are gone with it. *)
+  lk_idle : (string, string list) Hashtbl.t;
+      (* Pushed SQL -> names of closed scatters whose statement is still
+         prepared in the current shard session, ready for reuse. *)
 }
+
+let new_link i ep =
+  { lk_id = i; lk_endpoint = ep; lk_client = None; lk_session = 0;
+    lk_idle = Hashtbl.create 8 }
 
 (* A scatter plan: everything derivable from the template alone, cached
    on (canonical text, partitioning epoch). *)
@@ -43,6 +53,8 @@ type scatter = {
 type source = {
   so_link : link;
   so_name : string;  (* Shard-side prepared-statement / cursor name. *)
+  so_push : string;  (* The statement's pushed SQL. *)
+  so_session : int;  (* [lk_session] the statement was prepared in. *)
   mutable so_perm : int array option;  (* schema pos -> wire cell pos. *)
   mutable so_buf : (Tuple.t * float) list;  (* Parsed, not yet merged. *)
   mutable so_depth : int;  (* Observed depth: rows received so far. *)
@@ -96,7 +108,9 @@ let drop_client lk =
   (match lk.lk_client with
   | Some c -> ( try Server.Client.close c with _ -> ())
   | None -> ());
-  lk.lk_client <- None
+  lk.lk_client <- None;
+  lk.lk_session <- lk.lk_session + 1;
+  Hashtbl.reset lk.lk_idle
 
 let link_client lk =
   match lk.lk_client with
@@ -308,21 +322,34 @@ let gather_pull sc srcs ~deadline n =
   List.rev !out
 
 (* Open the per-shard streams of a top-k scatter: PREPARE the pushed
-   subquery and EXECUTE it at the initial batch — the flat-prior
-   per-shard expectation k/N plus slack, never more than k' = k. *)
+   subquery — or reuse the statement of a closed scatter of the same SQL
+   on that link — and EXECUTE it at the initial batch — the flat-prior
+   per-shard expectation k/N plus slack, never more than k' = k. Names
+   double as cursor names, and only closed scatters' names are reused, so
+   a name never belongs to two open scatters. *)
 let open_sources t sc ~k ~deadline =
   let n = Array.length t.co_links in
   let b0 = max 1 (min k ((k / max 1 n) + 8)) in
   Array.map
     (fun lk ->
-      t.co_gen <- t.co_gen + 1;
-      let name = Printf.sprintf "g%d" t.co_gen in
       push_deadline lk ~deadline;
-      ignore (rpc lk (Printf.sprintf "PREPARE %s %s" name sc.sc_push));
+      let name =
+        match Hashtbl.find_opt lk.lk_idle sc.sc_push with
+        | Some (name :: rest) ->
+            Hashtbl.replace lk.lk_idle sc.sc_push rest;
+            name
+        | Some [] | None ->
+            t.co_gen <- t.co_gen + 1;
+            let name = Printf.sprintf "g%d" t.co_gen in
+            ignore (rpc lk (Printf.sprintf "PREPARE %s %s" name sc.sc_push));
+            name
+      in
       let so =
         {
           so_link = lk;
           so_name = name;
+          so_push = sc.sc_push;
+          so_session = lk.lk_session;
           so_perm = None;
           so_buf = [];
           so_depth = 0;
@@ -340,11 +367,20 @@ let open_sources t sc ~k ~deadline =
       so)
     t.co_links
 
+(* CLOSE each shard cursor and hand its statement name back to the link
+   for the next scatter of the same SQL, unless the session it was
+   prepared in has since dropped. *)
 let close_sources srcs =
   Array.iter
     (fun so ->
-      try ignore (rpc_raw so.so_link (Printf.sprintf "CLOSE %s" so.so_name))
-      with Err _ -> ())
+      let lk = so.so_link in
+      match rpc_raw lk (Printf.sprintf "CLOSE %s" so.so_name) with
+      | _ when lk.lk_session = so.so_session ->
+          Hashtbl.replace lk.lk_idle so.so_push
+            (so.so_name
+            :: Option.value ~default:[] (Hashtbl.find_opt lk.lk_idle so.so_push))
+      | _ -> ()
+      | exception Err _ -> ())
     srcs
 
 (* ------------------------------------------------------------------ *)
@@ -585,6 +621,8 @@ let run_window t sc ~lo ~hi ~deadline ~start =
             {
               so_link = lk;
               so_name = "";
+              so_push = sc.sc_push;
+              so_session = lk.lk_session;
               so_perm = None;
               so_buf = [];
               so_depth = 0;
@@ -730,7 +768,7 @@ let create ?(config = Svc.default_config) ~mirror ~part ~endpoints () =
     co_links =
       Array.of_list
         (List.mapi
-           (fun i ep -> { lk_id = i; lk_endpoint = ep; lk_client = None })
+           new_link
            endpoints);
     co_epoch = 0;
     co_gen = 0;
@@ -747,7 +785,7 @@ let reconfigure t ~part ~endpoints =
       t.co_links <-
         Array.of_list
           (List.mapi
-             (fun i ep -> { lk_id = i; lk_endpoint = ep; lk_client = None })
+             new_link
              endpoints);
       t.co_epoch <- t.co_epoch + 1;
       Hashtbl.reset t.co_scatters)
@@ -1029,38 +1067,45 @@ let analyze ses ?k sql =
 
 let stats t =
   let base = Svc.stats t.co_local in
+  (* Sum every integer field of [cmd]'s reply over the shards. *)
+  let sum_over_shards cmd prefix =
+    let sums = Hashtbl.create 16 in
+    let order = ref [] in
+    Array.iter
+      (fun lk ->
+        match rpc_raw lk cmd with
+        | resp when resp.Proto.ok ->
+            List.iter
+              (fun line ->
+                match String.index_opt line '=' with
+                | None -> ()
+                | Some i -> (
+                    let key = String.sub line 0 i in
+                    let v =
+                      String.sub line (i + 1) (String.length line - i - 1)
+                    in
+                    match int_of_string_opt v with
+                    | None -> ()
+                    | Some n ->
+                        if not (Hashtbl.mem sums key) then
+                          order := key :: !order;
+                        Hashtbl.replace sums key
+                          (n + Option.value (Hashtbl.find_opt sums key) ~default:0)))
+              resp.Proto.payload
+        | _ -> ()
+        | exception Err _ -> ())
+      t.co_links;
+    List.rev_map
+      (fun key -> (prefix ^ key, string_of_int (Hashtbl.find sums key)))
+      !order
+  in
   let cluster =
     with_lock t (fun () ->
-        let sums = Hashtbl.create 16 in
-        let order = ref [] in
-        Array.iter
-          (fun lk ->
-            match rpc_raw lk "STATS" with
-            | resp when resp.Proto.ok ->
-                List.iter
-                  (fun line ->
-                    match String.index_opt line '=' with
-                    | None -> ()
-                    | Some i -> (
-                        let key = String.sub line 0 i in
-                        let v =
-                          String.sub line (i + 1) (String.length line - i - 1)
-                        in
-                        match int_of_string_opt v with
-                        | None -> ()
-                        | Some n ->
-                            if not (Hashtbl.mem sums key) then
-                              order := key :: !order;
-                            Hashtbl.replace sums key
-                              (n + Option.value (Hashtbl.find_opt sums key) ~default:0)))
-                  resp.Proto.payload
-            | _ -> ()
-            | exception Err _ -> ())
-          t.co_links;
-        List.rev_map
-          (fun key ->
-            ("cluster_" ^ key, string_of_int (Hashtbl.find sums key)))
-          !order)
+        (* the coordinator's own link sessions: their prepared statements
+           and open cursors show whether scatters clean up after
+           themselves *)
+        sum_over_shards "STATS" "cluster_"
+        @ sum_over_shards "STATS SESSION" "cluster_link_")
   in
   base
   @ [

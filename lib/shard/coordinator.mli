@@ -123,9 +123,11 @@ val rank_probe :
     all rows, so its answer is the global one). *)
 
 val stats : t -> (string * string) list
-(** Mirror-service fields plus [shards], [part_epoch], and
-    [cluster_*] sums of the shard services' query/error/timeout/shed
-    counters. *)
+(** Mirror-service fields plus [shards], [part_epoch], [cluster_*] sums
+    of the shard services' query/error/timeout/shed counters, and
+    [cluster_link_*] sums over the coordinator's own shard sessions
+    (e.g. [cluster_link_prepared], the shard-side prepared statements
+    the coordinator holds). *)
 
 val shard_list : t -> string list
 (** One line per shard: id, endpoint, per-table row counts (computed

@@ -1,6 +1,6 @@
 type t = {
-  counts : int array;
-  total : int;
+  counts : int array;  (* over the non-NaN values only *)
+  total : int;  (* every value, NaN included *)
   lo : float;
   hi : float;
   distinct : int;
@@ -65,7 +65,7 @@ let equal_at c i v =
   i >= 0 && i < c.len && Float.compare (Float.Array.get c.values i) v = 0
 
 let move_base_count c v delta =
-  if Array.length c.base_counts > 0 then begin
+  if Array.length c.base_counts > 0 && not (Float.is_nan v) then begin
     let width = (c.base_hi -. c.base_lo) /. float_of_int c.buckets in
     let b = bucket_index ~lo:c.base_lo ~width ~buckets:c.buckets v in
     c.base_counts.(b) <- c.base_counts.(b) + delta
@@ -97,19 +97,21 @@ let remove c v =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* NaN sorts first: the non-NaN values start at the first position not
+   below [neg_infinity]. *)
+let first_number c = search c neg_infinity ~strict:false
+
 let of_column c =
-  if c.len = 0 then begin
+  let first = first_number c in
+  if first = c.len then begin
+    (* no value any comparison can select: the range is empty *)
     c.base_counts <- [||];
-    { counts = [||]; total = 0; lo = infinity; hi = neg_infinity; distinct = 0 }
+    { counts = [||]; total = c.len; lo = infinity; hi = neg_infinity;
+      distinct = c.distinct_values }
   end
   else begin
-    let first = Float.Array.get c.values 0 in
-    (* NaN sorts first: any NaN makes both ends NaN, as [Float.min] /
-       [Float.max] folds do. *)
-    let lo, hi =
-      if Float.is_nan first then (nan, nan)
-      else (first, Float.Array.get c.values (c.len - 1))
-    in
+    let lo = Float.Array.get c.values first
+    and hi = Float.Array.get c.values (c.len - 1) in
     if
       not
         (Array.length c.base_counts > 0 && same_bits lo c.base_lo
@@ -117,7 +119,7 @@ let of_column c =
     then begin
       let counts = Array.make c.buckets 0 in
       let width = (hi -. lo) /. float_of_int c.buckets in
-      for i = 0 to c.len - 1 do
+      for i = first to c.len - 1 do
         let b = bucket_index ~lo ~width ~buckets:c.buckets (Float.Array.get c.values i) in
         counts.(b) <- counts.(b) + 1
       done;
@@ -144,14 +146,17 @@ let width t =
   else (t.hi -. t.lo) /. float_of_int (Array.length t.counts)
 
 let bucket_of t v =
-  if t.total = 0 || v < t.lo || v > t.hi then None
+  if Array.length t.counts = 0 || not (v >= t.lo && v <= t.hi) then None
   else
     Some (bucket_index ~lo:t.lo ~width:(width t) ~buckets:(Array.length t.counts) v)
 
+(* Values any comparison can select: NaN is counted but never selected. *)
+let numbers t = Array.fold_left ( + ) 0 t.counts
+
 let selectivity_le t x =
-  if t.total = 0 then 0.0
+  if Array.length t.counts = 0 then 0.0
   else if x < t.lo then 0.0
-  else if x >= t.hi then 1.0
+  else if x >= t.hi then float_of_int (numbers t) /. float_of_int t.total
   else begin
     let w = width t in
     if w <= 0.0 then 1.0
@@ -197,7 +202,8 @@ let selectivity_range t ~lo ~hi =
 let distinct_estimate t = t.distinct
 
 let mean_decrement_slab t =
-  if t.total < 2 then 0.0 else (t.hi -. t.lo) /. float_of_int (t.total - 1)
+  let n = numbers t in
+  if n < 2 then 0.0 else (t.hi -. t.lo) /. float_of_int (n - 1)
 
 let pp fmt t =
   Format.fprintf fmt "hist[n=%d lo=%g hi=%g distinct=%d buckets=%d]" t.total

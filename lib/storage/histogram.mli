@@ -2,7 +2,11 @@
 
     Used by the catalog for selectivity estimation and by the depth model to
     characterise score distributions (the mean decrement slab of Section 4.3
-    falls out of min/max/count). *)
+    falls out of min/max/count).
+
+    NaN values are counted ({!count}, {!distinct_estimate}) but lie outside
+    the range: min, max and the buckets cover the other values only, and no
+    selectivity selects a NaN. *)
 
 type t
 
@@ -33,17 +37,19 @@ val remove : column -> float -> unit
 val of_column : column -> t
 (** The histogram of the column's current values, equal (under [compare])
     to {!build} over the same values in any order: min and max come from
-    the array ends ([nan] for both when a NaN is present), the distinct
+    the ends of the array's non-NaN part, the distinct
     count is kept under [Float.compare] as values come and go, and the
     bucket counts are reused as maintained when min and max did not move,
     or recounted in one pass over the array when they did. *)
 
 val count : t -> int
+(** Every value, NaN included. *)
 
 val min_value : t -> float
-(** [infinity] when empty. *)
+(** [infinity] when there is no non-NaN value. *)
 
 val max_value : t -> float
+(** [neg_infinity] when there is no non-NaN value. *)
 
 val bucket_count : t -> int
 
@@ -52,7 +58,8 @@ val bucket_of : t -> float -> int option
 
 val selectivity_le : t -> float -> float
 (** Estimated fraction of values ≤ x (linear interpolation in-bucket).
-    Exactly 0 below the histogram minimum and 1 at or above the maximum. *)
+    Exactly 0 below the histogram minimum and the non-NaN share at or
+    above the maximum. *)
 
 val selectivity_range : t -> lo:float -> hi:float -> float
 (** Estimated fraction of values in the closed interval [\[lo, hi\]].
@@ -69,7 +76,7 @@ val distinct_estimate : t -> int
 
 val mean_decrement_slab : t -> float
 (** Average score gap between consecutive order statistics:
-    [(max - min) / (count - 1)]; 0 for fewer than two values. This is the
+    [(max - min) / (n - 1)] over the n non-NaN values; 0 for n < 2. This is the
     "x" (resp. "y") of the paper's any-k depth formulas. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,15 +9,14 @@ open Storage
 (* --- Histogram columns against a direct definition --- *)
 
 (* What [Histogram.build] must agree with, written straight from its
-   contract: folds for min/max, a sort for the distinct count. *)
+   contract: every value counts, folds over the non-NaN values for
+   min/max, a sort for the distinct count. *)
 let reference_summary values =
-  match values with
-  | [] -> (0, infinity, neg_infinity, 0)
-  | _ ->
-      ( List.length values,
-        List.fold_left Float.min infinity values,
-        List.fold_left Float.max neg_infinity values,
-        List.length (List.sort_uniq Float.compare values) )
+  let numbers = List.filter (fun v -> not (Float.is_nan v)) values in
+  ( List.length values,
+    List.fold_left Float.min infinity numbers,
+    List.fold_left Float.max neg_infinity numbers,
+    List.length (List.sort_uniq Float.compare values) )
 
 let summary h =
   ( Histogram.count h,
@@ -28,7 +27,7 @@ let summary h =
 (* Bucket counts are observable through [selectivity_le] at each bucket's
    upper edge. *)
 let cumulative h =
-  if Histogram.count h = 0 || Float.is_nan (Histogram.min_value h) then []
+  if Histogram.bucket_count h = 0 then []
   else begin
     let lo = Histogram.min_value h and hi = Histogram.max_value h in
     let n = Histogram.bucket_count h in
@@ -90,10 +89,19 @@ let test_column_ends_and_zeros () =
   Alcotest.(check int) "distinct" 1 (Histogram.distinct_estimate h);
   Alcotest.(check bool) "min is -0." true (Float.sign_bit (Histogram.min_value h));
   Alcotest.(check bool) "max is +0." false (Float.sign_bit (Histogram.max_value h));
+  (* NaN counts but no comparison selects it: the range and the buckets
+     cover the other values. *)
   let h = Histogram.build [ 3.0; nan; 1.0; nan ] in
-  Alcotest.(check bool) "nan min" true (Float.is_nan (Histogram.min_value h));
-  Alcotest.(check bool) "nan max" true (Float.is_nan (Histogram.max_value h));
+  Alcotest.(check (float 0.0)) "nan min" 1.0 (Histogram.min_value h);
+  Alcotest.(check (float 0.0)) "nan max" 3.0 (Histogram.max_value h);
+  Alcotest.(check int) "nan counted" 4 (Histogram.count h);
   Alcotest.(check int) "nan is one distinct value" 3 (Histogram.distinct_estimate h);
+  Alcotest.(check (float 0.0)) "nan never selected" 0.5
+    (Histogram.selectivity_le h infinity);
+  let h = Histogram.build [ nan; nan ] in
+  Alcotest.(check (float 0.0)) "all-nan min" infinity (Histogram.min_value h);
+  Alcotest.(check (float 0.0)) "all-nan max" neg_infinity (Histogram.max_value h);
+  Alcotest.(check (float 0.0)) "all-nan eq" 0.0 (Histogram.selectivity_eq h nan);
   let col = Histogram.column (Float.Array.of_list [ 1.0; 2.0 ]) in
   Alcotest.check_raises "remove absent"
     (Invalid_argument "Histogram.remove: value not in column") (fun () ->
@@ -151,7 +159,7 @@ let gen_statement prng cat ~next_id =
     match Rkutil.Prng.int prng 12 with
     | 0 -> nan
     | 1 -> -0.0
-    | 2 -> ss.Catalog.cs_max +. 1.0 (* new max (nan while a NaN is present) *)
+    | 2 -> ss.Catalog.cs_max +. 1.0 (* new max *)
     | 3 -> ss.Catalog.cs_min -. 1.0
     | 4 | 5 | 6 -> float_of_int (Rkutil.Prng.int prng 8) /. 8.0 (* duplicates *)
     | _ -> Rkutil.Prng.uniform prng
@@ -187,7 +195,8 @@ let gen_statement prng cat ~next_id =
   | 5 -> Printf.sprintf "DELETE FROM T WHERE T.key = %d" (key_extreme ())
   | 6 -> "DELETE FROM T WHERE " ^ range ()
   | 7 ->
-      if Float.is_nan ss.Catalog.cs_max || ss.Catalog.cs_count = 0 then
+      if not (Float.is_finite ss.Catalog.cs_max && Float.is_finite ss.Catalog.cs_min)
+      then
         Printf.sprintf "DELETE FROM T WHERE T.id = %d" (some_id ())
       else if Rkutil.Prng.bool prng then
         Printf.sprintf "DELETE FROM T WHERE T.score >= %s" (lit ss.Catalog.cs_max)
@@ -264,7 +273,13 @@ let test_dml_stats_match_analyze () =
     ignore (Catalog.analyze twin "T");
     if compare (stats live) (stats twin) <> 0 then incr divergences;
     let after = column live "score" and kafter = column live "key" in
-    if Float.is_nan after.Catalog.cs_min then saw_nan := true;
+    if
+      (not !saw_nan)
+      && List.exists
+           (fun tu ->
+             match Tuple.get tu 2 with Value.Float f -> Float.is_nan f | _ -> false)
+           (Heap_file.to_list (Catalog.table twin "T").Catalog.tb_heap)
+    then saw_nan := true;
     if (stats live).Catalog.ts_cardinality = 0 then saw_empty := true;
     List.iter
       (fun (b, a) ->

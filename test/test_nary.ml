@@ -1,5 +1,5 @@
-(* N-ary HRJN tests: correctness against the binary pipeline and the naive
-   oracle, early-out, and the flat-vs-pipeline depth comparison. *)
+(* HRJN over m > 2 inputs: correctness against the binary pipeline and the
+   naive oracle, early-out, and the flat-vs-pipeline depth comparison. *)
 
 open Relalg
 open Exec
@@ -14,7 +14,7 @@ let scored_stream rel =
        (Relation.tuples sorted))
 
 let nary_input rel =
-  { Rank_join_nary.stream = scored_stream rel; key = (fun tu -> Tuple.get tu 1) }
+  { Rank_join.stream = scored_stream rel; key = (fun tu -> Tuple.get tu 1) }
 
 let make_relations ?(m = 3) ?(n = 60) ?(domain = 6) ?(seed = 7) () =
   List.init m (fun i ->
@@ -54,7 +54,7 @@ let oracle relations k =
 
 let run_nary relations k =
   let stream, stats =
-    Rank_join_nary.hrjn_nary ~inputs:(List.map nary_input relations) ()
+    Rank_join.hrjn ~combine:( +. ) ~inputs:(List.map nary_input relations) ()
   in
   (Operator.scored_take stream k, stats)
 
@@ -77,21 +77,17 @@ let test_nary_matches_oracle_4way () =
     (List.map snd (oracle rels 6))
     (List.map snd results)
 
+(* At m = 2 the operator is binary HRJN: it matches the oracle, and the
+   result set does not depend on which input comes first. *)
 let test_nary_two_inputs_equals_binary () =
   let rels = make_relations ~m:2 ~n:50 ~domain:5 ~seed:21 () in
   let results, _ = run_nary rels 10 in
-  match rels with
-  | [ ra; rb ] ->
-      let stream, _ =
-        Rank_join.hrjn ~combine:( +. )
-          ~left:{ Rank_join.stream = scored_stream ra; key = (fun tu -> Tuple.get tu 1) }
-          ~right:{ Rank_join.stream = scored_stream rb; key = (fun tu -> Tuple.get tu 1) }
-          ()
-      in
-      let binary = Operator.scored_take stream 10 in
-      Test_util.check_score_multiset "nary(2) = binary"
-        (List.map snd binary) (List.map snd results)
-  | _ -> Alcotest.fail "expected two relations"
+  Test_util.check_score_multiset "nary(2) = oracle"
+    (List.map snd (oracle rels 10))
+    (List.map snd results);
+  let swapped, _ = run_nary (List.rev rels) 10 in
+  Test_util.check_score_multiset "input order" (List.map snd results)
+    (List.map snd swapped)
 
 let test_nary_early_out () =
   let rels = make_relations ~m:3 ~n:500 ~domain:3 ~seed:31 () in
@@ -124,8 +120,65 @@ let test_nary_empty_input_depth () =
 let test_nary_rejects_single_input () =
   let rels = make_relations ~m:1 () in
   Alcotest.check_raises "arity"
-    (Invalid_argument "Rank_join_nary.hrjn_nary: need at least 2 inputs")
-    (fun () -> ignore (Rank_join_nary.hrjn_nary ~inputs:(List.map nary_input rels) ()))
+    (Invalid_argument "Rank_join.hrjn: need at least 2 inputs")
+    (fun () ->
+      ignore (Rank_join.hrjn ~combine:( +. ) ~inputs:(List.map nary_input rels) ()))
+
+let test_ratio_needs_two_inputs () =
+  let rels = make_relations ~m:3 () in
+  Alcotest.check_raises "ratio over 3 inputs"
+    (Invalid_argument "Rank_join.hrjn: Ratio polling needs 2 inputs") (fun () ->
+      ignore
+        (Rank_join.hrjn ~polling:(Rank_join.Ratio 1.0) ~combine:( +. )
+           ~inputs:(List.map nary_input rels) ()))
+
+let test_adaptive_matches_oracle () =
+  let rels = make_relations ~m:3 ~n:80 ~domain:5 ~seed:53 () in
+  List.iter
+    (fun k ->
+      let stream, _ =
+        Rank_join.hrjn ~polling:Rank_join.Adaptive ~combine:( +. )
+          ~inputs:(List.map nary_input rels) ()
+      in
+      let results = Operator.scored_take stream k in
+      Test_util.check_score_multiset
+        (Printf.sprintf "adaptive 3-way top-%d" k)
+        (List.map snd (oracle rels k))
+        (List.map snd results);
+      Test_util.check_non_increasing "ordered" (List.map snd results))
+    [ 1; 4; 15 ]
+
+(* The threshold term of input i is [combine] folded left with last_i in
+   place of top_i. Here (0.05 + 0.2) + 0.0 = 0.25 exactly, so the buffered
+   0.25 result is final once B has read 0.15; a bound computed as
+   sum_tops - top_i + last_i rounds to 0.25000000000000006 and reads on. *)
+let test_exact_threshold () =
+  let input name rows =
+    {
+      Rank_join.stream =
+        Operator.scored_of_list (Test_util.scored_schema name)
+          (List.mapi
+             (fun i (key, s) ->
+               ([| Value.Int i; Value.Int key; Value.Float s |], s))
+             rows);
+      key = (fun tu -> Tuple.get tu 1);
+    }
+  in
+  let stream, stats =
+    Rank_join.hrjn ~combine:( +. )
+      ~inputs:
+        [
+          input "A" [ (1, 0.1); (2, 0.05); (3, 0.0); (4, 0.0) ];
+          input "B" [ (2, 0.2); (4, 0.15); (5, 0.1); (6, 0.05) ];
+          input "C" [ (2, 0.0) ];
+        ]
+      ()
+  in
+  match Operator.scored_take stream 1 with
+  | [ (_, s) ] ->
+      Alcotest.(check (float 0.0)) "score" 0.25 s;
+      Alcotest.(check (array int)) "depths" [| 2; 2; 1 |] (Exec_stats.depths stats)
+  | _ -> Alcotest.fail "expected one result"
 
 let test_nary_flat_vs_pipeline_depths () =
   (* The flat operator's total consumption should not exceed the binary
@@ -137,18 +190,21 @@ let test_nary_flat_vs_pipeline_depths () =
   match rels with
   | [ ra; rb; rc ] ->
       let input r = { Rank_join.stream = scored_stream r; key = (fun tu -> Tuple.get tu 1) } in
-      let child, child_stats = Rank_join.hrjn ~combine:( +. ) ~left:(input ra) ~right:(input rb) () in
+      let child, child_stats = Rank_join.hrjn ~combine:( +. ) ~inputs:[ input ra; input rb ] () in
       let top, top_stats =
         Rank_join.hrjn ~combine:( +. )
-          ~left:
-            {
-              Rank_join.stream = child;
-              key =
-                (let schema = child.Operator.s_schema in
-                 let idx = Schema.index_of_exn schema ~relation:"A" "key" in
-                 fun tu -> Tuple.get tu idx);
-            }
-          ~right:(input rc) ()
+          ~inputs:
+            [
+              {
+                Rank_join.stream = child;
+                key =
+                  (let schema = child.Operator.s_schema in
+                   let idx = Schema.index_of_exn schema ~relation:"A" "key" in
+                   fun tu -> Tuple.get tu idx);
+              };
+              input rc;
+            ]
+          ()
       in
       ignore (Operator.scored_take top 10);
       let pipeline_total =
@@ -186,6 +242,9 @@ let suites =
         Alcotest.test_case "empty input depth" `Quick test_nary_empty_input_depth;
         Alcotest.test_case "arity check" `Quick test_nary_rejects_single_input;
         Alcotest.test_case "flat vs pipeline depths" `Quick test_nary_flat_vs_pipeline_depths;
+        Alcotest.test_case "ratio needs two inputs" `Quick test_ratio_needs_two_inputs;
+        Alcotest.test_case "adaptive 3-way oracle" `Quick test_adaptive_matches_oracle;
+        Alcotest.test_case "exact threshold" `Quick test_exact_threshold;
         QCheck_alcotest.to_alcotest prop_nary_equals_oracle;
       ] );
   ]

@@ -1,6 +1,6 @@
-(* The Plan_verify compatibility wrapper (now a registration shim over the
-   planlint engine, see lib/lint/) + the enumeration invariant: every plan
-   the MEMO retains (for random workloads and both optimizer
+(* Structural plan checks through the planlint engine's first-error view
+   ([Lint.Engine.check], see lib/lint/) + the enumeration invariant: every
+   plan the MEMO retains (for random workloads and both optimizer
    configurations) is structurally well-formed and executable. *)
 
 open Relalg
@@ -27,10 +27,10 @@ let contains msg sub =
   let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
   at 0
 
-(* The wrapper must reject the plan, and the diagnostic it relays must come
+(* The check must reject the plan, and the diagnostic it relays must come
    from the expected lint rule. *)
 let expect_rule rule cat plan =
-  match Plan_verify.check cat plan with
+  match Lint.Engine.check cat plan with
   | Ok () -> Alcotest.failf "expected a %s failure" rule
   | Error msg ->
       if not (contains msg rule) then
@@ -99,22 +99,9 @@ let test_accepts_valid_plan () =
       ~k:5 ()
   in
   let planned = Optimizer.optimize cat q in
-  match Plan_verify.check cat planned.Optimizer.plan with
+  match Lint.Engine.check cat planned.Optimizer.plan with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid plan rejected: %s" msg
-
-(* The shim raises a diagnostic-carrying Failure through check_exn. *)
-let test_check_exn () =
-  let cat = setup () in
-  (match Plan_verify.check_exn cat (Plan.Table_scan { table = "A" }) with
-  | () -> ()
-  | exception Failure msg -> Alcotest.failf "valid plan raised: %s" msg);
-  match Plan_verify.check_exn cat (Plan.Table_scan { table = "Nope" }) with
-  | () -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-      Alcotest.(check bool)
-        "carries the lint diagnostic" true
-        (contains msg "PL01-schema")
 
 let prop_all_memo_plans_wellformed =
   QCheck.Test.make
@@ -146,7 +133,7 @@ let prop_all_memo_plans_wellformed =
       List.for_all
         (fun key ->
           List.for_all
-            (fun sp -> Plan_verify.check cat sp.Memo.plan = Ok ())
+            (fun sp -> Lint.Engine.check cat sp.Memo.plan = Ok ())
             (Memo.plans result.Enumerator.memo key))
         (Memo.entry_keys result.Enumerator.memo))
 
@@ -161,7 +148,6 @@ let suites =
         Alcotest.test_case "missing rank scores" `Quick test_detects_missing_rank_scores;
         Alcotest.test_case "unsorted merge inputs" `Quick test_detects_unsorted_merge_inputs;
         Alcotest.test_case "accepts optimizer plan" `Quick test_accepts_valid_plan;
-        Alcotest.test_case "check_exn relays diagnostics" `Quick test_check_exn;
         QCheck_alcotest.to_alcotest prop_all_memo_plans_wellformed;
       ] );
   ]

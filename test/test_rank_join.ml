@@ -42,7 +42,7 @@ let make_pair ?(na = 40) ?(nb = 40) ?(domain = 5) ?(seed = 7) () =
 
 let hrjn_results ?polling ra rb k =
   let stream, stats =
-    Rank_join.hrjn ?polling ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ?polling ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   (Operator.scored_take stream k, stats)
 
@@ -149,7 +149,7 @@ let test_hrjn_threshold_safety () =
      across restarts. Also: emitted results never exceed the total join. *)
   let ra, rb = make_pair ~na:50 ~nb:50 ~domain:2 ~seed:23 () in
   let stream, _ =
-    Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let all = Operator.scored_to_list stream in
   let oracle = oracle_topk ra rb max_int in
@@ -159,7 +159,7 @@ let test_hrjn_threshold_safety () =
 let test_hrjn_restart () =
   let ra, rb = make_pair () in
   let stream, stats =
-    Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let first = Operator.scored_take stream 5 in
   let second = Operator.scored_take stream 5 in
@@ -190,7 +190,7 @@ let test_weighted_combine () =
   let ra, rb = make_pair () in
   let wcombine a b = (0.3 *. a) +. (0.7 *. b) in
   let stream, _ =
-    Rank_join.hrjn ~combine:wcombine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine:wcombine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let results = Operator.scored_take stream 10 in
   let joined =
@@ -231,12 +231,12 @@ let test_hrjn_resume_midway () =
   let ra, rb = make_pair ~na:30 ~nb:30 ~domain:3 ~seed:51 () in
   let full =
     let stream, _ =
-      Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+      Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
     in
     Operator.scored_to_list stream
   in
   let stream, _ =
-    Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   stream.Operator.s_open ();
   let first = take_via_next stream 5 in
@@ -248,7 +248,7 @@ let test_hrjn_resume_midway () =
 let test_hrjn_exhausted_stays_exhausted () =
   let ra, rb = make_pair ~na:25 ~nb:25 ~domain:3 ~seed:53 () in
   let stream, stats =
-    Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   stream.Operator.s_open ();
   let all = drain_via_next stream in
@@ -271,7 +271,7 @@ let test_hrjn_exhausted_empty_side_stays_stopped () =
   let empty = Relation.create (Test_util.scored_schema "A") [] in
   let rb = Test_util.scored_relation "B" ~n:100 ~domain:4 ~seed:55 in
   let stream, stats =
-    Rank_join.hrjn ~combine ~left:(rank_input empty) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine ~inputs:[ rank_input empty; rank_input rb ] ()
   in
   stream.Operator.s_open ();
   Alcotest.(check bool) "empty join" true
@@ -361,7 +361,7 @@ let prop_hrjn_never_emits_below_later =
       let ra = Test_util.scored_relation "A" ~n ~domain ~seed in
       let rb = Test_util.scored_relation "B" ~n ~domain ~seed:(seed + 300) in
       let stream, _ =
-        Rank_join.hrjn ~combine ~left:(rank_input ra) ~right:(rank_input rb) ()
+        Rank_join.hrjn ~combine ~inputs:[ rank_input ra; rank_input rb ] ()
       in
       let scores = List.map snd (Operator.scored_to_list stream) in
       let rec ok = function

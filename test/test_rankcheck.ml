@@ -195,9 +195,9 @@ let test_vector_fixed_seed_sweep () =
    service must be tuple-exact (ties, NaN drops and all) against the full
    ranked-list oracle. The open-ended sweep is `rankopt fuzz --enum`. *)
 let test_enum_fixed_seed_sweep () =
-  let outcome = Rankcheck.run_enum ~seed:0 ~cases:40 () in
+  let outcome = Rankcheck.run_enum ~seed:0 ~cases:200 () in
   (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
-  Alcotest.(check int) "cases" 40 outcome.Rankcheck.o_cases;
+  Alcotest.(check int) "cases" 200 outcome.Rankcheck.o_cases;
   Alcotest.(check bool)
     "prefixes checked" true
     (outcome.Rankcheck.o_plans > 100)
@@ -303,7 +303,7 @@ let suites =
           test_empty_input_regression;
         Alcotest.test_case "vector-mode sweep (0..119)" `Quick
           test_vector_fixed_seed_sweep;
-        Alcotest.test_case "enum-mode sweep (0..39)" `Slow
+        Alcotest.test_case "enum-mode sweep (0..199)" `Slow
           test_enum_fixed_seed_sweep;
         Alcotest.test_case "enum-case coverage" `Quick test_enum_case_coverage;
         Alcotest.test_case "rank-mode sweep (0..49)" `Slow

@@ -37,7 +37,7 @@ let test_hrjn_all_keys_equal () =
   let ra = constant_key_relation "A" ~n:40 ~score_of:(fun i -> float_of_int i /. 40.0) in
   let rb = constant_key_relation "B" ~n:40 ~score_of:(fun i -> float_of_int (40 - i) /. 40.0) in
   let stream, stats =
-    Rank_join.hrjn ~combine:( +. ) ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine:( +. ) ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let results = Operator.scored_take stream 10 in
   Test_util.check_score_multiset "top-10 on full cross"
@@ -57,7 +57,7 @@ let test_hrjn_all_scores_tied () =
   in
   let ra = tie ra and rb = tie (Test_util.scored_relation "B" ~n:30 ~domain:3 ~seed:102) in
   let stream, _ =
-    Rank_join.hrjn ~combine:( +. ) ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine:( +. ) ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let results = Operator.scored_take stream 7 in
   Alcotest.(check int) "7 results" 7 (List.length results);
@@ -70,7 +70,7 @@ let test_hrjn_min_combine () =
   let ra = Test_util.scored_relation "A" ~n:50 ~domain:5 ~seed:103 in
   let rb = Test_util.scored_relation "B" ~n:50 ~domain:5 ~seed:104 in
   let stream, _ =
-    Rank_join.hrjn ~combine:Float.min ~left:(rank_input ra) ~right:(rank_input rb) ()
+    Rank_join.hrjn ~combine:Float.min ~inputs:[ rank_input ra; rank_input rb ] ()
   in
   let results = Operator.scored_take stream 8 in
   let joined =

@@ -343,6 +343,65 @@ let test_stats_aggregate () =
   Alcotest.(check bool) "cluster counters summed" true
     (List.mem_assoc "cluster_queries" fields)
 
+(* Scatters reuse the shard-side statements of closed scatters of the
+   same pushed SQL: after hundreds of scattered statements each shard
+   session holds a handful of statements, not one per statement. A gather
+   cursor stays open throughout, so its statement name must never be
+   handed to another scatter. *)
+let test_scatter_statements_reused () =
+  with_cluster ~n:2 @@ fun _cl coord ses ->
+  let prepared () =
+    match List.assoc_opt "cluster_link_prepared" (C.stats coord) with
+    | Some v -> int_of_string v
+    | None -> Alcotest.fail "no cluster_link_prepared field"
+  in
+  (match C.prepare ses ~name:"held" "SELECT A.id FROM A ORDER BY A.score DESC LIMIT ?" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "prepare: %s" (Server.Service.error_message e));
+  (match C.execute_prepared ses ~k:2 "held" with
+  | Ok r -> Alcotest.(check bool) "held scattered" true r.C.scattered
+  | Error e -> Alcotest.failf "execute: %s" (Server.Service.error_message e));
+  let templates =
+    [|
+      Printf.sprintf "SELECT A.id, A.score FROM A ORDER BY A.score DESC LIMIT %d";
+      Printf.sprintf
+        "SELECT A.id FROM A WHERE A.score >= 0.25 ORDER BY A.score DESC LIMIT %d";
+      Printf.sprintf
+        "SELECT A.id, B.id FROM A, B WHERE A.key = B.key ORDER BY A.score + \
+         B.score DESC LIMIT %d";
+    |]
+  in
+  let statements = 240 in
+  for i = 0 to statements - 1 do
+    let sql = templates.(i mod 3) (1 + (i mod 7)) in
+    if i mod 40 = 0 then ignore (check_matches_single_node coord ses sql)
+    else
+      match C.query ses sql with
+      | Ok r -> if not r.C.scattered then Alcotest.failf "not scattered: %s" sql
+      | Error e -> Alcotest.failf "%s: %s" sql (Server.Service.error_message e)
+  done;
+  (* one statement per template per shard, plus the held cursor's *)
+  Alcotest.(check bool)
+    (Printf.sprintf "bounded shard statements (%d)" (prepared ()))
+    true
+    (prepared () <= 2 * 4);
+  (* the held cursor is intact: it continues where its EXECUTE stopped *)
+  let reference =
+    match
+      Sqlfront.Sql.query (C.mirror coord)
+        "SELECT A.id FROM A ORDER BY A.score DESC LIMIT 5"
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "reference: %s" e
+  in
+  match C.fetch ses ~name:"held" 3 with
+  | Ok r ->
+      List.iter2
+        (fun want got -> Alcotest.(check (array check_value)) "held row" want got)
+        (List.filteri (fun i _ -> i >= 2) reference.Sqlfront.Sql.rows)
+        r.C.rows
+  | Error e -> Alcotest.failf "fetch: %s" (Server.Service.error_message e)
+
 (* The wire front end end-to-end: coordinator replies carry depths and
    SHARD verbs are live. *)
 let test_frontend_protocol () =
@@ -428,6 +487,8 @@ let suites =
         Alcotest.test_case "explain and analyze" `Quick
           test_explain_and_analyze;
         Alcotest.test_case "stats aggregation" `Quick test_stats_aggregate;
+        Alcotest.test_case "scatters reuse shard statements" `Quick
+          test_scatter_statements_reused;
         Alcotest.test_case "frontend protocol" `Quick test_frontend_protocol;
       ] );
   ]

@@ -117,8 +117,7 @@ let test_ratio_polling_correct_and_respects_ratio () =
   let rb = Test_util.scored_relation "B" ~n:300 ~domain:10 ~seed:72 in
   let run polling =
     let stream, stats =
-      Exec.Rank_join.hrjn ~polling ~combine:( +. ) ~left:(rank_input ra)
-        ~right:(rank_input rb) ()
+      Exec.Rank_join.hrjn ~polling ~combine:( +. ) ~inputs:[ rank_input ra; rank_input rb ] ()
     in
     (Exec.Operator.scored_take stream 10, stats)
   in
@@ -153,7 +152,7 @@ let prop_ratio_polling_always_correct =
       let stream, _ =
         Exec.Rank_join.hrjn
           ~polling:(Exec.Rank_join.Ratio ratio)
-          ~combine:( +. ) ~left:(rank_input ra) ~right:(rank_input rb) ()
+          ~combine:( +. ) ~inputs:[ rank_input ra; rank_input rb ] ()
       in
       let results = Exec.Operator.scored_take stream 8 in
       let joined =
