@@ -15,9 +15,16 @@
      client could reach with perfect foresight of k.
 
    The crossover fields record the first checkpoint where the cursor's
-   cumulative cost drops below each baseline (0 = never). Appends one JSON
-   row to BENCH_RANKOPT.json (smoke mode prints without appending, so
-   `make ci` stays clean-tree). *)
+   cumulative cost drops below each baseline (0 = never).
+
+   A second row times the any-k build alone at the scale of the perfbench
+   adhoc workload: tables A, B, C of 16 000 rows over a key domain of
+   8 000, joined in a 3-way chain at k = 200. It reports the median
+   s_open time over 5 runs and the build's counts (tuples drained,
+   survivors, key groups, groups whose tail was sorted).
+
+   Each row is appended to BENCH_RANKOPT.json (smoke mode prints reduced
+   rows without appending, so `make ci` stays clean-tree). *)
 
 let bench_file = "BENCH_RANKOPT.json"
 
@@ -36,6 +43,101 @@ let substitute_k sql k =
 let ok_or what = function
   | Ok r -> r
   | Error e -> failwith (what ^ ": " ^ Server.Service.error_message e)
+
+let append row =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 bench_file in
+  output_string oc row;
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "(1 row appended to %s)\n" bench_file
+
+let chain_sql =
+  "SELECT A.id, B.id, C.id FROM A, B, C WHERE A.key = B.key AND B.key = \
+   C.key ORDER BY 0.3*A.score + 0.3*B.score + 0.4*C.score DESC LIMIT 200"
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+let build_row ~smoke =
+  Bench_util.section "anyk: build (s_open) of a 3-way chain at k=200";
+  let n = if smoke then 2000 else 16000 in
+  let domain = n / 2 and k = 200 and runs = if smoke then 3 else 5 in
+  let catalog =
+    Bench_util.three_table_catalog ~n ~pool_frames:256 ~domain ~seed:101 ()
+  in
+  let plan, expected =
+    let ( let* ) = Result.bind in
+    match
+      let* tpl = Sqlfront.Sql.template_of_sql chain_sql in
+      let* ast = Sqlfront.Sql.instantiate tpl () in
+      let* p = Sqlfront.Sql.prepare_ast catalog ast in
+      let* ans = Sqlfront.Sql.query catalog chain_sql in
+      Ok
+        ( Core.Plan.describe p.Sqlfront.Sql.planned.Core.Optimizer.plan,
+          ans.Sqlfront.Sql.scores )
+    with
+    | Ok r -> r
+    | Error e -> failwith ("anyk build bench: " ^ e)
+  in
+  let tables = [ ("A", 0.3); ("B", 0.3); ("C", 0.4) ] in
+  let inputs =
+    List.map
+      (fun (t, w) ->
+        let info = Storage.Catalog.table catalog t in
+        let schema = info.Storage.Catalog.tb_schema in
+        {
+          Exec.Any_k.i_op = Exec.Scan.heap info;
+          i_score =
+            Relalg.Expr.compile_float schema
+              Relalg.Expr.(cfloat w * col ~relation:t "score");
+        })
+      tables
+  in
+  let schema_of t = (Storage.Catalog.table catalog t).Storage.Catalog.tb_schema in
+  let key t = Relalg.Expr.compile (schema_of t) (Relalg.Expr.col ~relation:t "key") in
+  let schema =
+    List.fold_left
+      (fun acc (t, _) -> Relalg.Schema.concat acc (schema_of t))
+      (schema_of "A") (List.tl tables)
+  in
+  let stream, counts =
+    Exec.Any_k.enumerate_counted ~schema ~inputs
+      ~keys:[ (0, key "A", key "B"); (1, key "B", key "C") ]
+      ()
+  in
+  let scores = ref [] in
+  let times =
+    List.init runs (fun _ ->
+        let dt, () = wall stream.Exec.Operator.s_open in
+        scores :=
+          List.filter_map
+            (fun _ -> Option.map snd (stream.Exec.Operator.s_next ()))
+            (List.init k Fun.id);
+        stream.Exec.Operator.s_close ();
+        dt)
+  in
+  let c = counts () in
+  let correct = List.equal Float.equal !scores expected in
+  let open_ms = 1000.0 *. median times in
+  Bench_util.row "optimizer plan for the query: %s\n" plan;
+  Bench_util.row
+    "open median %.2f ms over %d runs; drained %d, survivors %d, groups %d, \
+     groups sorted %d%s\n"
+    open_ms runs c.drained c.survivors c.groups c.groups_sorted
+    (if correct then "" else "  [SCORES DIVERGE]");
+  let row =
+    Printf.sprintf
+      "{\"bench\":\"anyk_build\",\"n\":%d,\"domain\":%d,\"inputs\":3,\"k\":%d,\
+       \"runs\":%d,\"cores\":%d,\"open_ms\":%.2f,\"drained\":%d,\
+       \"survivors\":%d,\"groups\":%d,\"groups_sorted\":%d,\"correct\":%b}"
+      n domain k runs
+      (Domain.recommended_domain_count ())
+      open_ms c.drained c.survivors c.groups c.groups_sorted correct
+  in
+  print_endline row;
+  if not smoke then append row
 
 let run ?(smoke = false) () =
   Bench_util.section "anyk: cursor FETCH NEXT vs re-planned top-k";
@@ -155,10 +257,5 @@ let run ?(smoke = false) () =
       replan_one.(steps) cross_cum cross_one correct
   in
   print_endline row;
-  if not smoke then begin
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 bench_file in
-    output_string oc row;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "(1 row appended to %s)\n" bench_file
-  end
+  if not smoke then append row;
+  build_row ~smoke

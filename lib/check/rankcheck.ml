@@ -374,6 +374,7 @@ let corner_depth ~k streams =
           for x = lo to hi - 1 do
             let kx, sx = streams.(i).(x) in
             match key with
+            | _ when not (Exec.Join_key.joins kx) -> ()
             | Some k0 when Value.compare k0 kx <> 0 -> ()
             | _ -> go (i + 1) (Some kx) (if i = 0 then sx else acc +. sx)
           done

@@ -544,7 +544,7 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
             interrupt
         in
         let stream =
-          Exec.Any_k.enumerate ?tick ~schema:out_schema ~inputs:ak_inputs
+          Exec.Any_k.enumerate ~stats ?tick ~schema:out_schema ~inputs:ak_inputs
             ~keys:ak_keys ()
         in
         instrument plan stats (Exec.Operator.scored_to_plain stream) profs

@@ -11,29 +11,105 @@
    Join-tree encoding: input 0 is the root; input i >= 1 joins an earlier
    input parent(i) < i on an equi-key. Children therefore always carry a
    larger index than their parent, which makes a reverse index sweep a
-   valid bottom-up order. *)
+   valid bottom-up order.
+
+   Build layout. Each node keeps its survivors in parallel columns (tuple,
+   own score, subtree best) and groups them by join key in CSR form: group
+   g owns the member slots [start g, start (g+1)). The root is one group.
+   While a parent is drained, each of its survivors records the group it
+   joins in every child (the child's [link] column), so enumeration moves
+   over integer positions and never evaluates or hashes a key again. Slot 0
+   of a group is a maximum of [best], tracked while the node is drained;
+   that is all the bottom-up pass reads. The tail (slots 1 and up) is
+   ordered on demand: it becomes a heap the first time a successor needs
+   slot 1, and each later slot is popped from that heap when a successor
+   first reaches it. Slot 0 never moves, since live candidates may rest on
+   it. *)
 
 open Relalg
 
-module Vtbl = Hashtbl.Make (Value)
-
 type input = { i_op : Operator.t; i_score : Tuple.t -> float }
 
-(* A surviving tuple of one node: its own partial score and the best
-   total achievable by its whole subtree (own score + best child buckets). *)
-type entry = { e_tuple : Tuple.t; e_score : float; e_best : float }
+type counts = {
+  drained : int;
+  survivors : int;
+  groups : int;
+  groups_sorted : int;
+}
+
+(* A growable column in blocks of 64 elements, reached through segments of
+   64 blocks: no heap block it allocates exceeds 128 words below 2^19
+   elements. OCaml 5 mallocs larger blocks, and when worker domains free
+   them they fragment the C allocator's per-thread arenas. *)
+module Col = struct
+  let bits = 6
+
+  let mask = (1 lsl bits) - 1
+
+  type 'a t = {
+    fill : 'a;
+    mutable segs : 'a array array array;
+    mutable len : int;
+  }
+
+  let create fill = { fill; segs = [||]; len = 0 }
+
+  let length c = c.len
+
+  let get c i = c.segs.(i lsr (2 * bits)).((i lsr bits) land mask).(i land mask)
+
+  let set c i x =
+    c.segs.(i lsr (2 * bits)).((i lsr bits) land mask).(i land mask) <- x
+
+  let push c x =
+    let i = c.len in
+    let s = i lsr (2 * bits) in
+    if i land ((1 lsl (2 * bits)) - 1) = 0 then begin
+      if s = Array.length c.segs then begin
+        let segs = Array.make (max 4 (2 * s)) [||] in
+        Array.blit c.segs 0 segs 0 s;
+        c.segs <- segs
+      end;
+      c.segs.(s) <- Array.make (1 lsl bits) [||]
+    end;
+    let seg = c.segs.(s) in
+    let b = (i lsr bits) land mask in
+    if i land mask = 0 then seg.(b) <- Array.make (1 lsl bits) c.fill;
+    seg.(b).(i land mask) <- x;
+    c.len <- i + 1
+end
+
+type node = {
+  tup : Tuple.t Col.t;
+  own : float Col.t;  (* the survivor's own partial score *)
+  best : float Col.t;  (* own + the best completion of every child subtree *)
+  head_best : float Col.t;  (* group g's maximum [best], its head's *)
+  start : int Col.t;  (* group g's first member slot; one sentinel at the end *)
+  members : int Col.t;  (* survivor positions, group after group *)
+  ready : int Col.t;  (* group g's leading slots in final order (0: head only) *)
+  link : int Col.t;  (* by parent survivor: the group of this node it joins *)
+}
+
+let empty_node () =
+  {
+    tup = Col.create [||];
+    own = Col.create 0.0;
+    best = Col.create 0.0;
+    head_best = Col.create 0.0;
+    start = Col.create 0;
+    members = Col.create 0;
+    ready = Col.create 0;
+    link = Col.create 0;
+  }
 
 type cand = {
   total : float;  (* exact total score of this fully resolved answer *)
-  idx : int array;  (* per-node choice index into its (sorted) bucket *)
-  tuples : Tuple.t array;
-  own : float array;  (* per-node partial score of the chosen tuple *)
+  pos : int array;  (* per node: the chosen survivor *)
+  slot : int array;  (* per node: its member slot within its group *)
   branch : int;  (* Lawler rule: successors may bump coordinates >= branch *)
 }
 
-let desc_by_best a b = Float.compare b.e_best a.e_best
-
-let enumerate ?(tick = fun () -> ()) ~schema ~inputs
+let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     ~(keys : (int * (Tuple.t -> Value.t) * (Tuple.t -> Value.t)) list) () =
   let inputs = Array.of_list inputs in
   let m = Array.length inputs in
@@ -41,185 +117,296 @@ let enumerate ?(tick = fun () -> ()) ~schema ~inputs
   let keys = Array.of_list keys in
   if Array.length keys <> m - 1 then
     invalid_arg "Any_k.enumerate: need one key binding per non-root input";
-  let parent i =
-    let p, _, _ = keys.(i - 1) in
-    p
-  in
-  let parent_key i t =
-    let _, pk, _ = keys.(i - 1) in
-    pk t
-  in
-  let child_key i t =
-    let _, _, ck = keys.(i - 1) in
-    ck t
-  in
   Array.iteri
     (fun j (p, _, _) ->
       if p < 0 || p > j then
         invalid_arg "Any_k.enumerate: parent must precede child")
     keys;
-  let children = Array.make m [] in
-  for i = m - 1 downto 1 do
-    children.(parent i) <- i :: children.(parent i)
-  done;
+  let stats =
+    match stats with
+    | Some s ->
+        if Exec_stats.inputs s <> m then
+          invalid_arg
+            (Printf.sprintf "Any_k.enumerate: stats record must track %d inputs"
+               m);
+        s
+    | None -> Exec_stats.create m
+  in
+  let parent i =
+    let p, _, _ = keys.(i - 1) in
+    p
+  in
+  let children =
+    Array.init m (fun i ->
+        List.init (m - 1) succ
+        |> List.filter (fun c -> parent c = i)
+        |> Array.of_list)
+  in
   (* Mutable run state, rebuilt by s_open. *)
-  let buckets : entry array Vtbl.t array = Array.make m (Vtbl.create 1) in
-  let roots = ref [||] in
+  let nodes = Array.init m (fun _ -> empty_node ()) in
   let heap =
     Rkutil.Heap.create ~cmp:(fun a b -> Float.compare b.total a.total)
   in
   let started = ref false in
-  let materialize i =
-    let op = inputs.(i).i_op in
-    let acc = ref [] in
-    let n = ref 0 in
-    op.Operator.open_ ();
-    let rec loop () =
-      match op.Operator.next () with
-      | Some tu ->
-          incr n;
-          if !n land 255 = 0 then tick ();
-          acc := tu :: !acc;
-          loop ()
-      | None -> ()
+  let survivors = ref 0 and drained = ref 0 and groups = ref 0 in
+  let sorted = ref 0 in
+  let poll j = if j land 255 = 0 then tick () in
+  let member nd g j = Col.get nd.members (Col.get nd.start g + j) in
+  let group_size nd g = Col.get nd.start (g + 1) - Col.get nd.start g in
+  (* Drain input [i] and lay out its survivors. [tables.(c)] maps a key of
+     child c (already built) to its group id. *)
+  let build_node tables i =
+    let nd = empty_node () in
+    let kids = children.(i) in
+    let joined = Array.make (Array.length kids) 0 in
+    let tbl = Join_key.Tbl.create 64 in
+    let group_of = Col.create 0 in
+    (* Per group: its member count (later its first slot in [start]) and
+       the first survivor reaching the group's maximum [best]. *)
+    let head = Col.create 0 in
+    let new_group () =
+      Col.push nd.start 0;
+      Col.push head 0;
+      Col.push nd.head_best 0.0;
+      Col.length nd.start - 1
     in
-    loop ();
+    (* The group of survivor [tu]; -1 when its key is NULL. *)
+    let group tu =
+      if i = 0 then if Col.length nd.start = 0 then new_group () else 0
+      else
+        let _, _, ck = keys.(i - 1) in
+        let k = ck tu in
+        if not (Join_key.joins k) then -1
+        else
+          match Join_key.Tbl.find_opt tbl k with
+          | Some g -> g
+          | None ->
+              let g = new_group () in
+              Join_key.Tbl.add tbl k g;
+              g
+    in
+    (* [acc] plus the best completion of every child subtree for [tu], whose
+       joined groups are left in [joined]; NaN when [tu] dangles. *)
+    let rec resolve_kids tu acc j =
+      if j = Array.length kids then acc
+      else
+        let c = kids.(j) in
+        let _, pk, _ = keys.(c - 1) in
+        let k = pk tu in
+        match
+          if Join_key.joins k then Join_key.Tbl.find_opt tables.(c) k else None
+        with
+        | Some g ->
+            joined.(j) <- g;
+            resolve_kids tu (acc +. Col.get nodes.(c).head_best g) (j + 1)
+        | None -> nan
+    in
+    let op = inputs.(i).i_op and score = inputs.(i).i_score in
+    op.Operator.open_ ();
+    let rec drain n =
+      match op.Operator.next () with
+      | None -> n
+      | Some tu ->
+          Exec_stats.bump_depth stats i;
+          poll (n + 1);
+          let s = score tu in
+          let b = if Float.is_nan s then nan else resolve_kids tu s 0 in
+          let g = if Float.is_nan b then -1 else group tu in
+          if g >= 0 then begin
+            let p = Col.length nd.tup in
+            Col.push nd.tup tu;
+            Col.push nd.own s;
+            Col.push nd.best b;
+            Col.push group_of g;
+            let count = Col.get nd.start g in
+            Col.set nd.start g (count + 1);
+            if count = 0 || b > Col.get nd.head_best g then begin
+              Col.set head g p;
+              Col.set nd.head_best g b
+            end;
+            for j = 0 to Array.length kids - 1 do
+              Col.push nodes.(kids.(j)).link joined.(j)
+            done
+          end;
+          drain (n + 1)
+    in
+    let n = drain 0 in
     op.Operator.close ();
-    !acc
-  in
-  (* Best completion of node [c]'s subtree for a parent tuple [t], i.e. the
-     head of c's bucket under t's join key; None when t dangles. *)
-  let child_best c t =
-    match Vtbl.find_opt buckets.(c) (parent_key c t) with
-    | Some arr when Array.length arr > 0 -> Some arr.(0).e_best
-    | _ -> None
+    let n_surv = Col.length nd.tup and n_groups = Col.length nd.start in
+    (* Counts become end offsets. A back-to-front fill of every member but
+       the head then moves each offset down to the group's second slot,
+       keeping input order in the tail, and the head takes slot 0. *)
+    let acc = ref 0 in
+    for g = 0 to n_groups - 1 do
+      poll g;
+      acc := !acc + Col.get nd.start g;
+      Col.set nd.start g !acc
+    done;
+    Col.push nd.start n_surv;
+    for p = 0 to n_surv - 1 do
+      poll p;
+      Col.push nd.members 0
+    done;
+    for p = n_surv - 1 downto 0 do
+      poll p;
+      let g = Col.get group_of p in
+      if p <> Col.get head g then begin
+        let e = Col.get nd.start g - 1 in
+        Col.set nd.start g e;
+        Col.set nd.members e p
+      end
+    done;
+    for g = 0 to n_groups - 1 do
+      poll g;
+      let lo = Col.get nd.start g - 1 in
+      Col.set nd.start g lo;
+      Col.set nd.members lo (Col.get head g);
+      let size = Col.get nd.start (g + 1) - lo in
+      Col.push nd.ready (if size <= 2 then size else 0)
+    done;
+    nodes.(i) <- nd;
+    tables.(i) <- tbl;
+    drained := !drained + n;
+    survivors := !survivors + n_surv;
+    groups := !groups + n_groups
   in
   let build () =
     Rkutil.Heap.clear heap;
+    survivors := 0;
+    drained := 0;
+    groups := 0;
+    sorted := 0;
+    let tables = Array.init m (fun _ -> Join_key.Tbl.create 1) in
     for i = m - 1 downto 0 do
-      let score = inputs.(i).i_score in
-      let entries =
-        List.filter_map
-          (fun tu ->
-            tick ();
-            let s = score tu in
-            if Float.is_nan s then None
-            else
-              let rec total acc = function
-                | [] -> Some acc
-                | c :: rest -> (
-                    match child_best c tu with
-                    | Some b -> total (acc +. b) rest
-                    | None -> None)
-              in
-              match total s children.(i) with
-              | Some best when not (Float.is_nan best) ->
-                  Some { e_tuple = tu; e_score = s; e_best = best }
-              | _ -> None)
-          (materialize i)
-      in
-      if i = 0 then begin
-        let arr = Array.of_list entries in
-        Array.sort desc_by_best arr;
-        roots := arr
-      end
-      else begin
-        let tbl = Vtbl.create 64 in
-        List.iter
-          (fun e ->
-            let key = child_key i e.e_tuple in
-            Vtbl.replace tbl key
-              (e :: (try Vtbl.find tbl key with Not_found -> [])))
-          entries;
-        let sorted = Vtbl.create (Vtbl.length tbl) in
-        Vtbl.iter
-          (fun key es ->
-            let arr = Array.of_list es in
-            Array.sort desc_by_best arr;
-            Vtbl.replace sorted key arr)
-          tbl;
-        buckets.(i) <- sorted
-      end
+      build_node tables i
     done
   in
-  (* The bucket coordinate [t] draws from, given resolved ancestors. *)
-  let bucket_of tuples t =
-    if t = 0 then !roots
-    else
-      match Vtbl.find_opt buckets.(t) (parent_key t tuples.(parent t)) with
-      | Some arr -> arr
-      | None -> [||]  (* unreachable: ancestors are alive *)
-  in
-  (* Resolve coordinates [from..m-1] greedily (index 0 of each bucket).
-     Returns false when a bucket is empty (only possible for the initial
-     candidate of an empty result). *)
-  let resolve idx tuples own from =
-    let ok = ref true in
-    for u = from to m - 1 do
-      if !ok then begin
-        let arr = bucket_of tuples u in
-        if Array.length arr = 0 then ok := false
-        else begin
-          idx.(u) <- 0;
-          tuples.(u) <- arr.(0).e_tuple;
-          own.(u) <- arr.(0).e_score
+  (* Group g's tail is ordered on demand. Slots [lo, lo + ready g) are
+     final; the rest form a max-heap on [best] laid out backwards from the
+     group's last slot, so popping its root into slot lo + ready extends
+     the final prefix by one. [ready g = 0] means the tail is not yet a
+     heap. *)
+  let order_until nd g j =
+    let lo = Col.get nd.start g and hi = Col.get nd.start (g + 1) in
+    let slot k = hi - 1 - k in
+    let key k = Col.get nd.best (Col.get nd.members (slot k)) in
+    let swap a b =
+      let x = Col.get nd.members (slot a) in
+      Col.set nd.members (slot a) (Col.get nd.members (slot b));
+      Col.set nd.members (slot b) x
+    in
+    let rec sift k len =
+      let l = (2 * k) + 1 in
+      if l < len then begin
+        let c = if l + 1 < len && key (l + 1) > key l then l + 1 else l in
+        if key c > key k then begin
+          swap k c;
+          sift c len
         end
       end
-    done;
-    !ok
+    in
+    if Col.get nd.ready g = 0 then begin
+      let len = hi - lo - 1 in
+      for k = (len / 2) - 1 downto 0 do
+        poll k;
+        sift k len
+      done;
+      Col.set nd.ready g 1;
+      incr sorted
+    end;
+    while Col.get nd.ready g <= j do
+      let len = hi - lo - Col.get nd.ready g in
+      swap 0 (len - 1);
+      sift 0 (len - 1);
+      Col.set nd.ready g (Col.get nd.ready g + 1)
+    done
   in
-  let total_of own = Array.fold_left ( +. ) 0.0 own in
+  let group_in pos u =
+    if u = 0 then 0 else Col.get nodes.(u).link pos.(parent u)
+  in
+  (* Resolve coordinates [from..m-1] greedily to the head of their group. *)
+  let resolve pos slot from =
+    for u = from to m - 1 do
+      pos.(u) <- member nodes.(u) (group_in pos u) 0;
+      slot.(u) <- 0
+    done
+  in
+  let push pos slot branch =
+    let total = ref 0.0 in
+    for u = 0 to m - 1 do
+      total := !total +. Col.get nodes.(u).own pos.(u)
+    done;
+    Rkutil.Heap.push heap { total = !total; pos; slot; branch }
+  in
+  let note_buffer () =
+    Exec_stats.note_buffer stats (!survivors + Rkutil.Heap.length heap)
+  in
   let seed () =
-    if Array.length !roots > 0 then begin
-      let idx = Array.make m 0 in
-      let tuples = Array.make m [||] in
-      let own = Array.make m 0.0 in
-      tuples.(0) <- !roots.(0).e_tuple;
-      own.(0) <- !roots.(0).e_score;
-      if resolve idx tuples own 1 then
-        Rkutil.Heap.push heap
-          { total = total_of own; idx; tuples; own; branch = 0 }
-    end
+    if Col.length nodes.(0).tup > 0 then begin
+      let pos = Array.make m 0 and slot = Array.make m 0 in
+      resolve pos slot 0;
+      push pos slot 0
+    end;
+    note_buffer ()
   in
   let successors c =
     for t = c.branch to m - 1 do
       tick ();
-      let arr = bucket_of c.tuples t in
-      let j = c.idx.(t) + 1 in
-      if j < Array.length arr then begin
-        let idx = Array.copy c.idx in
-        let tuples = Array.copy c.tuples in
-        let own = Array.copy c.own in
-        idx.(t) <- j;
-        tuples.(t) <- arr.(j).e_tuple;
-        own.(t) <- arr.(j).e_score;
-        if resolve idx tuples own (t + 1) then
-          Rkutil.Heap.push heap
-            { total = total_of own; idx; tuples; own; branch = t }
+      let nd = nodes.(t) in
+      let g = group_in c.pos t in
+      let j = c.slot.(t) + 1 in
+      if j < group_size nd g then begin
+        if Col.get nd.ready g <= j then order_until nd g j;
+        let pos = Array.copy c.pos and slot = Array.copy c.slot in
+        slot.(t) <- j;
+        pos.(t) <- member nd g j;
+        resolve pos slot (t + 1);
+        push pos slot t
       end
-    done
+    done;
+    note_buffer ()
   in
-  {
-    Operator.s_schema = schema;
-    s_open =
-      (fun () ->
-        build ();
-        seed ();
-        started := true);
-    s_next =
-      (fun () ->
-        tick ();
-        if not !started then None
-        else
-          match Rkutil.Heap.pop heap with
-          | None -> None
-          | Some c ->
-              successors c;
-              Some (Array.concat (Array.to_list c.tuples), c.total));
-    s_close =
-      (fun () ->
-        started := false;
-        Rkutil.Heap.clear heap;
-        Array.iteri (fun i _ -> buckets.(i) <- Vtbl.create 1) buckets;
-        roots := [||]);
-  }
+  let answer c =
+    let parts = Array.init m (fun u -> Col.get nodes.(u).tup c.pos.(u)) in
+    Array.concat (Array.to_list parts)
+  in
+  let stream =
+    {
+      Operator.s_schema = schema;
+      s_open =
+        (fun () ->
+          Exec_stats.reset stats;
+          started := false;
+          build ();
+          seed ();
+          started := true);
+      s_next =
+        (fun () ->
+          tick ();
+          if not !started then None
+          else
+            match Rkutil.Heap.pop heap with
+            | None -> None
+            | Some c ->
+                successors c;
+                Exec_stats.bump_emitted stats;
+                Some (answer c, c.total));
+      s_close =
+        (fun () ->
+          started := false;
+          Rkutil.Heap.clear heap;
+          Array.iteri (fun i _ -> nodes.(i) <- empty_node ()) nodes);
+    }
+  in
+  let counts () =
+    {
+      drained = !drained;
+      survivors = !survivors;
+      groups = !groups;
+      groups_sorted = !sorted;
+    }
+  in
+  (stream, counts)
+
+let enumerate ?stats ?tick ~schema ~inputs ~keys () =
+  fst (enumerate_counted ?stats ?tick ~schema ~inputs ~keys ())

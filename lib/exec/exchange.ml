@@ -350,8 +350,6 @@ let top_n ?pool ?stats ~dop ~k ~score (src : source) : Operator.t =
 (* Partitioned hash build: parallel scan of the build side, parallel    *)
 (* per-partition table construction.                                    *)
 
-module Vtbl = Hashtbl.Make (Value)
-
 let partitioned_build ?pool ~dop ~partitions ~key ~n ~run ~cancel () =
   let dop = max 1 dop in
   let partitions = max 1 partitions in
@@ -391,7 +389,7 @@ let partitioned_build ?pool ~dop ~partitions ~key ~n ~run ~cancel () =
   (* Phase 2: one task per partition builds its hash table by walking
      morsels in index order — chain order is scheduling-independent and
      identical to the serial build over the same input sequence. *)
-  let tables = Array.init partitions (fun _ -> Vtbl.create 64) in
+  let tables = Array.init partitions (fun _ -> Join_key.Tbl.create 64) in
   let build j =
     let tbl = tables.(j) in
     Array.iter
@@ -400,12 +398,12 @@ let partitioned_build ?pool ~dop ~partitions ~key ~n ~run ~cancel () =
           List.iter
             (fun tu ->
               let k = key tu in
-              let prev = try Vtbl.find tbl k with Not_found -> [] in
-              Vtbl.replace tbl k (tu :: prev))
+              let prev = try Join_key.Tbl.find tbl k with Not_found -> [] in
+              Join_key.Tbl.replace tbl k (tu :: prev))
             buckets.(j))
       morsels;
     (* probe order must match the serial build, which conses and reverses *)
-    Vtbl.filter_map_inplace (fun _ chain -> Some (List.rev chain)) tbl
+    Join_key.Tbl.filter_map_inplace (fun _ chain -> Some (List.rev chain)) tbl
   in
   let next_part = Atomic.make 0 in
   let done_count = Atomic.make 0 in
@@ -440,4 +438,4 @@ let partitioned_build ?pool ~dop ~partitions ~key ~n ~run ~cancel () =
   done;
   (match Atomic.get first_exn with Some e -> raise e | None -> ());
   fun v ->
-    match Vtbl.find_opt tables.(part v) v with Some tus -> tus | None -> []
+    match Join_key.Tbl.find_opt tables.(part v) v with Some tus -> tus | None -> []

@@ -145,14 +145,6 @@ let index_nested_loops ?stats ?residual ~left_key ~right_schema ~lookup
       close = left.close;
     }
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  let hash = Value.hash
-end)
-
 let hash ?stats ?residual ~left_key ~right_key (left : Operator.t)
     (right : Operator.t) : Operator.t =
   let stats = stats_or stats 2 in
@@ -165,20 +157,20 @@ let hash ?stats ?residual ~left_key ~right_key (left : Operator.t)
     | None -> fun _ -> true
     | Some pred -> Expr.compile_bool schema pred
   in
-  let table : Tuple.t list Vtbl.t = Vtbl.create 256 in
+  let table : Tuple.t list Join_key.Tbl.t = Join_key.Tbl.create 256 in
   let matches = ref [] in
   let current_left = ref None in
   let build () =
-    Vtbl.clear table;
+    Join_key.Tbl.clear table;
     right.open_ ();
     let buffered = ref 0 in
     let rec pull () =
       match right.next () with
       | Some rt ->
           let k = rkey rt in
-          if not (Value.is_null k) then begin
-            let prev = Option.value ~default:[] (Vtbl.find_opt table k) in
-            Vtbl.replace table k (rt :: prev);
+          if Join_key.joins k then begin
+            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
+            Join_key.Tbl.replace table k (rt :: prev);
             incr buffered
           end;
           pull ()
@@ -202,8 +194,9 @@ let hash ?stats ?residual ~left_key ~right_key (left : Operator.t)
             current_left := Some lt;
             let k = lkey lt in
             matches :=
-              (if Value.is_null k then []
-               else Option.value ~default:[] (Vtbl.find_opt table k));
+              (if Join_key.joins k then
+                 Option.value ~default:[] (Join_key.Tbl.find_opt table k)
+               else []);
             next ())
   in
   emitting stats
@@ -231,7 +224,7 @@ let partition_input (b : Sort.budget) schema keyf p (op : Operator.t) =
     match op.next () with
     | Some tu ->
         let k = keyf tu in
-        let slot = if Value.is_null k then 0 else Value.hash k mod p in
+        let slot = if Join_key.joins k then Value.hash k mod p else 0 in
         ignore (Storage.Heap_file.append files.(slot) tu);
         pull ()
     | None -> ()
@@ -257,24 +250,24 @@ let grace_hash ?stats ?residual ?(partitions = 8) ~left_key ~right_key
   (* The per-partition in-memory join of two tuple lists (build on right). *)
   let join_partition ltuples rtuples emit =
     if List.length rtuples <= b.Sort.memory_tuples then begin
-      let table : Tuple.t list Vtbl.t = Vtbl.create 64 in
+      let table : Tuple.t list Join_key.Tbl.t = Join_key.Tbl.create 64 in
       List.iter
         (fun rt ->
           let k = rkey rt in
-          if not (Value.is_null k) then begin
-            let prev = Option.value ~default:[] (Vtbl.find_opt table k) in
-            Vtbl.replace table k (rt :: prev)
+          if Join_key.joins k then begin
+            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
+            Join_key.Tbl.replace table k (rt :: prev)
           end)
         rtuples;
       List.iter
         (fun lt ->
           let k = lkey lt in
-          if not (Value.is_null k) then
+          if Join_key.joins k then
             List.iter
               (fun rt ->
                 let joined = Tuple.concat lt rt in
                 if test joined then emit joined)
-              (Option.value ~default:[] (Vtbl.find_opt table k)))
+              (Option.value ~default:[] (Join_key.Tbl.find_opt table k)))
         ltuples
     end
     else

@@ -7,14 +7,6 @@ type input = {
 
 type polling = Alternate | Adaptive | Ratio of float
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  let hash = Value.hash
-end)
-
 (* Max-heap on combined score: invert the comparison. *)
 let result_heap () =
   Rkutil.Heap.create ~cmp:(fun (_, s1) (_, s2) -> Float.compare s2 s1)
@@ -51,8 +43,8 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
       (Array.sub inputs 1 (m - 1))
   in
   let stats = stats_of m stats in
-  let hashes : (Tuple.t * float) list Vtbl.t array =
-    Array.init m (fun _ -> Vtbl.create 64)
+  let hashes : (Tuple.t * float) list Join_key.Tbl.t array =
+    Array.init m (fun _ -> Join_key.Tbl.create 64)
   in
   let queue = result_heap () in
   let top = Array.make m nan and last = Array.make m nan in
@@ -70,7 +62,7 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
      tuple per input. *)
   let partners = Array.make m [] and parts = Array.make m [||] in
   let reset () =
-    Array.iter Vtbl.clear hashes;
+    Array.iter Join_key.Tbl.clear hashes;
     Rkutil.Heap.clear queue;
     Array.fill top 0 m nan;
     Array.fill last 0 m nan;
@@ -127,7 +119,7 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
     | None ->
         finished.(i) <- true;
         incr n_finished;
-        if Vtbl.length hashes.(i) = 0 then blocked := true
+        if Join_key.Tbl.length hashes.(i) = 0 then blocked := true
     | Some ((tu, score) as entry) ->
         Exec_stats.bump_depth stats i;
         let first = not started.(i) in
@@ -144,18 +136,24 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
               bounds.(j) <- bound j
             done
           else bounds.(i) <- bound i;
+        (* A NULL key joins nothing: the tuple still moved depth and
+           last_i above, but it is neither inserted nor probed. *)
         let key = inputs.(i).key tu in
-        let prev = Option.value ~default:[] (Vtbl.find_opt hashes.(i) key) in
-        Vtbl.replace hashes.(i) key (entry :: prev);
-        let all_match = ref true in
-        for j = 0 to m - 1 do
-          if j <> i then
-            match Vtbl.find_opt hashes.(j) key with
-            | Some l -> partners.(j) <- l
-            | None -> all_match := false
-        done;
-        (* the first part's score seeds the fold *)
-        if !all_match then product i entry 0 nan;
+        if Join_key.joins key then begin
+          let prev =
+            Option.value ~default:[] (Join_key.Tbl.find_opt hashes.(i) key)
+          in
+          Join_key.Tbl.replace hashes.(i) key (entry :: prev);
+          let all_match = ref true in
+          for j = 0 to m - 1 do
+            if j <> i then
+              match Join_key.Tbl.find_opt hashes.(j) key with
+              | Some l -> partners.(j) <- l
+              | None -> all_match := false
+          done;
+          (* the first part's score seeds the fold *)
+          if !all_match then product i entry 0 nan
+        end;
         Exec_stats.note_buffer stats (Rkutil.Heap.length queue)
   in
   (* The first live input that has produced nothing yet, or -1. *)

@@ -45,6 +45,9 @@ val hrjn :
     order. A result is reported once its score is at least the threshold:
     the maximum over live inputs [i] of that fold with [last_i] in place of
     [top_i] — at m = 2, [max (f(last_0, top_1), f(top_0, last_1))].
+    A tuple whose key is NULL joins nothing ({!Join_key}): it still counts
+    toward its input's depth and last score, but is neither inserted nor
+    probed.
     When [stats] is supplied (e.g. a metrics-registry record) the operator
     reports into it and returns it; it must have been created for m inputs.
     @raise Invalid_argument for fewer than 2 inputs, or [Ratio] polling

@@ -11,16 +11,6 @@ let stats_or stats n = match stats with Some s -> s | None -> Exec_stats.create 
 
 let schema v = v.v_schema
 
-(* Same key-collision behaviour as the tuple-at-a-time hash join: Int 2 and
-   Float 2.0 hash and compare equal (join.ml's Vtbl). *)
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  let hash = Value.hash
-end)
-
 let to_operator (v : t) : Operator.t =
   let cur = ref None in
   let idx = ref 0 in
@@ -188,13 +178,13 @@ let hash_join ?stats ?residual ~left_key ~right_key (b : Sort.budget) (left : t)
       (* Fits: vectorized build + probe. The table is built by consing in
          right-arrival order, so each chain is reverse-arrival — the probe
          order the serial join produces per left tuple. *)
-      let table : Tuple.t list Vtbl.t = Vtbl.create 256 in
+      let table : Tuple.t list Join_key.Tbl.t = Join_key.Tbl.create 256 in
       List.iter
         (fun rt ->
           let k = rkey rt in
-          if not (Value.is_null k) then begin
-            let prev = Option.value ~default:[] (Vtbl.find_opt table k) in
-            Vtbl.replace table k (rt :: prev)
+          if Join_key.joins k then begin
+            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
+            Join_key.Tbl.replace table k (rt :: prev)
           end)
         (List.rev !buffered);
       left.v_open ();
@@ -206,12 +196,12 @@ let hash_join ?stats ?residual ~left_key ~right_key (b : Sort.budget) (left : t)
             Batch.iter
               (fun lt ->
                 let k = lkey lt in
-                if not (Value.is_null k) then
+                if Join_key.joins k then
                   List.iter
                     (fun rt ->
                       let joined = Tuple.concat lt rt in
                       if test joined then emit joined)
-                    (Option.value ~default:[] (Vtbl.find_opt table k)))
+                    (Option.value ~default:[] (Join_key.Tbl.find_opt table k)))
               bt;
             drain ()
       in

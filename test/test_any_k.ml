@@ -1,6 +1,7 @@
 (* Any-k ranked-enumeration operator tests: full-stream order against the
    join-then-sort oracle, resumption past an initial prefix, exhaustion
-   behaviour under repeated pulls, NaN pruning, and cooperative ticks. *)
+   behaviour under repeated pulls, NaN pruning, NULL keys, cooperative
+   ticks, and a seeded differential property over path and star trees. *)
 
 open Relalg
 open Exec
@@ -191,6 +192,213 @@ let test_tick_interrupts_build () =
       ignore (drain_via_next s));
   Alcotest.(check bool) "tick was polled" true (!calls > 3)
 
+(* A NULL key joins nothing, not even another NULL; Int 3 joins
+   Float 3.0. *)
+let test_null_keys () =
+  let rel name rows = Relation.create (Test_util.scored_schema name) rows in
+  let rows =
+    [
+      [| Value.Int 0; Value.Null; Value.Float 0.9 |];
+      [| Value.Int 1; Value.Int 1; Value.Float 0.5 |];
+    ]
+  in
+  let stats = Exec_stats.create 2 in
+  let s =
+    Any_k.enumerate ~stats ~schema:(concat_schema [ rel "A" rows; rel "B" rows ])
+      ~inputs:[ input (rel "A" rows); input (rel "B" rows) ]
+      ~keys:[ (0, key_of, key_of) ] ()
+  in
+  Alcotest.(check (list (float 0.0))) "only 1 = 1 joins" [ 1.0 ]
+    (List.map snd (Operator.scored_to_list s));
+  Alcotest.(check (array int)) "every tuple drained" [| 2; 2 |]
+    (Exec_stats.depths stats);
+  Alcotest.(check int) "emitted" 1 (Exec_stats.emitted stats);
+  let a = rel "A" [ [| Value.Int 0; Value.Int 3; Value.Float 0.5 |] ] in
+  let b = rel "B" [ [| Value.Int 0; Value.Float 3.0; Value.Float 0.25 |] ] in
+  Alcotest.(check (list (float 0.0))) "Int 3 joins Float 3.0" [ 0.75 ]
+    (List.map snd (Operator.scored_to_list (mk_stream `Path [ a; b ])))
+
+(* ---- Seeded differential property ------------------------------------ *)
+
+(* Rows (id, k1, k2, score): input i >= 1 joins its parent on
+   child.k1 = parent.k2, so a path is not one shared key. *)
+let wide_schema name =
+  Schema.rename_relation
+    (Schema.of_columns
+       [
+         Schema.column "id" Value.Tint;
+         Schema.column "k1" Value.Tint;
+         Schema.column "k2" Value.Tint;
+         Schema.column "score" Value.Tfloat;
+       ])
+    name
+
+let wscore tu = Value.to_float (Tuple.get tu 3)
+
+(* Scores on a 1/8 grid, so every total is exact and ties are real. Keys
+   mix Int k with the equal Float k, with NULLs, NaN scores, empty inputs
+   and inputs whose keys join nothing drawn in. *)
+let gen_case seed =
+  let g = Rkutil.Prng.create seed in
+  let m = 2 + Rkutil.Prng.int g 3 in
+  let shape = if Rkutil.Prng.bool g then `Path else `Star in
+  let domain = m + Rkutil.Prng.int g 4 in
+  let nulls = Rkutil.Prng.bool g and nans = Rkutil.Prng.bool g in
+  let key ~dangles =
+    let k = Rkutil.Prng.int g domain in
+    let r = Rkutil.Prng.int g 10 in
+    if dangles then Value.Int (domain + k)
+    else if nulls && r = 0 then Value.Null
+    else if r < 4 then Value.Float (float_of_int k)
+    else Value.Int k
+  in
+  let score () =
+    if nans && Rkutil.Prng.int g 12 = 0 then Float.nan
+    else float_of_int (Rkutil.Prng.int g 17 - 4) /. 8.0
+  in
+  let rels =
+    Array.init m (fun _ ->
+        let n = if Rkutil.Prng.int g 8 = 0 then 0 else Rkutil.Prng.int g 41 in
+        let dangles = Rkutil.Prng.int g 10 = 0 in
+        List.init n (fun id ->
+            let k1 = key ~dangles in
+            let k2 = key ~dangles in
+            [| Value.Int id; k1; k2; Value.Float (score ()) |]))
+  in
+  (m, shape, rels)
+
+let parent_of shape i = match shape with `Path -> i - 1 | `Star -> 0
+
+let wide_stream (m, shape, rels) =
+  let schemas = Array.init m (fun i -> wide_schema (Printf.sprintf "T%d" i)) in
+  Any_k.enumerate
+    ~schema:
+      (Array.fold_left Schema.concat schemas.(0) (Array.sub schemas 1 (m - 1)))
+    ~inputs:
+      (List.init m (fun i ->
+           {
+             Any_k.i_op = Operator.of_list schemas.(i) rels.(i);
+             i_score = wscore;
+           }))
+    ~keys:
+      (List.init (m - 1) (fun j ->
+           (parent_of shape (j + 1), (fun tu -> Tuple.get tu 2), fun tu ->
+             Tuple.get tu 1)))
+    ()
+
+(* Join-then-sort: every combination whose keys match under the SQL rule,
+   scored by the same left fold from 0.0 in input order; NaN totals have no
+   rank and are left out. *)
+let wide_oracle (m, shape, rels) =
+  let joins a b = Join_key.joins a && Value.equal a b in
+  let chosen = Array.make m [||] in
+  let out = ref [] in
+  let rec go i total =
+    if i = m then begin
+      if not (Float.is_nan total) then
+        out := (Array.concat (Array.to_list chosen), total) :: !out
+    end
+    else
+      List.iter
+        (fun tu ->
+          let joined =
+            i = 0
+            || joins (Tuple.get chosen.(parent_of shape i) 2) (Tuple.get tu 1)
+          in
+          if joined then begin
+            chosen.(i) <- tu;
+            go (i + 1) (total +. wscore tu)
+          end)
+        rels.(i)
+  in
+  go 0 0.0;
+  List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) !out
+
+let value_repr = function
+  | Value.Null -> "n"
+  | Value.Int i -> "i" ^ string_of_int i
+  | Value.Float f -> Printf.sprintf "f%h" f
+  | v -> Value.to_string v
+
+let answer_repr (tu, s) =
+  Printf.sprintf "%h|%s" s
+    (String.concat "," (Array.to_list (Array.map value_repr tu)))
+
+let same_answers a b =
+  List.equal String.equal (List.map answer_repr a) (List.map answer_repr b)
+
+let bits s = Int64.bits_of_float s
+
+let check_case seed =
+  let case = gen_case seed in
+  let oracle = wide_oracle case in
+  let fail what = Alcotest.failf "seed %d: %s" seed what in
+  let s = wide_stream case in
+  s.Operator.s_open ();
+  let full = drain_via_next s in
+  if not (List.equal (fun (_, a) (_, b) -> Int64.equal (bits a) (bits b))
+            full oracle)
+  then
+    fail
+      (Printf.sprintf "score sequence differs (%d answers, oracle %d)"
+         (List.length full) (List.length oracle));
+  let sorted l = List.sort String.compare (List.map answer_repr l) in
+  if not (List.equal String.equal (sorted full) (sorted oracle)) then
+    fail "rows under some score differ";
+  for _ = 1 to 3 do
+    if Option.is_some (s.Operator.s_next ()) then fail "exhaustion not sticky"
+  done;
+  s.Operator.s_close ();
+  s.Operator.s_open ();
+  if not (same_answers full (drain_via_next s)) then fail "reopen differs";
+  s.Operator.s_close ();
+  let prefix =
+    Rkutil.Prng.int (Rkutil.Prng.create (seed + 1)) (List.length full + 1)
+  in
+  let r = wide_stream case in
+  r.Operator.s_open ();
+  let first = take_via_next r prefix in
+  let rest = drain_via_next r in
+  r.Operator.s_close ();
+  if not (same_answers full (first @ rest)) then
+    fail (Printf.sprintf "resume after %d differs" prefix)
+
+let test_differential () =
+  for seed = 0 to 299 do
+    check_case seed
+  done
+
+(* A group whose head ties with later members, pulled to the end: the
+   tail sort must leave slot 0 in place, or a candidate already resting on
+   the head would meet it again at slot 1 and another member would go
+   missing. *)
+let test_head_tie_pulled_deep () =
+  let rel name rows = Relation.create (Test_util.scored_schema name) rows in
+  let a =
+    rel "A"
+      (List.init 6 (fun i ->
+           let s = 0.5 -. (0.125 *. float_of_int (i mod 3)) in
+           [| Value.Int i; Value.Int 1; Value.Float s |]))
+  in
+  let b =
+    rel "B"
+      (List.init 9 (fun i ->
+           let s = if i < 6 then 0.5 else 0.25 in
+           [| Value.Int i; Value.Int 1; Value.Float s |]))
+  in
+  let got = Operator.scored_to_list (mk_stream `Path [ a; b ]) in
+  let oracle = oracle_full `Path [ a; b ] in
+  Alcotest.(check int) "every answer once" (List.length oracle)
+    (List.length got);
+  let ids (tu, _) =
+    (Value.to_int (Tuple.get tu 0), Value.to_int (Tuple.get tu 3))
+  in
+  Alcotest.(check (list (pair int int))) "no pair twice"
+    (List.sort_uniq compare (List.map ids got))
+    (List.sort compare (List.map ids got));
+  Alcotest.(check (list (float 0.0))) "scores"
+    (List.map snd oracle) (List.map snd got)
+
 let suites =
   [
     ( "exec.any_k",
@@ -205,5 +413,10 @@ let suites =
         Alcotest.test_case "NaN rows pruned" `Quick test_nan_pruned;
         Alcotest.test_case "tick interrupts build" `Quick
           test_tick_interrupts_build;
+        Alcotest.test_case "NULL keys join nothing" `Quick test_null_keys;
+        Alcotest.test_case "differential vs oracle (300 seeds)" `Quick
+          test_differential;
+        Alcotest.test_case "tied head pulled deep" `Quick
+          test_head_tie_pulled_deep;
       ] );
   ]

@@ -297,6 +297,49 @@ let test_vectorized_profile_parity () =
     [ ("scan-filter-topk", scan_filter_topk);
       ("hash-join-sort-topk", join_sort_topk) ]
 
+(* AnyK reports into the node's stats record: every input drained, the
+   rows it emitted, and a buffer of at least its survivors. It stays out of
+   rank_nodes/nary_nodes, whose sums are the rank-join depth counters. *)
+let test_any_k_profile () =
+  let cat = setup_catalog () in
+  let key t = Expr.col ~relation:t "key" in
+  let plan =
+    Core.Plan.Top_k
+      {
+        k = 25;
+        input =
+          Core.Plan.Any_k
+            {
+              inputs =
+                [ Core.Plan.Table_scan { table = "A" }; Core.Plan.Table_scan { table = "B" } ];
+              scores = [ score_of "A"; score_of "B" ];
+              keys = [ (0, key "A", key "B") ];
+              shape = `Path;
+            };
+      }
+  in
+  let metrics = Exec.Metrics.create (Storage.Catalog.io cat) in
+  let result = Core.Executor.run ~metrics cat plan in
+  let node =
+    match
+      List.find_opt
+        (fun n -> n.Exec.Metrics.label = "AnyK[2]")
+        (Exec.Metrics.nodes metrics)
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "no AnyK node in the metrics registry"
+  in
+  let stats = node.Exec.Metrics.stats in
+  Alcotest.(check (array int)) "depths = rows drained" [| 2000; 2000 |]
+    (Exec.Exec_stats.depths stats);
+  Alcotest.(check int) "rows emitted" 25 (Exec.Exec_stats.emitted stats);
+  Alcotest.(check bool) "buffer holds the survivors" true
+    (Exec.Exec_stats.buffer_max stats > 2000);
+  Alcotest.(check int) "25 rows out" 25 (List.length result.Core.Executor.rows);
+  Alcotest.(check int) "not a rank node" 0
+    (List.length result.Core.Executor.rank_nodes
+    + List.length result.Core.Executor.nary_nodes)
+
 let test_sql_analyze () =
   let cat = setup_catalog () in
   match
@@ -323,5 +366,6 @@ let suites =
         Alcotest.test_case "vectorized profile parity" `Quick
           test_vectorized_profile_parity;
         Alcotest.test_case "sql analyze" `Quick test_sql_analyze;
+        Alcotest.test_case "any-k profile" `Quick test_any_k_profile;
       ] );
   ]

@@ -370,6 +370,40 @@ let prop_hrjn_never_emits_below_later =
       in
       ok scores)
 
+(* A NULL key joins nothing, not even another NULL; the NULL-keyed tuples
+   still count toward their inputs' depths. Int 3 and Float 3.0 join. *)
+let test_hrjn_null_keys () =
+  let rel name rows = Relation.create (Test_util.scored_schema name) rows in
+  let rows =
+    [
+      [| Value.Int 0; Value.Null; Value.Float 0.9 |];
+      [| Value.Int 1; Value.Int 1; Value.Float 0.5 |];
+    ]
+  in
+  let stream, stats =
+    Rank_join.hrjn ~combine
+      ~inputs:[ rank_input (rel "A" rows); rank_input (rel "B" rows) ]
+      ()
+  in
+  let got = Operator.scored_to_list stream in
+  Alcotest.(check (list (float 0.0))) "only 1 = 1 joins" [ 1.0 ]
+    (List.map snd got);
+  Alcotest.(check (array int)) "NULL tuples still drained" [| 2; 2 |]
+    (Exec_stats.depths stats);
+  let mixed =
+    Rank_join.hrjn ~combine
+      ~inputs:
+        [
+          rank_input (rel "A" [ [| Value.Int 0; Value.Int 3; Value.Float 0.5 |] ]);
+          rank_input
+            (rel "B" [ [| Value.Int 0; Value.Float 3.0; Value.Float 0.25 |] ]);
+        ]
+      ()
+    |> fst |> Operator.scored_to_list
+  in
+  Alcotest.(check (list (float 0.0))) "Int 3 joins Float 3.0" [ 0.75 ]
+    (List.map snd mixed)
+
 let suites =
   [
     ( "exec.rank_join.hrjn",
@@ -382,6 +416,7 @@ let suites =
         Alcotest.test_case "empty input depth" `Quick test_hrjn_empty_input_depth;
         Alcotest.test_case "threshold safety" `Quick test_hrjn_threshold_safety;
         Alcotest.test_case "restart" `Quick test_hrjn_restart;
+        Alcotest.test_case "NULL keys join nothing" `Quick test_hrjn_null_keys;
         Alcotest.test_case "depths grow with k" `Quick test_hrjn_depths_grow_with_k;
         Alcotest.test_case "buffer tracked" `Quick test_hrjn_buffer_tracked;
         Alcotest.test_case "weighted combine" `Quick test_weighted_combine;
