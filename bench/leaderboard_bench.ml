@@ -13,8 +13,10 @@
      table's stats epoch and force re-optimization of cached windows.
 
    Appends one JSON row to BENCH_RANKOPT.json recording both the indexed
-   and sorted per-window timings at every n (smoke mode prints without
-   appending, so `make ci` stays clean-tree). *)
+   and sorted per-window timings at every n, and the heap page requests of
+   each mix UPDATE (smoke mode prints without appending, so `make ci` stays
+   clean-tree). Exits 1 when a point UPDATE requests more than 2 heap
+   pages: the page its scan reads and the same page again for the write. *)
 
 let bench_file = "BENCH_RANKOPT.json"
 
@@ -74,13 +76,23 @@ let measure_windows cat ~n ~windows prng =
   (!indexed /. float_of_int windows, !sorted /. float_of_int windows)
 
 (* Mixed serving loop through a live service: 60% window pages, 20% rank
-   probes, 20% score updates. Returns (ops/s, reoptimized count). *)
+   probes, 20% score updates. Returns (ops/s, reoptimized count, heap page
+   requests of each UPDATE). A request is a pool access (page_reads +
+   pool_hits): the pages the UPDATE's predicate scan reads, plus one for
+   the in-place write of the row's page. Statements run one at a time, so
+   the counter deltas around an UPDATE are its own. *)
 let serving_mix ~n ~ops prng cat =
   let config = { Server.Service.default_config with workers = 2 } in
   let svc = Server.Service.create ~config cat in
   Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
   let sess = Server.Service.open_session svc in
   let reopt = ref 0 in
+  let update_pages = ref [] in
+  let io = Storage.Catalog.io cat in
+  let requests () =
+    let s = Storage.Io_stats.snapshot io in
+    s.Storage.Io_stats.page_reads + s.Storage.Io_stats.pool_hits
+  in
   let dt, () =
     wall (fun () ->
         for _ = 1 to ops do
@@ -102,15 +114,17 @@ let serving_mix ~n ~ops prng cat =
           | _ ->
               let id = Rkutil.Prng.int prng n in
               let v = Rkutil.Prng.uniform prng in
+              let before = requests () in
               ignore
                 (ok_or "update"
                    (Server.Service.query sess
                       (Printf.sprintf "UPDATE L SET score = %f WHERE id = %d"
                          v id))
-                  : Server.Service.reply)
+                  : Server.Service.reply);
+              update_pages := (requests () - before) :: !update_pages
         done)
   in
-  (float_of_int ops /. dt, !reopt)
+  (float_of_int ops /. dt, !reopt, !update_pages)
 
 let run ?(smoke = false) () =
   Bench_util.section
@@ -156,11 +170,16 @@ let run ?(smoke = false) () =
   let mix_n = List.hd (List.rev sizes) in
   let mix_ops = if smoke then 40 else 400 in
   let mix_cat = build_catalog ~n:mix_n ~seed:97 in
-  let ops_s, reopt = serving_mix ~n:mix_n ~ops:mix_ops prng mix_cat in
+  let ops_s, reopt, update_pages = serving_mix ~n:mix_n ~ops:mix_ops prng mix_cat in
+  let mean_update_pages =
+    float_of_int (List.fold_left ( + ) 0 update_pages)
+    /. float_of_int (max 1 (List.length update_pages))
+  in
   Bench_util.row
     "serving mix (n=%d, %d ops: 60%% pages / 20%% probes / 20%% updates): \
-     %.0f ops/s, %d reoptimizations after epoch bumps\n"
-    mix_n mix_ops ops_s reopt;
+     %.0f ops/s, %d reoptimizations after epoch bumps, %.1f heap page \
+     requests per UPDATE\n"
+    mix_n mix_ops ops_s reopt mean_update_pages;
   let row =
     let per_size_json =
       String.concat ","
@@ -174,8 +193,9 @@ let run ?(smoke = false) () =
     Printf.sprintf
       "{\"bench\":\"leaderboard\",\"page\":%d,\"windows\":%d,\
        \"sizes\":[%s],\"mix_n\":%d,\"mix_ops\":%d,\"mix_ops_per_s\":%.1f,\
-       \"mix_reoptimized\":%d,\"plan\":\"%s\"}"
-      page windows per_size_json mix_n mix_ops ops_s reopt chosen
+       \"mix_reoptimized\":%d,\"mix_update_pages\":%.1f,\"plan\":\"%s\"}"
+      page windows per_size_json mix_n mix_ops ops_s reopt mean_update_pages
+      chosen
   in
   print_endline row;
   if not smoke then begin
@@ -184,4 +204,14 @@ let run ?(smoke = false) () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "(1 row appended to %s)\n" bench_file
+  end;
+  (* A point UPDATE by id reads the one page holding the row (per-page
+     zones rule out the rest) and requests it once more for the in-place
+     write. *)
+  if List.exists (fun p -> p > 2) update_pages then begin
+    Printf.eprintf
+      "leaderboard bench: a point UPDATE requested more than 2 heap pages \
+       (max %d): its predicate scan read more than the row's page\n"
+      (List.fold_left max 0 update_pages);
+    exit 1
   end

@@ -39,6 +39,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let identical a b =
+  match a, b with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
 let hash = function
   | Null -> 17
   | Int x -> Hashtbl.hash (float_of_int x)

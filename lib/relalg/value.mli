@@ -25,6 +25,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val identical : t -> t -> bool
+(** Same constructor and same value, floats compared by their bits: finer
+    than {!equal}, which equates [Int 3] with [Float 3.], [-0.] with [+0.],
+    and ints beyond 2^53 with their nearest float. *)
+
 val hash : t -> int
 (** Compatible with [equal]: numerically equal ints and floats hash alike. *)
 

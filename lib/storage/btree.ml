@@ -431,13 +431,19 @@ let remove_child nd ci =
   if Array.length nd.keys > 0 then
     nd.keys <- array_remove nd.keys (if ci = 0 then 0 else ci - 1)
 
-let delete t key tuple =
+(* Descend to the first entry holding exactly [key] and [tuple] and apply
+   [edit] to its leaf and position; [false] when absent. Exactly, because
+   [Value.compare] equates values that differ ([Int 3] and [Float 3.],
+   [-0.] and [+0.]), and removing or rewriting such a look-alike instead
+   would leave the index holding a tuple the heap no longer has. Path descent
+   instead of a leaf-chain walk: duplicates of [key] can only live under
+   the children between child_index_left and child_index, so trying those
+   candidates in order finds the entry while keeping every visited node on
+   the root-to-leaf paths. [delta] is added to the subtree counts along
+   the path to the entry, and children it empties are unlinked. *)
+let edit_entry t key tuple ~delta edit =
   Io_stats.add_index_probe t.io;
-  (* Path descent instead of a leaf-chain walk: duplicates of [key] can only
-     live under the children between child_index_left and child_index, so
-     trying those candidates in order finds the entry while keeping every
-     visited node on the root-to-leaf paths whose counts must be patched. *)
-  let rec del node =
+  let rec go node =
     touch t;
     match node with
     | Leaf lf ->
@@ -446,12 +452,13 @@ let delete t key tuple =
           (fun i e ->
             if
               !found < 0
-              && Value.compare e.key key = 0
-              && Tuple.equal e.tuple tuple
+              && Value.identical e.key key
+              && Array.length e.tuple = Array.length tuple
+              && Array.for_all2 Value.identical e.tuple tuple
             then found := i)
           lf.entries;
         if !found >= 0 then begin
-          lf.entries <- array_remove lf.entries !found;
+          edit lf !found;
           true
         end
         else false
@@ -460,8 +467,8 @@ let delete t key tuple =
         let hi = child_index nd.keys key in
         let rec try_child ci =
           if ci > hi || ci >= Array.length nd.children then false
-          else if del nd.children.(ci) then begin
-            nd.counts.(ci) <- nd.counts.(ci) - 1;
+          else if go nd.children.(ci) then begin
+            nd.counts.(ci) <- nd.counts.(ci) + delta;
             if node_is_empty nd.children.(ci) then remove_child nd ci;
             true
           end
@@ -469,7 +476,17 @@ let delete t key tuple =
         in
         try_child lo
   in
-  if del t.root then begin
+  go t.root
+
+let replace t key tuple fresh =
+  edit_entry t key tuple ~delta:0 (fun lf i ->
+      lf.entries.(i) <- { (lf.entries.(i)) with tuple = fresh })
+
+let delete t key tuple =
+  if
+    edit_entry t key tuple ~delta:(-1) (fun lf i ->
+        lf.entries <- array_remove lf.entries i)
+  then begin
     t.count <- t.count - 1;
     (* A root that lost all but one child no longer earns its level: collapse
        so [height] reflects the live tree. A fully-empty tree keeps a single

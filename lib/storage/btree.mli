@@ -24,10 +24,18 @@ val bulk_load : ?fanout:int -> Io_stats.t -> (Value.t * Tuple.t) list -> t
 (** Build a packed tree from (not necessarily sorted) entries. *)
 
 val delete : t -> Value.t -> Tuple.t -> bool
-(** Remove one entry matching both key and tuple; [false] when absent.
+(** Remove one entry holding exactly this key and tuple (under
+    {!Relalg.Value.identical}, not [Value.compare]); [false] when absent.
     Leaves may underflow, but a leaf that empties is unlinked from the
     sibling chain (and its subtree removed), so scans never traverse dead
     leaves and a root left with one child collapses a level. *)
+
+val replace : t -> Value.t -> Tuple.t -> Tuple.t -> bool
+(** [replace t key tuple fresh] swaps the tuple of one entry holding exactly
+    [key] and [tuple] (as {!delete} matches them) for [fresh], in place: the entry keeps its key and
+    its position among duplicates, and no count changes. The caller keeps
+    [fresh] under the same key. [false] when absent. Charges what
+    {!delete} charges. *)
 
 val length : t -> int
 (** Number of entries. *)

@@ -30,6 +30,16 @@ type table_info = {
   tb_indexes : index_info list;
 }
 
+(* One numeric column of a table as DML keeps it current: its non-null
+   values sorted (statistics are re-derived from them without rescanning the
+   heap) and its per-page zones (which prune the DML predicate scan). *)
+type column = {
+  pos : int;  (* schema position *)
+  name : string;  (* bare column name *)
+  values : Histogram.column;
+  zones : Zones.t;
+}
+
 type t = {
   io : Io_stats.t;
   pool : Buffer_pool.t;
@@ -45,10 +55,7 @@ type t = {
      the tables it actually reads — DML on table A no longer invalidates
      plans and cursors that only touch table B. *)
   table_epochs : (string, int) Hashtbl.t;
-  (* Per table, the non-null values of each numeric column (schema position,
-     bare name, sorted column). DML keeps them current, so statistics can be
-     re-derived without rescanning the heap. *)
-  sorted : (string, (int * string * Histogram.column) list) Hashtbl.t;
+  columns : (string, column list) Hashtbl.t;  (* per table, its numeric columns *)
 }
 
 let create ?(pool_frames = 256) ?(tuples_per_page = 50) () =
@@ -60,7 +67,7 @@ let create ?(pool_frames = 256) ?(tuples_per_page = 50) () =
     tables = Hashtbl.create 16;
     stats_epoch = 0;
     table_epochs = Hashtbl.create 16;
-    sorted = Hashtbl.create 16;
+    columns = Hashtbl.create 16;
   }
 
 let stats_epoch t = t.stats_epoch
@@ -88,31 +95,32 @@ let numeric_dtype = function
   | Value.Tint | Value.Tfloat -> true
   | Value.Tstring | Value.Tbool -> false
 
-(* The sorted numeric columns of [schema] over the [n] tuples that [iter]
-   visits. *)
-let sorted_columns schema n iter =
+(* The numeric columns of [schema] over the [n] tuples that [iter] visits
+   together with their page ordinals: tight zones, sorted values. *)
+let build_columns schema n iter =
   let numeric =
     List.concat
       (List.mapi
          (fun i col ->
            if numeric_dtype col.Schema.dtype then
-             [ (i, col.Schema.name, Float.Array.create n, ref 0) ]
+             [ (i, col.Schema.name, Float.Array.create n, ref 0, Zones.create ()) ]
            else [])
          (Schema.columns schema))
   in
-  iter (fun tu ->
+  iter (fun page tu ->
       List.iter
-        (fun (i, _, values, len) ->
+        (fun (i, _, values, len, zones) ->
           let v = Tuple.get tu i in
+          Zones.widen zones ~page v;
           if not (Value.is_null v) then begin
             Float.Array.set values !len (Value.to_float v);
             incr len
           end)
         numeric);
   List.map
-    (fun (i, name, values, len) ->
+    (fun (pos, name, values, len, zones) ->
       let values = if !len = n then values else Float.Array.sub values 0 !len in
-      (i, name, Histogram.column values))
+      { pos; name; values = Histogram.column values; zones })
     numeric
 
 (* The one statistics function: every table's stats are derived from its
@@ -123,9 +131,9 @@ let stats_of heap columns =
     ts_pages = Heap_file.n_pages heap;
     ts_columns =
       List.map
-        (fun (_, name, column) ->
-          let hist = Histogram.of_column column in
-          ( name,
+        (fun c ->
+          let hist = Histogram.of_column c.values in
+          ( c.name,
             {
               cs_count = Histogram.count hist;
               cs_distinct = Histogram.distinct_estimate hist;
@@ -141,9 +149,13 @@ let create_table t name schema tuples =
     invalid_arg ("Catalog.create_table: duplicate table " ^ name);
   let schema = Schema.rename_relation schema name in
   let heap = Heap_file.create ~tuples_per_page:t.tuples_per_page t.pool schema in
-  Heap_file.load heap tuples;
   let columns =
-    sorted_columns schema (List.length tuples) (fun f -> List.iter f tuples)
+    build_columns schema (List.length tuples) (fun f ->
+        List.iter
+          (fun tu ->
+            ignore (Heap_file.append heap tu);
+            f (Heap_file.n_pages heap - 1) tu)
+          tuples)
   in
   let info =
     {
@@ -155,7 +167,7 @@ let create_table t name schema tuples =
     }
   in
   Hashtbl.replace t.tables name info;
-  Hashtbl.replace t.sorted name columns;
+  Hashtbl.replace t.columns name columns;
   bump_stats_epoch t name;
   info
 
@@ -185,7 +197,7 @@ let create_index t ?(clustered = true) ~name ~table:tname ~key () =
     else
       List.rev
         (Heap_file.fold_with_rids
-           (fun acc rid tu -> (keyf tu, rid_tuple rid) :: acc)
+           (fun acc _ rid tu -> (keyf tu, rid_tuple rid) :: acc)
            [] info.tb_heap)
   in
   let btree = Btree.bulk_load t.io entries in
@@ -197,61 +209,147 @@ let create_index t ?(clustered = true) ~name ~table:tname ~key () =
   bump_stats_epoch t tname;
   ix
 
-(* A tuple's non-null numeric cells, paired with their sorted columns.
-   Computing them for every tuple of a statement before touching anything
-   rejects a wrong-arity tuple or a string in a numeric column up front. *)
-let numeric_cells t info tu =
+(* Reject a tuple the table cannot hold — wrong arity, or a string in a
+   numeric column. Every tuple of a statement is checked before the
+   statement touches anything. *)
+let validate info columns tu =
   if Tuple.arity tu <> Schema.arity info.tb_schema then
     invalid_arg ("Catalog: tuple arity mismatch for table " ^ info.tb_name);
-  List.filter_map
-    (fun (i, _, column) ->
-      let v = Tuple.get tu i in
-      if Value.is_null v then None else Some (column, Value.to_float v))
-    (Hashtbl.find t.sorted info.tb_name)
+  List.iter (fun c -> ignore (Value.to_float (Tuple.get tu c.pos))) columns
 
-let append_checked info (tu, cells) =
+let add_value c v =
+  if not (Value.is_null v) then Histogram.add c.values (Value.to_float v)
+
+let remove_value c v =
+  if not (Value.is_null v) then Histogram.remove c.values (Value.to_float v)
+
+let index_key info ix tu = Expr.eval info.tb_schema ix.ix_key tu
+
+let append_row info columns tu =
   let rid = Heap_file.append info.tb_heap tu in
+  let page = Heap_file.n_pages info.tb_heap - 1 in
   List.iter
     (fun ix ->
-      let key = Expr.eval info.tb_schema ix.ix_key tu in
       let payload = if ix.ix_clustered then tu else rid_tuple rid in
-      Btree.insert ix.ix_btree key payload)
+      Btree.insert ix.ix_btree (index_key info ix tu) payload)
     info.tb_indexes;
-  List.iter (fun (column, v) -> Histogram.add column v) cells
+  List.iter
+    (fun c ->
+      let v = Tuple.get tu c.pos in
+      Zones.widen c.zones ~page v;
+      add_value c v)
+    columns
 
-let remove_checked info (rid, tu, cells) =
+let remove_row info columns (_, rid, tu) =
   List.iter
     (fun ix ->
-      let key = Expr.eval info.tb_schema ix.ix_key tu in
       let payload = if ix.ix_clustered then tu else rid_tuple rid in
-      ignore (Btree.delete ix.ix_btree key payload))
+      ignore (Btree.delete ix.ix_btree (index_key info ix tu) payload))
     info.tb_indexes;
   ignore (Heap_file.delete info.tb_heap rid);
-  List.iter (fun (column, v) -> Histogram.remove column v) cells
+  List.iter (fun c -> remove_value c (Tuple.get tu c.pos)) columns
+
+(* Rewrite the row at [rid] in place. An index entry moves only when its
+   key changed; a clustered entry whose key did not has its leaf tuple
+   swapped. Only the column cells that changed leave and re-enter the
+   sorted columns, and widen the page's zones. *)
+let replace_row info columns (page, rid, old, fresh) =
+  Heap_file.replace info.tb_heap rid fresh;
+  List.iter
+    (fun ix ->
+      let key = index_key info ix old and key' = index_key info ix fresh in
+      let bt = ix.ix_btree in
+      if ix.ix_clustered then begin
+        if Value.identical key key' then ignore (Btree.replace bt key old fresh)
+        else begin
+          ignore (Btree.delete bt key old);
+          Btree.insert bt key' fresh
+        end
+      end
+      else if not (Value.identical key key') then begin
+        ignore (Btree.delete bt key (rid_tuple rid));
+        Btree.insert bt key' (rid_tuple rid)
+      end)
+    info.tb_indexes;
+  List.iter
+    (fun c ->
+      let v = Tuple.get old c.pos and v' = Tuple.get fresh c.pos in
+      if not (Value.identical v v') then begin
+        remove_value c v;
+        add_value c v';
+        Zones.widen c.zones ~page v'
+      end)
+    columns
 
 let insert_into t ~table:tname tuples =
   let info = table t tname in
-  List.map (fun tu -> (tu, numeric_cells t info tu)) tuples
-  |> List.iter (append_checked info)
+  let columns = Hashtbl.find t.columns tname in
+  List.iter (validate info columns) tuples;
+  List.iter (append_row info columns) tuples
 
-(* The live tuples satisfying [pred], in storage order, with their numeric
-   cells: one pass over the heap pages that keeps only the matches. *)
-let matching t info pred =
+(* The zone tests a page must pass to hold a row satisfying [pred]: one per
+   top-level conjunct [col op c] or [c op col] with [op] one of
+   [= < <= > >=], [col] a numeric column and [c] an Int or a non-NaN Float
+   ([Zones.may_match] admits every page for <>). Every other conjunct (OR,
+   NOT, ...) admits every page. *)
+let zone_tests info columns pred =
+  let flip = function
+    | Expr.Lt -> Expr.Gt
+    | Expr.Le -> Expr.Ge
+    | Expr.Gt -> Expr.Lt
+    | Expr.Ge -> Expr.Le
+    | (Expr.Eq | Expr.Ne) as op -> op
+  in
+  let test op (r : Expr.column_ref) v =
+    let c =
+      match v with
+      | Value.Int i -> Some (float_of_int i)
+      | Value.Float f when not (Float.is_nan f) -> Some f
+      | _ -> None
+    in
+    match c, Schema.index_of info.tb_schema ?relation:r.relation r.name with
+    | Some c, Some pos ->
+        List.find_opt (fun col -> col.pos = pos) columns
+        |> Option.map (fun col -> (col.zones, op, c))
+    | _ -> None
+  in
+  let rec conjuncts = function
+    | Expr.And (a, b) -> conjuncts a @ conjuncts b
+    | Expr.Cmp (op, Expr.Col r, Expr.Const v) -> Option.to_list (test op r v)
+    | Expr.Cmp (op, Expr.Const v, Expr.Col r) -> Option.to_list (test (flip op) r v)
+    | _ -> []
+  in
+  conjuncts pred
+
+(* The live rows satisfying [pred], in storage order, with their page
+   ordinals: one pass over the pages whose zones admit every zone test. *)
+let scan_matching info columns pred =
   let test = Expr.compile_bool info.tb_schema pred in
+  let zones = zone_tests info columns pred in
+  let admit page =
+    List.for_all (fun (z, op, c) -> Zones.may_match z ~page op c) zones
+  in
   List.rev
-    (Heap_file.fold_with_rids
-       (fun acc rid tu ->
-         if test tu then (rid, tu, numeric_cells t info tu) :: acc else acc)
+    (Heap_file.fold_with_rids ~admit
+       (fun acc page rid tu -> if test tu then (page, rid, tu) :: acc else acc)
        [] info.tb_heap)
+
+let matching t ~table:tname pred =
+  let info = table t tname in
+  List.map
+    (fun (_, rid, tu) -> (rid, tu))
+    (scan_matching info (Hashtbl.find t.columns tname) pred)
 
 let delete_from t ~table:tname pred =
   let info = table t tname in
-  let victims = matching t info pred in
-  List.iter (remove_checked info) victims;
+  let columns = Hashtbl.find t.columns tname in
+  let victims = scan_matching info columns pred in
+  List.iter (remove_row info columns) victims;
   List.length victims
 
 let update_where t ~table:tname pred ~set =
   let info = table t tname in
+  let columns = Hashtbl.find t.columns tname in
   let setters =
     List.map
       (fun (column, f) ->
@@ -260,18 +358,17 @@ let update_where t ~table:tname pred ~set =
         | None -> invalid_arg ("Catalog.update_where: unknown column " ^ column))
       set
   in
-  let victims = matching t info pred in
-  let replacements =
+  let rows =
     List.map
-      (fun (_, tu, _) ->
+      (fun (page, rid, tu) ->
         let fresh = Array.copy tu in
         List.iter (fun (i, f) -> fresh.(i) <- f tu) setters;
-        (fresh, numeric_cells t info fresh))
-      victims
+        validate info columns fresh;
+        (page, rid, tu, fresh))
+      (scan_matching info columns pred)
   in
-  List.iter (remove_checked info) victims;
-  List.iter (append_checked info) replacements;
-  List.length replacements
+  List.iter (replace_row info columns) rows;
+  List.length rows
 
 let publish_stats t info columns =
   let refreshed = { info with tb_stats = stats_of info.tb_heap columns } in
@@ -280,16 +377,106 @@ let publish_stats t info columns =
   refreshed
 
 let refresh_stats t tname =
-  publish_stats t (table t tname) (Hashtbl.find t.sorted tname)
+  publish_stats t (table t tname) (Hashtbl.find t.columns tname)
 
 let analyze t tname =
   let info = table t tname in
   let columns =
-    sorted_columns info.tb_schema (Heap_file.cardinality info.tb_heap) (fun f ->
-        Heap_file.iter f info.tb_heap)
+    build_columns info.tb_schema (Heap_file.cardinality info.tb_heap) (fun f ->
+        Heap_file.fold_with_rids (fun () page _ tu -> f page tu) () info.tb_heap)
   in
-  Hashtbl.replace t.sorted tname columns;
+  Hashtbl.replace t.columns tname columns;
   publish_stats t info columns
+
+let check t tname =
+  let fail fmt = Printf.ksprintf (fun msg -> Error (tname ^ ": " ^ msg)) fmt in
+  let rec first = function
+    | [] -> Ok ()
+    | f :: rest -> ( match f () with Ok () -> first rest | Error _ as e -> e)
+  in
+  match find_table t tname with
+  | None -> fail "unknown table"
+  | Some info ->
+      let heap = info.tb_heap and columns = Hashtbl.find t.columns tname in
+      let rows =
+        List.rev
+          (Heap_file.fold_with_rids
+             (fun acc page rid tu -> (page, rid, tu) :: acc)
+             [] heap)
+      in
+      let cardinality () =
+        let live = List.length rows in
+        if live = Heap_file.cardinality heap then Ok ()
+        else fail "cardinality %d, %d live rows" (Heap_file.cardinality heap) live
+      in
+      (* Index entries as exactly comparable data, floats by their bits:
+         [Value.compare] equates Int and Float across 2^53, which is no
+         total order to sort two multisets by. *)
+      let exact (key, payload) =
+        List.map
+          (function
+            | Value.Float f -> Either.Left (Int64.bits_of_float f)
+            | v -> Either.Right v)
+          (key :: Array.to_list payload)
+      in
+      let index ix () =
+        let held = Btree.to_list_asc ix.ix_btree in
+        let live =
+          List.map
+            (fun (_, rid, tu) ->
+              (index_key info ix tu, if ix.ix_clustered then tu else rid_tuple rid))
+            rows
+        in
+        let sorted entries =
+          List.sort compare (List.map (fun e -> (exact e, e)) entries)
+        in
+        let entry what (k, p) =
+          fail "index %s: %s entry %s -> %s" ix.ix_name what (Value.to_string k)
+            (Tuple.to_string p)
+        in
+        let rec diff held live =
+          match held, live with
+          | [], [] -> Ok ()
+          | (a, _) :: held', (b, _) :: live' when a = b -> diff held' live'
+          | (a, e) :: _, (b, _) :: _ when a < b -> entry "stray" e
+          | (_, e) :: _, [] -> entry "stray" e
+          | _, (_, e) :: _ -> entry "missing" e
+        in
+        match Btree.check_invariants ix.ix_btree with
+        | Error e -> fail "index %s: %s" ix.ix_name e
+        | Ok () -> diff (sorted held) (sorted live)
+      in
+      let column c () =
+        let cells =
+          List.filter_map
+            (fun (_, _, tu) ->
+              let v = Tuple.get tu c.pos in
+              if Value.is_null v then None else Some (Value.to_float v))
+            rows
+        in
+        (* NaNs compare equal whatever their bits, so they may sit in
+           any order at the front of a sorted column. *)
+        let same a b =
+          Value.identical (Value.Float a) (Value.Float b)
+          || (Float.is_nan a && Float.is_nan b)
+        in
+        let sorted values = Float.Array.to_list (Histogram.values values) in
+        let kept = sorted c.values
+        and expected = sorted (Histogram.column (Float.Array.of_list cells)) in
+        match
+          List.find_opt
+            (fun (page, _, tu) -> not (Zones.covers c.zones ~page (Tuple.get tu c.pos)))
+            rows
+        with
+        | Some (page, _, tu) ->
+            fail "column %s: row %s outside the zone of page %d" c.name
+              (Tuple.to_string tu) page
+        | None ->
+            if List.equal same kept expected then Ok ()
+            else fail "column %s: sorted values differ from the heap's" c.name
+      in
+      first
+        ((cardinality :: List.map index info.tb_indexes) @ List.map column columns)
 
 let index_payload_to_tuple t ix payload =
   if ix.ix_clustered then payload

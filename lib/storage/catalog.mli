@@ -92,20 +92,37 @@ val insert_into : t -> table:string -> Tuple.t list -> unit
     @raise Invalid_argument before changing anything if a tuple has the
     wrong arity or a string in a numeric column. *)
 
+val matching : t -> table:string -> Expr.t -> (Heap_file.rid * Tuple.t) list
+(** The live tuples satisfying the predicate, in storage order: the
+    predicate scan of {!delete_from} and {!update_where}. It reads only the
+    heap pages whose per-page zones ({!Zones}) admit every top-level
+    conjunct [col op c] / [c op col] ([op] one of [= < <= > >=], [col] a
+    numeric column, [c] an Int or a non-NaN Float); a skipped page costs no
+    pool access and no [tuples_read]. Each table keeps one zone per page and
+    numeric column, built by {!create_table}, rebuilt tight by {!analyze}
+    and widened by every append and in-place write.
+    @raise Not_found for an unknown table. *)
+
 val delete_from : t -> table:string -> Expr.t -> int
-(** Delete every tuple satisfying the predicate, maintaining all indexes
-    and the sorted numeric columns; returns the number of deleted tuples.
-    The predicate is tested in one pass over the heap pages. Published
-    statistics change only at the next {!refresh_stats} or {!analyze}.
+(** Delete every tuple satisfying the predicate (found by {!matching}),
+    maintaining all indexes and the sorted numeric columns; returns the
+    number of deleted tuples. Deleted slots become tombstones, and zones
+    are not narrowed. Published statistics change only at the next
+    {!refresh_stats} or {!analyze}.
     @raise Not_found for an unknown table. *)
 
 val update_where :
   t -> table:string -> Expr.t -> set:(string * (Tuple.t -> Value.t)) list -> int
-(** Replace matching tuples with updated copies (implemented as
-    delete + re-insert, so all indexes stay consistent); [set] maps bare
-    column names to functions of the old tuple. Returns the number of
-    updated tuples. The sorted numeric columns are kept current; published
-    statistics change only at the next {!refresh_stats} or {!analyze}. *)
+(** Rewrite the tuples found by {!matching} in place, at the same record
+    ids; [set] maps bare column names to functions of the old tuple. Every
+    replacement is computed and validated before anything changes. An
+    index entry moves only if its key changed (a clustered entry whose key
+    did not gets its tuple swapped), and only changed cells leave and
+    re-enter the sorted columns and widen the page's zones. Returns the
+    number of updated tuples. Published statistics change only at the next
+    {!refresh_stats} or {!analyze}.
+    @raise Invalid_argument for an unknown column or an invalid
+    replacement, before changing anything. *)
 
 val refresh_stats : t -> string -> table_info
 (** Publish statistics derived from the table's sorted numeric columns as
@@ -120,6 +137,15 @@ val analyze : t -> string -> table_info
 (** Recompute a table's statistics from its current contents by a full
     heap scan (the ANALYZE command of a real system), rebuilding its sorted
     numeric columns. Returns the refreshed info. *)
+
+val check : t -> string -> (unit, string) result
+(** Consistency check of one table, reading its heap once through the
+    pool: every index holds exactly the live heap entries (clustered:
+    tuples; unclustered: record ids) and passes
+    {!Btree.check_invariants}; the heap's cardinality counts its live
+    tuples; each numeric column's sorted values equal the sorted non-NULL
+    heap cells; and every live cell lies inside its page's zone. [Error]
+    names the first violation. *)
 
 val table : t -> string -> table_info
 (** @raise Not_found for an unknown table. *)

@@ -6,51 +6,38 @@ type t = {
   pool : Buffer_pool.t;
   schema : Schema.t;
   tuples_per_page : int;
-  mutable page_ids : int list;  (* newest first *)
-  mutable page_ids_rev : int array option;  (* cache of pages in order *)
+  (* Page ids in storage order below [n_pages]; the array grows by doubling,
+     so a cursor that captured it and [n_pages] keeps a stable view. *)
+  mutable pages : int array;
+  mutable n_pages : int;
   mutable cardinality : int;
 }
 
 let create ?(tuples_per_page = 50) pool schema =
   if tuples_per_page < 1 then invalid_arg "Heap_file.create: tuples_per_page < 1";
-  {
-    pool;
-    schema;
-    tuples_per_page;
-    page_ids = [];
-    page_ids_rev = None;
-    cardinality = 0;
-  }
+  { pool; schema; tuples_per_page; pages = [||]; n_pages = 0; cardinality = 0 }
 
 let schema t = t.schema
 
-let pages_in_order t =
-  match t.page_ids_rev with
-  | Some a -> a
-  | None ->
-      let a = Array.of_list (List.rev t.page_ids) in
-      t.page_ids_rev <- Some a;
-      a
+let add_page t =
+  let np = Buffer_pool.alloc_page t.pool ~capacity:t.tuples_per_page in
+  if t.n_pages = Array.length t.pages then begin
+    let grown = Array.make (max 8 (2 * t.n_pages)) 0 in
+    Array.blit t.pages 0 grown 0 t.n_pages;
+    t.pages <- grown
+  end;
+  t.pages.(t.n_pages) <- Page.id np;
+  t.n_pages <- t.n_pages + 1;
+  np
 
 let append t tu =
   if Tuple.arity tu <> Schema.arity t.schema then
     invalid_arg "Heap_file.append: tuple arity mismatch";
   let page =
-    match t.page_ids with
-    | pid :: _ ->
-        let p = Buffer_pool.get t.pool pid in
-        if Page.is_full p then begin
-          let np = Buffer_pool.alloc_page t.pool ~capacity:t.tuples_per_page in
-          t.page_ids <- Page.id np :: t.page_ids;
-          t.page_ids_rev <- None;
-          np
-        end
-        else p
-    | [] ->
-        let np = Buffer_pool.alloc_page t.pool ~capacity:t.tuples_per_page in
-        t.page_ids <- [ Page.id np ];
-        t.page_ids_rev <- None;
-        np
+    if t.n_pages = 0 then add_page t
+    else
+      let p = Buffer_pool.get t.pool t.pages.(t.n_pages - 1) in
+      if Page.is_full p then add_page t else p
   in
   let slot = Page.add page tu in
   Buffer_pool.mark_dirty t.pool (Page.id page);
@@ -73,15 +60,22 @@ let delete t rid =
   end;
   ok
 
+let replace t rid tu =
+  if Tuple.arity tu <> Schema.arity t.schema then
+    invalid_arg "Heap_file.replace: tuple arity mismatch";
+  let page = Buffer_pool.get t.pool rid.page_id in
+  Page.replace page rid.slot tu;
+  Buffer_pool.mark_dirty t.pool rid.page_id
+
 let cardinality t = t.cardinality
 
-let n_pages t = List.length t.page_ids
+let n_pages t = t.n_pages
 
 let tuples_per_page t = t.tuples_per_page
 
 let scan_pages t ~lo ~hi =
-  let pages = pages_in_order t in
-  let hi = min hi (Array.length pages) in
+  let pages = t.pages in
+  let hi = min hi t.n_pages in
   let page_idx = ref (max 0 lo) in
   let slot = ref 0 in
   let current = ref None in
@@ -110,10 +104,9 @@ let scan_pages t ~lo ~hi =
   next
 
 let page_rows t idx =
-  let pages = pages_in_order t in
-  if idx < 0 || idx >= Array.length pages then [||]
+  if idx < 0 || idx >= t.n_pages then [||]
   else begin
-    let page = Buffer_pool.get t.pool pages.(idx) in
+    let page = Buffer_pool.get t.pool t.pages.(idx) in
     let n = Page.count page in
     let acc = ref [] in
     let live = ref 0 in
@@ -128,7 +121,7 @@ let page_rows t idx =
     Array.of_list !acc
   end
 
-let scan t = scan_pages t ~lo:0 ~hi:(Array.length (pages_in_order t))
+let scan t = scan_pages t ~lo:0 ~hi:t.n_pages
 
 let iter f t =
   let next = scan t in
@@ -146,16 +139,19 @@ let to_list t =
   iter (fun tu -> acc := tu :: !acc) t;
   List.rev !acc
 
-let fold_with_rids f init t =
-  let pages = pages_in_order t in
-  let acc = ref init in
-  Array.iter
-    (fun pid ->
+let fold_with_rids ?(admit = fun _ -> true) f init t =
+  let pages = t.pages and n = t.n_pages in
+  let acc = ref init and read = ref 0 in
+  for ord = 0 to n - 1 do
+    if admit ord then begin
+      let pid = pages.(ord) in
       let page = Buffer_pool.get t.pool pid in
       for slot = 0 to Page.count page - 1 do
         if Page.is_live page slot then
-          acc := f !acc { page_id = pid; slot } (Page.get page slot)
-      done)
-    pages;
-  Io_stats.add_tuples_read (Buffer_pool.stats t.pool) t.cardinality;
+          acc := f !acc ord { page_id = pid; slot } (Page.get page slot)
+      done;
+      read := !read + Page.live_count page
+    end
+  done;
+  Io_stats.add_tuples_read (Buffer_pool.stats t.pool) !read;
   !acc

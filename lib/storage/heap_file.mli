@@ -25,9 +25,16 @@ val delete : t -> rid -> bool
 (** Tombstone the tuple at [rid]; [false] when already deleted. Slots are
     never reused, so rids stay stable. *)
 
+val replace : t -> rid -> Tuple.t -> unit
+(** Overwrite the live tuple at [rid] in place: same rid, same page, one
+    pool access (like {!delete}). The page keeps its slot order, so a
+    rewritten row stays where a scan found it.
+    @raise Invalid_argument for a deleted rid or a wrong-arity tuple. *)
+
 val cardinality : t -> int
 
 val n_pages : t -> int
+(** O(1). *)
 
 val tuples_per_page : t -> int
 
@@ -51,8 +58,12 @@ val iter : (Tuple.t -> unit) -> t -> unit
 
 val to_list : t -> Tuple.t list
 
-val fold_with_rids : ('a -> rid -> Tuple.t -> 'a) -> 'a -> t -> 'a
-(** Fold over the live tuples and their record ids in storage order, one
-    pass over the pages through the pool. Charges one pool access per page
-    and the file's cardinality in [tuples_read] (used by unclustered index
-    builds and by DML predicate scans). *)
+val fold_with_rids :
+  ?admit:(int -> bool) -> ('a -> int -> rid -> Tuple.t -> 'a) -> 'a -> t -> 'a
+(** [fold_with_rids ?admit f init t] folds [f acc page rid tuple] over the
+    live tuples in storage order, [page] being the ordinal of the tuple's
+    page in [\[0, n_pages)]. Pages whose ordinal [admit] rejects (default:
+    none) are skipped without a pool access. Charges one pool access per
+    visited page and the visited pages' live tuples in [tuples_read] — the
+    file's cardinality when every page is visited (used by index builds,
+    ANALYZE and DML predicate scans). *)

@@ -95,6 +95,8 @@ let remove c v =
     c.distinct_values <- c.distinct_values - 1;
   move_base_count c v (-1)
 
+let values c = Float.Array.sub c.values 0 c.len
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* NaN sorts first: the non-NaN values start at the first position not

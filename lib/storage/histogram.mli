@@ -34,6 +34,10 @@ val remove : column -> float -> unit
 (** Remove one occurrence of a value.
     @raise Invalid_argument if the column does not hold it. *)
 
+val values : column -> Float.Array.t
+(** A copy of the column's current values, sorted (NaN first, -0. before
+    +0.). *)
+
 val of_column : column -> t
 (** The histogram of the column's current values, equal (under [compare])
     to {!build} over the same values in any order: min and max come from

@@ -46,6 +46,10 @@ let get p slot =
   if p.dead.(slot) then invalid_arg "Page.get: deleted slot";
   p.slots.(slot)
 
+let replace p slot tu =
+  if not (is_live p slot) then invalid_arg "Page.replace: bad or deleted slot";
+  p.slots.(slot) <- tu
+
 let delete p slot =
   if is_live p slot then begin
     p.dead.(slot) <- true;

@@ -26,6 +26,10 @@ val add : t -> Tuple.t -> int
 val get : t -> int -> Tuple.t
 (** @raise Invalid_argument on an out-of-range or deleted slot. *)
 
+val replace : t -> int -> Tuple.t -> unit
+(** Overwrite a live slot in place.
+    @raise Invalid_argument on an out-of-range or deleted slot. *)
+
 val delete : t -> int -> bool
 (** Tombstone a slot; [false] when out of range or already deleted. *)
 

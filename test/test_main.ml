@@ -6,6 +6,7 @@ let () =
          Test_relalg.suites;
          Test_storage.suites;
          Test_dml_stats.suites;
+         Test_dml_scan.suites;
          Test_btree.suites;
          Test_exec.suites;
          Test_vector.suites;
