@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-smoke fuzz lint sanitize serve-smoke shard-smoke ci clean
+.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-plan bench-smoke fuzz sweep-check lint sanitize serve-smoke shard-smoke ci clean
 
 all: build
 
@@ -65,11 +65,26 @@ bench-sanitize: build
 bench-vector: build
 	dune exec bench/main.exe -- vector
 
+# Planning cost of the adhoc statements: bind + optimize of the two- and
+# three-way chain shapes over 21 weight vectors at k in {10, 50, 200,
+# 2000}: median ms, minor words per prepare, memo generated/retained and a
+# digest of the chosen plans. Appends one JSON row to BENCH_RANKOPT.json.
+bench-plan: build
+	dune exec bench/main.exe -- plan
+
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
-# `make ci` stays clean-tree.
+# `make ci` stays clean-tree. plan-smoke exits 1 when a three-way prepare
+# allocates more than twice its recorded minor words.
 bench-smoke: build
 	dune exec bench/main.exe -- perf-smoke anyk-smoke leaderboard-smoke \
-	  shard-smoke sanitize-smoke vector-smoke
+	  shard-smoke sanitize-smoke vector-smoke plan-smoke
+
+# The fixed-seed sweeps with their counts pinned: each must report the
+# count committed in scripts/sweep_check.sh (plans, prefixes or executions
+# checked) and 0 failures, so a planner change that alters memo retention
+# fails even when every answer is right.
+sweep-check: build
+	sh scripts/sweep_check.sh
 
 # Static plan analysis (planlint): run the rule catalog (PL01..PL15) over
 # the example query corpus and over a fixed slice of the fuzz corpus,
@@ -113,20 +128,18 @@ shard-smoke: build
 
 # What CI runs: a full build + test pass, the static plan lint, the
 # fixed-seed concurrency-discipline sweep, the server and
-# shard-coordinator smoke tests, the perf smoke subset, a short 2-domain
+# shard-coordinator smoke tests, the perf smoke subset, and the pinned
+# sweeps (sweep-check): the plain fuzz sweep, a short 2-domain
 # degree-sweep hammer (parallel execution must match serial exactly), a
 # short sharded differential sweep (scattered execution must match
 # single-node tuple-exactly), a vectorized-execution sweep (batched
-# plans must match tuple-at-a-time bit-exactly, depth counters included)
-# and a cursor-enumeration sweep (EXECUTE + FETCH prefixes must match the
-# full ranked list tuple-exactly), then verify the working tree is clean
-# (catches build artifacts or generated files accidentally committed, and
-# formatter/codegen drift).
-ci: build test lint sanitize serve-smoke shard-smoke bench-smoke
-	dune exec bin/rankopt.exe -- fuzz --degree 2 --seed 0 --cases 200
-	dune exec bin/rankopt.exe -- fuzz --shard 4 --seed 0 --cases 50
-	dune exec bin/rankopt.exe -- fuzz --vector --seed 0 --cases 400
-	dune exec bin/rankopt.exe -- fuzz --enum --seed 0 --cases 200
+# plans must match tuple-at-a-time bit-exactly, depth counters included),
+# a cursor-enumeration sweep (EXECUTE + FETCH prefixes must match the
+# full ranked list tuple-exactly), the rank-window and server sweeps and
+# the planlint sweep, each at its committed count with 0 failures; then
+# verify the working tree is clean (catches build artifacts or generated
+# files accidentally committed, and formatter/codegen drift).
+ci: build test lint sanitize serve-smoke shard-smoke bench-smoke sweep-check
 	@status=$$(git status --porcelain); \
 	if [ -n "$$status" ]; then \
 	  echo "ci: working tree not clean after build+test:"; \

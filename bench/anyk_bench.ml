@@ -20,8 +20,9 @@
    A second row times the any-k build alone at the scale of the perfbench
    adhoc workload: tables A, B, C of 16 000 rows over a key domain of
    8 000, joined in a 3-way chain at k = 200. It reports the median
-   s_open time over 5 runs and the build's counts (tuples drained,
-   survivors, key groups, groups whose tail was sorted).
+   s_open time over 5 runs, the minor words one s_open allocates, and the
+   build's counts (tuples drained, survivors, key groups, groups whose tail
+   was sorted).
 
    Each row is appended to BENCH_RANKOPT.json (smoke mode prints reduced
    rows without appending, so `make ci` stays clean-tree). *)
@@ -107,10 +108,12 @@ let build_row ~smoke =
       ~keys:[ (0, key "A", key "B"); (1, key "B", key "C") ]
       ()
   in
-  let scores = ref [] in
+  let scores = ref [] and words = ref 0.0 in
   let times =
     List.init runs (fun _ ->
+        let w0 = Gc.minor_words () in
         let dt, () = wall stream.Exec.Operator.s_open in
+        words := Gc.minor_words () -. w0;
         scores :=
           List.filter_map
             (fun _ -> Option.map snd (stream.Exec.Operator.s_next ()))
@@ -123,18 +126,19 @@ let build_row ~smoke =
   let open_ms = 1000.0 *. median times in
   Bench_util.row "optimizer plan for the query: %s\n" plan;
   Bench_util.row
-    "open median %.2f ms over %d runs; drained %d, survivors %d, groups %d, \
-     groups sorted %d%s\n"
-    open_ms runs c.drained c.survivors c.groups c.groups_sorted
+    "open median %.2f ms over %d runs, %.0f minor words; drained %d, \
+     survivors %d, groups %d, groups sorted %d%s\n"
+    open_ms runs !words c.drained c.survivors c.groups c.groups_sorted
     (if correct then "" else "  [SCORES DIVERGE]");
   let row =
     Printf.sprintf
       "{\"bench\":\"anyk_build\",\"n\":%d,\"domain\":%d,\"inputs\":3,\"k\":%d,\
-       \"runs\":%d,\"cores\":%d,\"open_ms\":%.2f,\"drained\":%d,\
-       \"survivors\":%d,\"groups\":%d,\"groups_sorted\":%d,\"correct\":%b}"
+       \"runs\":%d,\"cores\":%d,\"open_ms\":%.2f,\"open_minor_words\":%.0f,\
+       \"drained\":%d,\"survivors\":%d,\"groups\":%d,\"groups_sorted\":%d,\
+       \"correct\":%b}"
       n domain k runs
       (Domain.recommended_domain_count ())
-      open_ms c.drained c.survivors c.groups c.groups_sorted correct
+      open_ms !words c.drained c.survivors c.groups c.groups_sorted correct
   in
   print_endline row;
   if not smoke then append row

@@ -40,6 +40,8 @@ let experiments =
     ("sanitize-smoke", fun () -> Sanitize_bench.run ~smoke:true ());
     ("vector", fun () -> Vector_bench.run ());
     ("vector-smoke", fun () -> Vector_bench.run ~smoke:true ());
+    ("plan", fun () -> Plan_bench.run ());
+    ("plan-smoke", fun () -> Plan_bench.run ~smoke:true ());
   ]
 
 let usage () =

@@ -105,21 +105,21 @@ let ranked_fan env plan =
          | exception Not_found -> false)
        names)
 
-let depth_params env ~k ~cond ~left ~right ~left_rows ~right_rows =
+(* The depth-model parameters of a binary rank join, as a function of k:
+   selectivity, fans and n do not depend on k, so they are computed once
+   and a cost function evaluated at many k only fills in k. *)
+let depth_params env ~cond ~left ~right ~left_rows ~right_rows =
   let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
   let fan p = max 1 (ranked_fan env p) in
   let n =
     let names = Plan.relations left @ Plan.relations right in
     let logs = List.map (fun m -> log (Float.max 1.0 (base_cardinality env m))) names in
-    exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (max 1 (List.length logs)))
+    Float.max 1.0
+      (exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (max 1 (List.length logs))))
   in
-  {
-    Depth_model.k = Float.max 1.0 k;
-    s;
-    n = Float.max 1.0 n;
-    left = { Depth_model.fan = fan left; card = Float.max 1.0 left_rows };
-    right = { Depth_model.fan = fan right; card = Float.max 1.0 right_rows };
-  }
+  let left = { Depth_model.fan = fan left; card = Float.max 1.0 left_rows } in
+  let right = { Depth_model.fan = fan right; card = Float.max 1.0 right_rows } in
+  fun k -> { Depth_model.k = Float.max 1.0 k; s; n; left; right }
 
 (* Mean score-decrement slab of a side's (weighted, linear) score
    expression, from column statistics: the "x"/"y" of the any-k formulas.
@@ -157,12 +157,14 @@ let side_slab env score_expr ~rows =
 
 let frac rows x = if rows <= 0.0 then 1.0 else Rkutil.Mathx.clamp ~lo:0.0 ~hi:1.0 (x /. rows)
 
-(* [est bulk env plan]: [bulk] mirrors the executor's compilation context
-   (see [Vectorize.any]) — when true and the plan is a vector spine, its
-   per-tuple CPU term is discounted by [vector_cpu]. The default multiplier
-   of 1.0 keeps the model's choices identical to the tuple-at-a-time
-   model; a measured discount can be supplied per deployment. *)
-let rec est bulk env plan =
+(* [node child bulk env plan]: the estimate of [plan]'s root operator, each
+   of its inputs estimated by [child ctx input]. [bulk] mirrors the
+   executor's compilation context (see [Vectorize.any]) — when true and the
+   plan is a vector spine, its per-tuple CPU term is discounted by
+   [vector_cpu]. The default multiplier of 1.0 keeps the model's choices
+   identical to the tuple-at-a-time model; a measured discount can be
+   supplied per deployment. *)
+let rec node child bulk env plan =
   match plan with
   | Plan.Table_scan { table } ->
       let info = table_info env table in
@@ -285,7 +287,7 @@ let rec est bulk env plan =
         k_dependent = Option.is_some score;
       }
   | Plan.Gather_merge { inputs; k; score } ->
-      let ests = List.map (est false env) inputs in
+      let ests = List.map (child false) inputs in
       let n = float_of_int (max 1 (List.length inputs)) in
       let sum_rows = List.fold_left (fun acc e -> acc +. e.rows) 0.0 ests in
       let rows =
@@ -312,7 +314,7 @@ let rec est bulk env plan =
         k_dependent = Option.is_some score;
       }
   | Plan.Filter { pred; input } ->
-      let i = est bulk env input in
+      let i = child bulk input in
       let sel = filter_selectivity env pred in
       let rows = i.rows *. sel in
       let cpu =
@@ -327,7 +329,7 @@ let rec est bulk env plan =
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
   | Plan.Sort { input; _ } ->
       (* A sort drains its input: always a bulk context below. *)
-      let i = est true env input in
+      let i = child true input in
       let rows = i.rows in
       let pages = rows /. tuples_per_page env in
       let extra_io =
@@ -345,16 +347,16 @@ let rec est bulk env plan =
       { rows; total_cost = total; cost_at = (fun _ -> total); k_dependent = false }
   | Plan.Top_k { k; input } ->
       let child_bulk = match input with Plan.Sort _ -> bulk | _ -> false in
-      let i = est child_bulk env input in
+      let i = child child_bulk input in
       let kf = float_of_int k in
       let rows = Float.min kf i.rows in
       let cost_at x = i.cost_at (Float.min x rows) in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
   | Plan.Join { algo; cond; left; right; _ } ->
-      estimate_join bulk env plan algo cond left right
+      estimate_join child bulk env plan algo cond left right
   | Plan.Exchange { dop; input } ->
       (* Exchange workers compile their morsels tuple-at-a-time. *)
-      let i = est false env input in
+      let i = child false input in
       let d = float_of_int (max 1 dop) in
       (* Off-spine subtrees (hash build sides, NL inners, INL probe paths)
          are built once, by one worker; only the driving spine's work
@@ -382,7 +384,7 @@ let rec est bulk env plan =
         k_dependent = false;
       }
   | Plan.Nary_rank_join { inputs; key; tables; _ } ->
-      let ests = List.map (est false env) inputs in
+      let ests = List.map (child false) inputs in
       let m = List.length inputs in
       (* Pairwise selectivity from the first adjacent pair (shared key, so
          all pairs estimate alike). *)
@@ -410,7 +412,7 @@ let rec est bulk env plan =
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
   | Plan.Any_k { inputs; keys; _ } ->
-      let ests = List.map (est false env) inputs in
+      let ests = List.map (child false) inputs in
       let m = List.length inputs in
       (* One selectivity per join-tree edge; the acyclic output cardinality
          is the product of input cardinalities and edge selectivities. *)
@@ -451,7 +453,7 @@ let rec est bulk env plan =
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
 
-and estimate_join bulk env plan algo cond left right =
+and estimate_join child bulk env plan algo cond left right =
   (* Child contexts mirror the executor: hash joins drain both sides; a
      block-NL join materializes its right; merge and INL joins inherit;
      rank joins pull both sides incrementally. *)
@@ -463,7 +465,7 @@ and estimate_join bulk env plan algo cond left right =
     | Plan.Index_nl -> (bulk, false)
     | Plan.Hrjn | Plan.Nrjn -> (false, false)
   in
-  let l = est lbulk env left and r = est rbulk env right in
+  let l = child lbulk left and r = child rbulk right in
   let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
   let rows = l.rows *. r.rows *. s in
   let cpu = env.cpu_factor in
@@ -552,11 +554,11 @@ and estimate_join bulk env plan algo cond left right =
           | _ -> None
         else None
       in
+      let params =
+        depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows
+      in
       let depths k =
-        let p =
-          depth_params env ~k ~cond ~left ~right ~left_rows:l.rows
-            ~right_rows:r.rows
-        in
+        let p = params k in
         let d =
           match slabs with
           | Some (x, y) ->
@@ -581,11 +583,11 @@ and estimate_join bulk env plan algo cond left right =
   | Plan.Nrjn ->
       (* Outer depth from the model; the inner input is fully re-scanned for
          every outer tuple. *)
+      let params =
+        depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows
+      in
       let depths k =
-        let p =
-          depth_params env ~k ~cond ~left ~right ~left_rows:l.rows
-            ~right_rows:r.rows
-        in
+        let p = params k in
         let d =
           match env.depth_mode with
           | `Average -> Depth_model.average_case_depths p
@@ -604,11 +606,15 @@ and estimate_join bulk env plan algo cond left right =
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
   [@@warning "-27"]
 
+and est bulk env plan = node (fun b p -> est b env p) bulk env plan
+
 let estimate env plan = est true env plan
+
+let estimate_with ~child ~bulk env plan = node child bulk env plan
 
 let rank_join_depths env plan ~k ~cond ~left ~right =
   let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~k ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows in
+  let p = depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
   let left_score, right_score =
     match plan with
     | Plan.Join { left_score; right_score; _ } -> (left_score, right_score)
@@ -637,7 +643,7 @@ let rank_join_depths env plan ~k ~cond ~left ~right =
 
 let any_k_depths_for env ~k ~cond ~left ~right =
   let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~k ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows in
+  let p = depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
   (* Use the slab formulation with equal slabs scaled by n/card: for the
      model's uniform-[0,n] convention the slab is n/card per input. *)
   let x = p.Depth_model.n /. p.Depth_model.left.Depth_model.card in

@@ -72,6 +72,17 @@ type estimate = {
 }
 
 val estimate : env -> Plan.t -> estimate
+(** The plan's estimate in a bulk (draining) context, the context of a
+    plan's root. *)
+
+val estimate_with :
+  child:(bool -> Plan.t -> estimate) -> bulk:bool -> env -> Plan.t -> estimate
+(** The estimate of the plan's root operator alone: each input is
+    estimated by [child bulk input], with [bulk] the context the operator
+    gives that input. [estimate env p] is [estimate_with ~bulk:true env p]
+    with a [child] that recurses the same way. The optimizer's memo passes
+    a [child] that returns the stored estimates of subplans it already
+    holds, so a candidate costs one node, not its whole subtree. *)
 
 val filter_selectivity : env -> Expr.t -> float
 (** Histogram-based when the predicate is a comparison of a column with a

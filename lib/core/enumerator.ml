@@ -119,66 +119,87 @@ let residual_pred residuals =
            (fun acc e -> Expr.And (acc, e))
            (List.hd conj) (List.tl conj))
 
-let with_residual residuals plan =
-  match residual_pred residuals with
-  | None -> plan
-  | Some pred -> Plan.Filter { pred; input = plan }
+(* What every candidate over one partition L | R shares: the join
+   condition, the orders its algorithms ask of their inputs (keyed once
+   here, not once per pair of inputs) and the partial scores. *)
+type split = {
+  cond : Logical.join_pred;
+  residual : Expr.t option;  (* the other join predicates of the partition *)
+  right_singleton : bool;
+  lkey : Plan.order_key option;  (* left input ascending on its join key *)
+  rkey : Plan.order_key option;
+  lscore : Expr.t option;
+  rscore : Expr.t option;
+  lranked : Plan.order_key option;  (* left input descending on [lscore] *)
+  rranked : Plan.order_key option;
+}
+
+let split_of query ~left_names ~right_names ~right_singleton
+    (cond : Logical.join_pred) residuals =
+  let asc relation column =
+    Some
+      (Plan.order_key
+         { Plan.expr = Expr.col ~relation column; direction = Interesting_orders.Asc })
+  in
+  let ranked =
+    Option.map (fun e ->
+        Plan.order_key { Plan.expr = e; direction = Interesting_orders.Desc })
+  in
+  let lscore = Logical.partial_scoring_expr query left_names in
+  let rscore = Logical.partial_scoring_expr query right_names in
+  {
+    cond;
+    residual = residual_pred residuals;
+    right_singleton;
+    lkey = asc cond.Logical.left_table cond.Logical.left_column;
+    rkey = asc cond.Logical.right_table cond.Logical.right_column;
+    lscore;
+    rscore;
+    lranked = ranked lscore;
+    rranked = ranked rscore;
+  }
 
 (* Candidate join plans combining a left and right subplan. *)
-let join_candidates env config query ~left_names ~right_names ~right_singleton
-    (cond : Logical.join_pred) residuals (pl : Memo.subplan) (pr : Memo.subplan)
-    =
+let join_candidates env config query sp (pl : Memo.subplan) (pr : Memo.subplan) =
   let mk algo ?left_score ?right_score () =
-    with_residual residuals
-      (Plan.Join
-         { algo; cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score })
-  in
-  let lkey_order =
-    {
-      Plan.expr = Expr.col ~relation:cond.Logical.left_table cond.Logical.left_column;
-      direction = Interesting_orders.Asc;
-    }
-  in
-  let rkey_order =
-    {
-      Plan.expr = Expr.col ~relation:cond.Logical.right_table cond.Logical.right_column;
-      direction = Interesting_orders.Asc;
-    }
+    let join =
+      Plan.Join
+        { algo; cond = sp.cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score }
+    in
+    match sp.residual with
+    | None -> join
+    | Some pred -> Plan.Filter { pred; input = join }
   in
   let candidates = ref [ mk Plan.Hash (); mk Plan.Nested_loops () ] in
   (* Index nested loops: right side must be a bare access of a single
      relation with an index on the join column. *)
-  (if right_singleton then
+  (if sp.right_singleton then
      match pr.Memo.plan with
      | Plan.Table_scan _ | Plan.Filter { input = Plan.Table_scan _; _ } -> (
-         match inl_index env cond with
+         match inl_index env sp.cond with
          | Some _ -> candidates := mk Plan.Index_nl () :: !candidates
          | None -> ())
      | _ -> ());
   (* Sort-merge: both inputs ordered on their join keys. *)
   if
-    Plan.order_satisfies ~have:pl.Memo.order ~want:(Some lkey_order)
-    && Plan.order_satisfies ~have:pr.Memo.order ~want:(Some rkey_order)
+    Plan.key_satisfies ~have:pl.Memo.key ~want:sp.lkey
+    && Plan.key_satisfies ~have:pr.Memo.key ~want:sp.rkey
   then candidates := mk Plan.Sort_merge () :: !candidates;
   (* Rank joins (Section 3.2 join eligibility / choices / order). *)
   if config.rank_aware && Logical.is_ranking query then begin
-    let lscore = Logical.partial_scoring_expr query left_names in
-    let rscore = Logical.partial_scoring_expr query right_names in
-    let ranked_on score (sp : Memo.subplan) =
-      match score with
-      | None -> false
-      | Some e ->
-          Plan.order_satisfies ~have:sp.Memo.order
-            ~want:(Some { Plan.expr = e; direction = Interesting_orders.Desc })
+    let ranked_on want (s : Memo.subplan) =
+      Option.is_some want && Plan.key_satisfies ~have:s.Memo.key ~want
     in
     (* HRJN needs sorted access on both inputs. *)
-    if ranked_on lscore pl && ranked_on rscore pr then
+    if ranked_on sp.lranked pl && ranked_on sp.rranked pr then
       candidates :=
-        mk Plan.Hrjn ?left_score:lscore ?right_score:rscore () :: !candidates;
+        mk Plan.Hrjn ?left_score:sp.lscore ?right_score:sp.rscore ()
+        :: !candidates;
     (* NRJN needs sorted access on the outer (left) input only. *)
-    if ranked_on lscore pl && Option.is_some lscore then
+    if ranked_on sp.lranked pl then
       candidates :=
-        mk Plan.Nrjn ?left_score:lscore ?right_score:rscore () :: !candidates
+        mk Plan.Nrjn ?left_score:sp.lscore ?right_score:sp.rscore ()
+        :: !candidates
   end;
   !candidates
 
@@ -195,9 +216,9 @@ let run ?(config = default_config) env =
   let n = Array.length rels in
   let interesting = Interesting_orders.derive ~rank_aware:config.rank_aware query in
   let memo = Memo.create () in
-  let add key plan =
-    let sp = Memo.subplan_of env plan in
-    if Memo.add memo env ~first_rows:config.first_rows ~key sp then
+  let add ?children key plan =
+    let sp = Memo.subplan_of ?children env plan in
+    if Memo.add memo ~first_rows:config.first_rows ~key sp then
       !retain_hook env ~key sp
   in
   (* Parallel variants (env.dop > 1): an exchange over every morselizable
@@ -212,7 +233,7 @@ let run ?(config = default_config) env =
       List.iter
         (fun sp ->
           if Parallel.spine_ok sp.Memo.plan then
-            add mask (Plan.Exchange { dop; input = sp.Memo.plan }))
+            add ~children:[ sp ] mask (Plan.Exchange { dop; input = sp.Memo.plan }))
         (Memo.plans memo mask);
       let exchanges =
         List.filter
@@ -235,7 +256,7 @@ let run ?(config = default_config) env =
           in
           List.iter
             (fun (o : Interesting_orders.interesting_order) ->
-              add mask
+              add ~children:[ cheapest ] mask
                 (Plan.Sort
                    {
                      order = order_of_interesting o;
@@ -263,16 +284,18 @@ let run ?(config = default_config) env =
           (match Logical.joins_between query left_names right_names with
           | [] -> ()
           | cond :: residuals ->
+              let split =
+                split_of query ~left_names ~right_names
+                  ~right_singleton:(popcount r_mask = 1) cond residuals
+              in
               let pls = Memo.plans memo l_mask and prs = Memo.plans memo r_mask in
               List.iter
                 (fun pl ->
                   List.iter
                     (fun pr ->
-                      List.iter (add mask)
-                        (join_candidates env config query ~left_names
-                           ~right_names
-                           ~right_singleton:(popcount r_mask = 1)
-                           cond residuals pl pr))
+                      List.iter
+                        (add ~children:[ pl; pr ] mask)
+                        (join_candidates env config query split pl pr))
                     prs)
                 pls);
           sub := (!sub - 1) land mask
@@ -297,11 +320,15 @@ let run ?(config = default_config) env =
                    first rest)
         in
         List.iter
-          (fun (o : Interesting_orders.interesting_order) ->
+          (fun o ->
             let want = order_of_interesting o in
             match cheapest_total with
-            | Some cheapest when not (Plan.order_satisfies ~have:cheapest.Memo.order ~want:(Some want)) ->
-                add mask (Plan.Sort { order = want; input = cheapest.Memo.plan })
+            | Some cheapest
+              when not
+                     (Plan.key_satisfies ~have:cheapest.Memo.key
+                        ~want:(Some (Plan.order_key want))) ->
+                add ~children:[ cheapest ] mask
+                  (Plan.Sort { order = want; input = cheapest.Memo.plan })
             | _ -> ())
           applicable;
         exchange_pass mask names
@@ -341,18 +368,19 @@ let run ?(config = default_config) env =
                         { Plan.expr = score; direction = Interesting_orders.Desc }
                       in
                       match
-                        Memo.best memo env ~order:want (relation_mask env [ name ])
+                        Memo.best memo ~order:want (relation_mask env [ name ])
                       with
-                      | Some sp -> Some (sp.Memo.plan, score, name)
+                      | Some sp -> Some (sp, score, name)
                       | None -> None)
                   | None -> None)
          in
          if List.for_all Option.is_some per_relation then begin
            let parts = List.map Option.get per_relation in
-           add full_mask
+           let children = List.map (fun (sp, _, _) -> sp) parts in
+           add ~children full_mask
              (Plan.Nary_rank_join
                 {
-                  inputs = List.map (fun (p, _, _) -> p) parts;
+                  inputs = List.map (fun (sp, _, _) -> sp.Memo.plan) parts;
                   scores = List.map (fun (_, s, _) -> s) parts;
                   key;
                   tables = List.map (fun (_, _, t) -> t) parts;
@@ -373,21 +401,23 @@ let run ?(config = default_config) env =
       match Logical.scoring_expr query, query.Logical.k with
       | Some score, Some k -> (
           let want = { Plan.expr = score; direction = Interesting_orders.Desc } in
-          match Memo.best memo env ~order:want full_mask with
+          match Memo.best memo ~order:want full_mask with
           | Some sp ->
-              Some (Memo.subplan_of env (Plan.Top_k { k; input = sp.Memo.plan }))
+              Some
+                (Memo.subplan_of ~children:[ sp ] env
+                   (Plan.Top_k { k; input = sp.Memo.plan }))
           | None -> (
               (* No ordered plan retained (shouldn't happen): glue a sort. *)
-              match Memo.best memo env full_mask with
+              match Memo.best memo full_mask with
               | Some sp ->
                   Some
-                    (Memo.subplan_of env
+                    (Memo.subplan_of ~children:[ sp ] env
                        (Plan.Top_k
                           { k; input = Plan.Sort { order = want; input = sp.Memo.plan } }))
               | None -> None))
-      | _ -> Memo.best memo env full_mask
+      | _ -> Memo.best memo full_mask
     end
-    else Memo.best memo env full_mask
+    else Memo.best memo full_mask
   in
   let stats =
     {

@@ -2,19 +2,40 @@ type subplan = {
   plan : Plan.t;
   est : Cost_model.estimate;
   order : Plan.order option;
+  key : Plan.order_key option;
   pipelined : bool;
   dop : int;
   vectorized : bool;
+  at_k_min : float;
+  at_full : float;
+  streamed : Cost_model.estimate Lazy.t;
 }
 
-let subplan_of env plan =
+let subplan_of ?(children = []) env plan =
+  (* A subtree that is one of [children] takes its stored estimate for the
+     context the operator above gives it; anything else is costed node by
+     node the same way. *)
+  let rec child bulk p =
+    match List.find_opt (fun c -> c.plan == p) children with
+    | Some c -> if bulk then c.est else Lazy.force c.streamed
+    | None -> Cost_model.estimate_with ~child ~bulk env p
+  in
+  let est = Cost_model.estimate_with ~child ~bulk:true env plan in
+  let order = Plan.order_of plan in
   {
     plan;
-    est = Cost_model.estimate env plan;
-    order = Plan.order_of plan;
+    est;
+    order;
+    key = Option.map Plan.order_key order;
     pipelined = Plan.pipelined plan;
     dop = Plan.dop plan;
     vectorized = Vectorize.vectorized plan;
+    at_k_min = est.Cost_model.cost_at (float_of_int env.Cost_model.k_min);
+    at_full =
+      (if est.Cost_model.k_dependent then
+         est.Cost_model.cost_at (Float.max 1.0 est.Cost_model.rows)
+       else est.Cost_model.total_cost);
+    streamed = lazy (Cost_model.estimate_with ~child ~bulk:false env plan);
   }
 
 type t = {
@@ -24,35 +45,33 @@ type t = {
 
 let create () = { entries = Hashtbl.create 64; generated = 0 }
 
-let decision_cost env sp = sp.est.Cost_model.cost_at (float_of_int env.Cost_model.k_min)
+let decision_cost sp = sp.at_k_min
 
 (* Does [a] win the cost comparison against [b] decisively — i.e. for every
    number of results that could be requested from this memo entry? *)
-let cost_dominates env a b =
+let cost_dominates a b =
   let open Cost_model in
   match a.est.k_dependent, b.est.k_dependent with
   | false, false -> a.est.total_cost <= b.est.total_cost
   | true, true ->
       (* Same k propagates to both: compare at the minimum (costs of rank
          plans only grow with k at the same rate family). *)
-      decision_cost env a <= decision_cost env b
-      && a.est.total_cost <= b.est.total_cost
+      a.at_k_min <= b.at_k_min && a.est.total_cost <= b.est.total_cost
   | true, false ->
       (* Rank plan vs blocking plan: decisive only when the rank plan wins
          even at full output (k* > na). *)
-      let na = Float.max 1.0 a.est.rows in
-      a.est.cost_at na <= b.est.total_cost
+      a.at_full <= b.est.total_cost
   | false, true ->
       (* Blocking plan vs rank plan: decisive when it wins already at k_min
          (k* <= k_min; larger k only makes the rank plan dearer). *)
-      a.est.total_cost <= decision_cost env b
+      a.est.total_cost <= b.at_k_min
 
-let dominates env ~first_rows a b =
-  Plan.order_satisfies ~have:a.order ~want:b.order
+let dominates ~first_rows a b =
+  Plan.key_satisfies ~have:a.key ~want:b.key
   && ((not first_rows) || a.pipelined || not b.pipelined)
-  && cost_dominates env a b
+  && cost_dominates a b
 
-let add t env ~first_rows ~key sp =
+let add t ~first_rows ~key sp =
   t.generated <- t.generated + 1;
   let entry =
     match Hashtbl.find_opt t.entries key with
@@ -62,9 +81,9 @@ let add t env ~first_rows ~key sp =
         Hashtbl.add t.entries key e;
         e
   in
-  if List.exists (fun q -> dominates env ~first_rows q sp) !entry then false
+  if List.exists (fun q -> dominates ~first_rows q sp) !entry then false
   else begin
-    entry := sp :: List.filter (fun q -> not (dominates env ~first_rows sp q)) !entry;
+    entry := sp :: List.filter (fun q -> not (dominates ~first_rows sp q)) !entry;
     true
   end
 
@@ -77,22 +96,20 @@ let retained t = Hashtbl.fold (fun _ e acc -> acc + List.length !e) t.entries 0
 
 let generated t = t.generated
 
-let best t env ?order key =
+let best t ?order key =
   let candidates =
     match order with
     | None -> plans t key
     | Some o ->
-        List.filter
-          (fun sp -> Plan.order_satisfies ~have:sp.order ~want:(Some o))
-          (plans t key)
+        let want = Some (Plan.order_key o) in
+        List.filter (fun sp -> Plan.key_satisfies ~have:sp.key ~want) (plans t key)
   in
   match candidates with
   | [] -> None
   | first :: rest ->
       Some
         (List.fold_left
-           (fun acc sp ->
-             if decision_cost env sp < decision_cost env acc then sp else acc)
+           (fun acc sp -> if sp.at_k_min < acc.at_k_min then sp else acc)
            first rest)
 
 let pp_entry fmt plans =

@@ -15,8 +15,9 @@
 
 type subplan = {
   plan : Plan.t;
-  est : Cost_model.estimate;
+  est : Cost_model.estimate;  (** In a bulk context, as {!Cost_model.estimate}. *)
   order : Plan.order option;
+  key : Plan.order_key option;  (** [order]'s key, for dominance tests. *)
   pipelined : bool;
   dop : int;  (** Degree-of-parallelism property bit: [Plan.dop plan]. *)
   vectorized : bool;
@@ -24,16 +25,26 @@ type subplan = {
           — whether the executor runs any of the plan batch-at-a-time.
           Stored (like [dop]) so EXPLAIN, the plan cache and planlint's
           PL15 see the property the plan was costed with. *)
+  at_k_min : float;  (** [est.cost_at k_min]: the {!decision_cost}. *)
+  at_full : float;
+      (** [est.cost_at (max 1 rows)] for a k-dependent plan, its total
+          cost otherwise: what a rank plan costs at full output. *)
+  streamed : Cost_model.estimate Lazy.t;
+      (** The estimate in a streaming (non-bulk) context, the one rank
+          joins and any-k give their inputs. *)
 }
 
-val subplan_of : Cost_model.env -> Plan.t -> subplan
-(** Compute a plan's estimate and properties. *)
+val subplan_of : ?children:subplan list -> Cost_model.env -> Plan.t -> subplan
+(** Compute a plan's estimate and properties. Subtrees that are physically
+    one of [children] reuse that subplan's stored estimates, so a join
+    candidate built over two memo subplans costs only its own nodes. The
+    result is the same as without [children]. *)
 
 type t
 
 val create : unit -> t
 
-val add : t -> Cost_model.env -> first_rows:bool -> key:int -> subplan -> bool
+val add : t -> first_rows:bool -> key:int -> subplan -> bool
 (** Insert with pruning; [false] when the plan was pruned on arrival. With
     [first_rows:false], pipelining is not a protected property (plain System
     R behaviour). Every call counts toward {!generated}. *)
@@ -50,10 +61,10 @@ val retained : t -> int
 val generated : t -> int
 (** Total plans ever offered to {!add}. *)
 
-val decision_cost : Cost_model.env -> subplan -> float
+val decision_cost : subplan -> float
 (** The cost used for same-kind comparisons: [cost_at k_min]. *)
 
-val best : t -> Cost_model.env -> ?order:Plan.order -> int -> subplan option
+val best : t -> ?order:Plan.order -> int -> subplan option
 (** Cheapest retained plan of an entry, optionally restricted to plans
     producing the given order. *)
 

@@ -45,12 +45,13 @@ let k_validity_of env (result : Enumerator.result) (chosen : Memo.subplan) =
     let full_mask = (1 lsl List.length query.Logical.relations) - 1 in
     let want =
       Option.map
-        (fun score -> { Plan.expr = score; direction = Interesting_orders.Desc })
+        (fun score ->
+          Plan.order_key { Plan.expr = score; direction = Interesting_orders.Desc })
         (Logical.scoring_expr query)
     in
     let candidates =
       List.filter
-        (fun sp -> Plan.order_satisfies ~have:sp.Memo.order ~want)
+        (fun sp -> Plan.key_satisfies ~have:sp.Memo.key ~want)
         (Memo.plans result.Enumerator.memo full_mask)
     in
     match

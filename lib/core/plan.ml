@@ -72,7 +72,24 @@ type t =
       shape : [ `Path | `Star ];
     }
 
-let order_equal a b = a.direction = b.direction && Expr.equal a.expr b.expr
+type order_key = { k_direction : Interesting_orders.direction; k_expr : Expr.canonical }
+
+let order_key o = { k_direction = o.direction; k_expr = Expr.canonical o.expr }
+
+let key_equal a b =
+  (match a.k_direction, b.k_direction with
+  | Interesting_orders.Asc, Interesting_orders.Asc
+  | Interesting_orders.Desc, Interesting_orders.Desc ->
+      true
+  | _ -> false)
+  && Expr.canonical_equal a.k_expr b.k_expr
+
+let key_satisfies ~have ~want =
+  match want with
+  | None -> true
+  | Some w -> ( match have with None -> false | Some h -> key_equal h w)
+
+let order_equal a b = key_equal (order_key a) (order_key b)
 
 let order_satisfies ~have ~want =
   match want with

@@ -107,7 +107,22 @@ type t =
           score order with bounded per-result delay — the resumable sink
           behind cursor-style [FETCH NEXT]. *)
 
+type order_key
+(** An order with its canonical (linear) form computed once. The optimizer
+    keys every memo subplan and every wanted order this way, since one
+    optimize compares orders thousands of times. *)
+
+val order_key : order -> order_key
+
+val key_equal : order_key -> order_key -> bool
+(** [key_equal (order_key a) (order_key b) = order_equal a b]; allocates
+    nothing. *)
+
+val key_satisfies : have:order_key option -> want:order_key option -> bool
+(** {!order_satisfies} over keys. *)
+
 val order_equal : order -> order -> bool
+(** Same direction and {!Relalg.Expr.equal} expressions. *)
 
 val combined_score : Expr.t option -> Expr.t option -> Expr.t option
 (** The score a rank join emits: the sum of whichever side scores exist

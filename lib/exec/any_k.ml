@@ -37,31 +37,33 @@ type counts = {
   groups_sorted : int;
 }
 
-(* A growable column in blocks of 64 elements, reached through segments of
-   64 blocks: no heap block it allocates exceeds 128 words below 2^19
+(* Growable columns in blocks of 64 elements, reached through segments of
+   64 blocks: no heap block they allocate exceeds 128 words below 2^19
    elements. OCaml 5 mallocs larger blocks, and when worker domains free
-   them they fragment the C allocator's per-thread arenas. *)
+   them they fragment the C allocator's per-thread arenas. [Col] keeps the
+   layout over any block type; [Floats] and [Ints] read and write their
+   blocks unboxed, a [Float.Array.t] and an [int array]. Their accessors
+   are inlined: a float returned from a call is boxed. *)
 module Col = struct
   let bits = 6
 
   let mask = (1 lsl bits) - 1
 
-  type 'a t = {
-    fill : 'a;
-    mutable segs : 'a array array array;
+  type 'b t = {
+    empty : 'b;  (* fills unused segment entries *)
+    fresh : unit -> 'b;  (* a new block of 64 elements *)
+    mutable segs : 'b array array;
     mutable len : int;
   }
 
-  let create fill = { fill; segs = [||]; len = 0 }
+  let create ~empty ~fresh = { empty; fresh; segs = [||]; len = 0 }
 
   let length c = c.len
 
-  let get c i = c.segs.(i lsr (2 * bits)).((i lsr bits) land mask).(i land mask)
+  let[@inline] block c i = c.segs.(i lsr (2 * bits)).((i lsr bits) land mask)
 
-  let set c i x =
-    c.segs.(i lsr (2 * bits)).((i lsr bits) land mask).(i land mask) <- x
-
-  let push c x =
+  (* Room for one more element; its index. *)
+  let grow c =
     let i = c.len in
     let s = i lsr (2 * bits) in
     if i land ((1 lsl (2 * bits)) - 1) = 0 then begin
@@ -70,36 +72,68 @@ module Col = struct
         Array.blit c.segs 0 segs 0 s;
         c.segs <- segs
       end;
-      c.segs.(s) <- Array.make (1 lsl bits) [||]
+      c.segs.(s) <- Array.make (1 lsl bits) c.empty
     end;
-    let seg = c.segs.(s) in
-    let b = (i lsr bits) land mask in
-    if i land mask = 0 then seg.(b) <- Array.make (1 lsl bits) c.fill;
-    seg.(b).(i land mask) <- x;
-    c.len <- i + 1
+    if i land mask = 0 then c.segs.(s).((i lsr bits) land mask) <- c.fresh ();
+    c.len <- i + 1;
+    i
+end
+
+module Floats = struct
+  let create () =
+    Col.create ~empty:(Float.Array.create 0) ~fresh:(fun () ->
+        Float.Array.make (1 lsl Col.bits) 0.0)
+
+  let[@inline] get c i = Float.Array.get (Col.block c i) (i land Col.mask)
+
+  let[@inline] set c i x = Float.Array.set (Col.block c i) (i land Col.mask) x
+
+  let[@inline] push c x = set c (Col.grow c) x
+end
+
+module Ints = struct
+  let create () =
+    Col.create ~empty:[||] ~fresh:(fun () -> Array.make (1 lsl Col.bits) 0)
+
+  let[@inline] get c i = (Col.block c i).(i land Col.mask)
+
+  let[@inline] set c i (x : int) = (Col.block c i).(i land Col.mask) <- x
+
+  let[@inline] push c x = set c (Col.grow c) x
+end
+
+module Tuples = struct
+  let create () =
+    Col.create ~empty:[||] ~fresh:(fun () -> Array.make (1 lsl Col.bits) [||])
+
+  let[@inline] get c i : Tuple.t = (Col.block c i).(i land Col.mask)
+
+  let push c (x : Tuple.t) =
+    let i = Col.grow c in
+    (Col.block c i).(i land Col.mask) <- x
 end
 
 type node = {
-  tup : Tuple.t Col.t;
-  own : float Col.t;  (* the survivor's own partial score *)
-  best : float Col.t;  (* own + the best completion of every child subtree *)
-  head_best : float Col.t;  (* group g's maximum [best], its head's *)
-  start : int Col.t;  (* group g's first member slot; one sentinel at the end *)
-  members : int Col.t;  (* survivor positions, group after group *)
-  ready : int Col.t;  (* group g's leading slots in final order (0: head only) *)
-  link : int Col.t;  (* by parent survivor: the group of this node it joins *)
+  tup : Tuple.t array Col.t;
+  own : Float.Array.t Col.t;  (* the survivor's own partial score *)
+  best : Float.Array.t Col.t;  (* own + the best completion of every child subtree *)
+  head_best : Float.Array.t Col.t;  (* group g's maximum [best], its head's *)
+  start : int array Col.t;  (* group g's first member slot; one sentinel at the end *)
+  members : int array Col.t;  (* survivor positions, group after group *)
+  ready : int array Col.t;  (* group g's leading slots in final order (0: head only) *)
+  link : int array Col.t;  (* by parent survivor: the group of this node it joins *)
 }
 
 let empty_node () =
   {
-    tup = Col.create [||];
-    own = Col.create 0.0;
-    best = Col.create 0.0;
-    head_best = Col.create 0.0;
-    start = Col.create 0;
-    members = Col.create 0;
-    ready = Col.create 0;
-    link = Col.create 0;
+    tup = Tuples.create ();
+    own = Floats.create ();
+    best = Floats.create ();
+    head_best = Floats.create ();
+    start = Ints.create ();
+    members = Ints.create ();
+    ready = Ints.create ();
+    link = Ints.create ();
   }
 
 type cand = {
@@ -151,8 +185,8 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
   let survivors = ref 0 and drained = ref 0 and groups = ref 0 in
   let sorted = ref 0 in
   let poll j = if j land 255 = 0 then tick () in
-  let member nd g j = Col.get nd.members (Col.get nd.start g + j) in
-  let group_size nd g = Col.get nd.start (g + 1) - Col.get nd.start g in
+  let member nd g j = Ints.get nd.members (Ints.get nd.start g + j) in
+  let group_size nd g = Ints.get nd.start (g + 1) - Ints.get nd.start g in
   (* Drain input [i] and lay out its survivors. [tables.(c)] maps a key of
      child c (already built) to its group id. *)
   let build_node tables i =
@@ -160,14 +194,14 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     let kids = children.(i) in
     let joined = Array.make (Array.length kids) 0 in
     let tbl = Join_key.Tbl.create 64 in
-    let group_of = Col.create 0 in
+    let group_of = Ints.create () in
     (* Per group: its member count (later its first slot in [start]) and
        the first survivor reaching the group's maximum [best]. *)
-    let head = Col.create 0 in
+    let head = Ints.create () in
     let new_group () =
-      Col.push nd.start 0;
-      Col.push head 0;
-      Col.push nd.head_best 0.0;
+      Ints.push nd.start 0;
+      Ints.push head 0;
+      Floats.push nd.head_best 0.0;
       Col.length nd.start - 1
     in
     (* The group of survivor [tu]; -1 when its key is NULL. *)
@@ -178,9 +212,9 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
         let k = ck tu in
         if not (Join_key.joins k) then -1
         else
-          match Join_key.Tbl.find_opt tbl k with
-          | Some g -> g
-          | None ->
+          match Join_key.Tbl.find tbl k with
+          | g -> g
+          | exception Not_found ->
               let g = new_group () in
               Join_key.Tbl.add tbl k g;
               g
@@ -194,12 +228,13 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
         let _, pk, _ = keys.(c - 1) in
         let k = pk tu in
         match
-          if Join_key.joins k then Join_key.Tbl.find_opt tables.(c) k else None
+          if Join_key.joins k then Join_key.Tbl.find tables.(c) k
+          else raise Not_found
         with
-        | Some g ->
+        | g ->
             joined.(j) <- g;
-            resolve_kids tu (acc +. Col.get nodes.(c).head_best g) (j + 1)
-        | None -> nan
+            resolve_kids tu (acc +. Floats.get nodes.(c).head_best g) (j + 1)
+        | exception Not_found -> nan
     in
     let op = inputs.(i).i_op and score = inputs.(i).i_score in
     op.Operator.open_ ();
@@ -214,18 +249,18 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
           let g = if Float.is_nan b then -1 else group tu in
           if g >= 0 then begin
             let p = Col.length nd.tup in
-            Col.push nd.tup tu;
-            Col.push nd.own s;
-            Col.push nd.best b;
-            Col.push group_of g;
-            let count = Col.get nd.start g in
-            Col.set nd.start g (count + 1);
-            if count = 0 || b > Col.get nd.head_best g then begin
-              Col.set head g p;
-              Col.set nd.head_best g b
+            Tuples.push nd.tup tu;
+            Floats.push nd.own s;
+            Floats.push nd.best b;
+            Ints.push group_of g;
+            let count = Ints.get nd.start g in
+            Ints.set nd.start g (count + 1);
+            if count = 0 || b > Floats.get nd.head_best g then begin
+              Ints.set head g p;
+              Floats.set nd.head_best g b
             end;
             for j = 0 to Array.length kids - 1 do
-              Col.push nodes.(kids.(j)).link joined.(j)
+              Ints.push nodes.(kids.(j)).link joined.(j)
             done
           end;
           drain (n + 1)
@@ -239,30 +274,30 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     let acc = ref 0 in
     for g = 0 to n_groups - 1 do
       poll g;
-      acc := !acc + Col.get nd.start g;
-      Col.set nd.start g !acc
+      acc := !acc + Ints.get nd.start g;
+      Ints.set nd.start g !acc
     done;
-    Col.push nd.start n_surv;
+    Ints.push nd.start n_surv;
     for p = 0 to n_surv - 1 do
       poll p;
-      Col.push nd.members 0
+      Ints.push nd.members 0
     done;
     for p = n_surv - 1 downto 0 do
       poll p;
-      let g = Col.get group_of p in
-      if p <> Col.get head g then begin
-        let e = Col.get nd.start g - 1 in
-        Col.set nd.start g e;
-        Col.set nd.members e p
+      let g = Ints.get group_of p in
+      if p <> Ints.get head g then begin
+        let e = Ints.get nd.start g - 1 in
+        Ints.set nd.start g e;
+        Ints.set nd.members e p
       end
     done;
     for g = 0 to n_groups - 1 do
       poll g;
-      let lo = Col.get nd.start g - 1 in
-      Col.set nd.start g lo;
-      Col.set nd.members lo (Col.get head g);
-      let size = Col.get nd.start (g + 1) - lo in
-      Col.push nd.ready (if size <= 2 then size else 0)
+      let lo = Ints.get nd.start g - 1 in
+      Ints.set nd.start g lo;
+      Ints.set nd.members lo (Ints.get head g);
+      let size = Ints.get nd.start (g + 1) - lo in
+      Ints.push nd.ready (if size <= 2 then size else 0)
     done;
     nodes.(i) <- nd;
     tables.(i) <- tbl;
@@ -287,13 +322,13 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
      the final prefix by one. [ready g = 0] means the tail is not yet a
      heap. *)
   let order_until nd g j =
-    let lo = Col.get nd.start g and hi = Col.get nd.start (g + 1) in
+    let lo = Ints.get nd.start g and hi = Ints.get nd.start (g + 1) in
     let slot k = hi - 1 - k in
-    let key k = Col.get nd.best (Col.get nd.members (slot k)) in
+    let key k = Floats.get nd.best (Ints.get nd.members (slot k)) in
     let swap a b =
-      let x = Col.get nd.members (slot a) in
-      Col.set nd.members (slot a) (Col.get nd.members (slot b));
-      Col.set nd.members (slot b) x
+      let x = Ints.get nd.members (slot a) in
+      Ints.set nd.members (slot a) (Ints.get nd.members (slot b));
+      Ints.set nd.members (slot b) x
     in
     let rec sift k len =
       let l = (2 * k) + 1 in
@@ -305,24 +340,24 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
         end
       end
     in
-    if Col.get nd.ready g = 0 then begin
+    if Ints.get nd.ready g = 0 then begin
       let len = hi - lo - 1 in
       for k = (len / 2) - 1 downto 0 do
         poll k;
         sift k len
       done;
-      Col.set nd.ready g 1;
+      Ints.set nd.ready g 1;
       incr sorted
     end;
-    while Col.get nd.ready g <= j do
-      let len = hi - lo - Col.get nd.ready g in
+    while Ints.get nd.ready g <= j do
+      let len = hi - lo - Ints.get nd.ready g in
       swap 0 (len - 1);
       sift 0 (len - 1);
-      Col.set nd.ready g (Col.get nd.ready g + 1)
+      Ints.set nd.ready g (Ints.get nd.ready g + 1)
     done
   in
   let group_in pos u =
-    if u = 0 then 0 else Col.get nodes.(u).link pos.(parent u)
+    if u = 0 then 0 else Ints.get nodes.(u).link pos.(parent u)
   in
   (* Resolve coordinates [from..m-1] greedily to the head of their group. *)
   let resolve pos slot from =
@@ -334,7 +369,7 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
   let push pos slot branch =
     let total = ref 0.0 in
     for u = 0 to m - 1 do
-      total := !total +. Col.get nodes.(u).own pos.(u)
+      total := !total +. Floats.get nodes.(u).own pos.(u)
     done;
     Rkutil.Heap.push heap { total = !total; pos; slot; branch }
   in
@@ -356,7 +391,7 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
       let g = group_in c.pos t in
       let j = c.slot.(t) + 1 in
       if j < group_size nd g then begin
-        if Col.get nd.ready g <= j then order_until nd g j;
+        if Ints.get nd.ready g <= j then order_until nd g j;
         let pos = Array.copy c.pos and slot = Array.copy c.slot in
         slot.(t) <- j;
         pos.(t) <- member nd g j;
@@ -367,7 +402,7 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     note_buffer ()
   in
   let answer c =
-    let parts = Array.init m (fun u -> Col.get nodes.(u).tup c.pos.(u)) in
+    let parts = Array.init m (fun u -> Tuples.get nodes.(u).tup c.pos.(u)) in
     Array.concat (Array.to_list parts)
   in
   let stream =

@@ -398,12 +398,11 @@ let partitioned_build ?pool ~dop ~partitions ~key ~n ~run ~cancel () =
           List.iter
             (fun tu ->
               let k = key tu in
-              let prev = try Join_key.Tbl.find tbl k with Not_found -> [] in
-              Join_key.Tbl.replace tbl k (tu :: prev))
+              Join_key.Tbl.cons tbl k tu)
             buckets.(j))
       morsels;
     (* probe order must match the serial build, which conses and reverses *)
-    Join_key.Tbl.filter_map_inplace (fun _ chain -> Some (List.rev chain)) tbl
+    Join_key.Tbl.map_inplace List.rev tbl
   in
   let next_part = Atomic.make 0 in
   let done_count = Atomic.make 0 in

@@ -169,8 +169,7 @@ let hash ?stats ?residual ~left_key ~right_key (left : Operator.t)
       | Some rt ->
           let k = rkey rt in
           if Join_key.joins k then begin
-            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
-            Join_key.Tbl.replace table k (rt :: prev);
+            Join_key.Tbl.cons table k rt;
             incr buffered
           end;
           pull ()
@@ -254,10 +253,7 @@ let grace_hash ?stats ?residual ?(partitions = 8) ~left_key ~right_key
       List.iter
         (fun rt ->
           let k = rkey rt in
-          if Join_key.joins k then begin
-            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
-            Join_key.Tbl.replace table k (rt :: prev)
-          end)
+          if Join_key.joins k then Join_key.Tbl.cons table k rt)
         rtuples;
       List.iter
         (fun lt ->

@@ -140,16 +140,13 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
            last_i above, but it is neither inserted nor probed. *)
         let key = inputs.(i).key tu in
         if Join_key.joins key then begin
-          let prev =
-            Option.value ~default:[] (Join_key.Tbl.find_opt hashes.(i) key)
-          in
-          Join_key.Tbl.replace hashes.(i) key (entry :: prev);
+          Join_key.Tbl.cons hashes.(i) key entry;
           let all_match = ref true in
           for j = 0 to m - 1 do
             if j <> i then
-              match Join_key.Tbl.find_opt hashes.(j) key with
-              | Some l -> partners.(j) <- l
-              | None -> all_match := false
+              match Join_key.Tbl.find hashes.(j) key with
+              | l -> partners.(j) <- l
+              | exception Not_found -> all_match := false
           done;
           (* the first part's score seeds the fold *)
           if !all_match then product i entry 0 nan

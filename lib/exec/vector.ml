@@ -182,10 +182,7 @@ let hash_join ?stats ?residual ~left_key ~right_key (b : Sort.budget) (left : t)
       List.iter
         (fun rt ->
           let k = rkey rt in
-          if Join_key.joins k then begin
-            let prev = Option.value ~default:[] (Join_key.Tbl.find_opt table k) in
-            Join_key.Tbl.replace table k (rt :: prev)
-          end)
+          if Join_key.joins k then Join_key.Tbl.cons table k rt)
         (List.rev !buffered);
       left.v_open ();
       let rec drain () =

@@ -260,24 +260,40 @@ let of_linear { terms; intercept } =
   if Stdlib.( = ) intercept 0.0 || Stdlib.( = ) terms [] then base
   else Add (base, cfloat intercept)
 
+(* Identifiers never contain a dot (the lexer splits qualified names at
+   it), so comparing the two fields agrees with comparing [ref_name]s,
+   without building either string. *)
+let ref_equal r s =
+  String.equal r.name s.name && Option.equal String.equal r.relation s.relation
+
 let linear_same_order a b =
   match a.terms, b.terms with
   | [], [] -> true
   | (wa, _) :: _, (wb, _) :: _ ->
+      (* A loop over refs rather than a closure, so [scale] stays unboxed
+         and the comparison allocates nothing. *)
       let scale = wb /. wa in
-      Stdlib.( > ) scale 0.0
-      && Stdlib.( = ) (List.length a.terms) (List.length b.terms)
-      && List.for_all2
-           (fun (w1, r1) (w2, r2) ->
-             String.equal (ref_name r1) (ref_name r2)
-             && Stdlib.( < ) (Float.abs ((w1 *. scale) -. w2)) (1e-9 *. Float.abs w2 +. 1e-12))
-           a.terms b.terms
+      let same = ref (Stdlib.( > ) scale 0.0) in
+      let ta = ref a.terms and tb = ref b.terms in
+      while !same && Stdlib.( != ) !ta [] do
+        match !ta, !tb with
+        | (w1, r1) :: ra, (w2, r2) :: rb ->
+            same :=
+              ref_equal r1 r2
+              && Stdlib.( < )
+                   (Float.abs ((w1 *. scale) -. w2))
+                   ((1e-9 *. Float.abs w2) +. 1e-12);
+            ta := ra;
+            tb := rb
+        | _ -> same := false
+      done;
+      !same && Stdlib.( == ) !tb []
   | _ -> false
 
 let rec structural_equal a b =
   match a, b with
   | Const u, Const v -> Value.equal u v
-  | Col r, Col s -> String.equal (ref_name r) (ref_name s)
+  | Col r, Col s -> ref_equal r s
   | Neg x, Neg y | Not x, Not y -> structural_equal x y
   | Add (x1, y1), Add (x2, y2)
   | Sub (x1, y1), Sub (x2, y2)
@@ -290,10 +306,16 @@ let rec structural_equal a b =
       Stdlib.( = ) o1 o2 && structural_equal x1 x2 && structural_equal y1 y2
   | _ -> false
 
-let equal a b =
-  match as_linear a, as_linear b with
+type canonical = { c_linear : linear option; c_expr : t }
+
+let canonical e = { c_linear = as_linear e; c_expr = e }
+
+let canonical_equal a b =
+  match a.c_linear, b.c_linear with
   | Some la, Some lb -> linear_same_order la lb
-  | _ -> structural_equal a b
+  | _ -> structural_equal a.c_expr b.c_expr
+
+let equal a b = canonical_equal (canonical a) (canonical b)
 
 let cmp_symbol = function
   | Eq -> "="

@@ -89,6 +89,17 @@ val equal : t -> t -> bool
 (** Structural equality, except linear expressions compare via
     {!linear_same_order} (so [0.3*x + 0.3*y] equals [x + y] as an order). *)
 
+type canonical
+(** An expression with its linear form computed once, for callers that
+    compare the same expression many times (the optimizer's order
+    properties). *)
+
+val canonical : t -> canonical
+
+val canonical_equal : canonical -> canonical -> bool
+(** [canonical_equal (canonical a) (canonical b) = equal a b], without
+    recomputing either linear form and without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -46,8 +46,8 @@ let prop_best_is_cheapest_retained =
           candidates <> []
           && List.for_all
                (fun sp ->
-                 Memo.decision_cost env best
-                 <= Memo.decision_cost env sp +. 1e-6)
+                 Memo.decision_cost best
+                 <= Memo.decision_cost sp +. 1e-6)
                candidates
       | _ -> false)
 

@@ -180,9 +180,9 @@ let test_memo_same_class_pruning () =
          { pred = Expr.(Cmp (Ge, col ~relation:"A" "score", cfloat (-1.0))); input = Plan.Table_scan { table = "A" } })
   in
   Alcotest.(check bool) "cheap added" true
-    (Memo.add memo env ~first_rows:true ~key:1 cheap);
+    (Memo.add memo ~first_rows:true ~key:1 cheap);
   Alcotest.(check bool) "costlier same-class pruned" false
-    (Memo.add memo env ~first_rows:true ~key:1 costly);
+    (Memo.add memo ~first_rows:true ~key:1 costly);
   Alcotest.(check int) "one plan kept" 1 (List.length (Memo.plans memo 1))
 
 let test_memo_order_protects () =
@@ -199,9 +199,9 @@ let test_memo_order_protects () =
            input = Plan.Table_scan { table = "A" };
          })
   in
-  ignore (Memo.add memo env ~first_rows:true ~key:1 plain);
+  ignore (Memo.add memo ~first_rows:true ~key:1 plain);
   Alcotest.(check bool) "ordered plan survives despite higher cost" true
-    (Memo.add memo env ~first_rows:true ~key:1 sorted);
+    (Memo.add memo ~first_rows:true ~key:1 sorted);
   Alcotest.(check int) "two plans" 2 (List.length (Memo.plans memo 1))
 
 let test_memo_pipelining_protects () =
@@ -224,9 +224,9 @@ let test_memo_pipelining_protects () =
   (* With first-rows optimization the pipelined plan cannot be pruned by the
      blocking one even if the blocking one were cheaper. *)
   let memo = Memo.create () in
-  ignore (Memo.add memo env ~first_rows:true ~key:1 blocking);
+  ignore (Memo.add memo ~first_rows:true ~key:1 blocking);
   Alcotest.(check bool) "pipelined survives" true
-    (Memo.add memo env ~first_rows:true ~key:1 pipelined)
+    (Memo.add memo ~first_rows:true ~key:1 pipelined)
 
 (* --- Enumerator --- *)
 
@@ -274,7 +274,7 @@ let test_best_plan_not_worse_than_handwritten () =
   let env = Cost_model.default_env ~k_min:10 cat q in
   let result = Enumerator.run env in
   let best = Option.get result.Enumerator.best in
-  let best_cost = Memo.decision_cost env best in
+  let best_cost = Memo.decision_cost best in
   (* Hand-written alternatives the optimizer must not lose to. *)
   let cond =
     { Logical.left_table = "A"; left_column = "key"; right_table = "B"; right_column = "key" }
@@ -308,7 +308,7 @@ let test_best_plan_not_worse_than_handwritten () =
   in
   List.iter
     (fun alt ->
-      let alt_cost = Memo.decision_cost env (Memo.subplan_of env alt) in
+      let alt_cost = Memo.decision_cost (Memo.subplan_of env alt) in
       Alcotest.(check bool) "optimizer at least as good" true (best_cost <= alt_cost +. 1e-6))
     alternatives
 

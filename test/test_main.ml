@@ -41,4 +41,5 @@ let () =
          Test_server.suites;
          Test_shard.suites;
          Test_sanitize.suites;
+         Test_keys.suites;
        ])
