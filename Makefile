@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-plan bench-smoke fuzz sweep-check lint sanitize serve-smoke shard-smoke ci clean
+.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-plan bench-nary bench-smoke fuzz sweep-check lint sanitize serve-smoke shard-smoke ci clean
 
 all: build
 
@@ -72,12 +72,20 @@ bench-vector: build
 bench-plan: build
 	dune exec bench/main.exe -- plan
 
+# Depths of the adhoc three-way top-10 statement under HRJN* at weights
+# 3,1,2 and 72,3,85: per-input depths, result buffer, pages read and
+# median ms. Appends one JSON row to BENCH_RANKOPT.json.
+bench-nary: build
+	dune exec bench/main.exe -- nary
+
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
 # `make ci` stays clean-tree. plan-smoke exits 1 when a three-way prepare
-# allocates more than twice its recorded minor words.
+# allocates more than twice its recorded minor words; nary-smoke exits 1
+# when the three-way top-10 statement reads deeper or buffers more than
+# the threshold polling rule does.
 bench-smoke: build
 	dune exec bench/main.exe -- perf-smoke anyk-smoke leaderboard-smoke \
-	  shard-smoke sanitize-smoke vector-smoke plan-smoke
+	  shard-smoke sanitize-smoke vector-smoke plan-smoke nary-smoke
 
 # The fixed-seed sweeps with their counts pinned: each must report the
 # count committed in scripts/sweep_check.sh (plans, prefixes or executions

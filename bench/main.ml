@@ -42,6 +42,8 @@ let experiments =
     ("vector-smoke", fun () -> Vector_bench.run ~smoke:true ());
     ("plan", fun () -> Plan_bench.run ());
     ("plan-smoke", fun () -> Plan_bench.run ~smoke:true ());
+    ("nary", fun () -> Nary_bench.run ());
+    ("nary-smoke", fun () -> Nary_bench.run ~smoke:true ());
   ]
 
 let usage () =

@@ -492,7 +492,8 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
         in
         let profs = List.map snd compiled in
         let stream, stats =
-          Exec.Rank_join.hrjn ~stats ~combine:( +. )
+          Exec.Rank_join.hrjn ~stats ~polling:Exec.Rank_join.Adaptive
+            ~combine:( +. )
             ~inputs:
               (List.map2
                  (fun ((op, _), score) table ->

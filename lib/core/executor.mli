@@ -58,8 +58,10 @@ val compile :
   Exec.Operator.t * rank_node_stats list * nary_node_stats list * profile option
 (** Build the operator tree; rank-join statistics are filled during
     execution. When a depth-propagation annotation is supplied (from
-    {!Propagate.run} on the same plan), HRJN nodes poll their inputs in the
-    estimated optimal depth ratio instead of alternating. When a metrics
+    {!Propagate.run} on the same plan), binary HRJN nodes poll their inputs
+    in the estimated optimal depth ratio instead of alternating. HRJN*
+    nodes always poll the input whose threshold term is largest
+    ({!Exec.Rank_join.Adaptive}). When a metrics
     registry is supplied, every operator is registered and I/O-scoped, and
     the matching [profile] tree is returned.
 

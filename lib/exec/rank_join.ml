@@ -172,15 +172,17 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
         turn := (j + 1) mod m;
         j
     | Adaptive ->
-        (* The live input with the highest last score contributes the
-           largest threshold term, so draining it tightens the bound
-           fastest. *)
+        (* The live input whose threshold term is largest sets the
+           threshold, so pulling it lowers the threshold fastest. A NaN
+           term counts as the largest: it holds the threshold at NaN until
+           its input moves on. *)
+        let above a b = (not (Float.is_nan b)) && (Float.is_nan a || a > b) in
         let j = first_unstarted () in
         if j >= 0 then j
         else begin
           let best = ref (-1) in
           for j = 0 to m - 1 do
-            if (not finished.(j)) && (!best < 0 || not (last.(!best) >= last.(j)))
+            if (not finished.(j)) && (!best < 0 || above bounds.(j) bounds.(!best))
             then best := j
           done;
           !best

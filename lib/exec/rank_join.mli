@@ -22,9 +22,13 @@ type polling =
   | Alternate
       (** Round-robin over the live inputs. *)
   | Adaptive
-      (** Poll the first input that has produced nothing yet; after that,
-          the live input whose last score is highest (it contributes the
-          largest threshold term), the lowest index on a tie. *)
+      (** Poll the first live input that has produced nothing yet; after
+          that, the live input whose threshold term (see {!hrjn}) is
+          largest, since that term is the threshold and pulling its input
+          is what lowers it. A NaN term counts as the largest; ties go to
+          the lowest index. An input whose scores fall steeply stops early
+          while the flattest input is read as deep as round-robin reads
+          it. *)
   | Ratio of float
       (** Two inputs only: keep [depth 0 / depth 1] near the given target —
           used by the optimizer to steer the operator toward the

@@ -69,11 +69,12 @@ let to_int = function
 
 let is_null = function Null -> true | Int _ | Float _ | Str _ | Bool _ -> false
 
-let pp fmt = function
-  | Null -> Format.pp_print_string fmt "NULL"
-  | Int x -> Format.pp_print_int fmt x
-  | Float x -> Format.fprintf fmt "%g" x
-  | Str s -> Format.fprintf fmt "%S" s
-  | Bool b -> Format.pp_print_bool fmt b
+(* Built without a formatter: a reply renders one of these per cell. *)
+let to_string = function
+  | Null -> "NULL"
+  | Int x -> string_of_int x
+  | Float x -> Printf.sprintf "%g" x
+  | Str s -> Printf.sprintf "%S" s
+  | Bool b -> string_of_bool b
 
-let to_string v = Format.asprintf "%a" pp v
+let pp fmt v = Format.pp_print_string fmt (to_string v)

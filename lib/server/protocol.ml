@@ -210,6 +210,27 @@ let parse_score codec s =
     | _, None -> None
   else None
 
+let render_rows codec rows scores =
+  let buf = Buffer.create 128 in
+  let cell = render_cell codec in
+  let line row score =
+    Buffer.clear buf;
+    Array.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf '\t';
+        Buffer.add_string buf (cell v))
+      row;
+    (match score with
+    | None -> ()
+    | Some s ->
+        if Array.length row > 0 then Buffer.add_char buf '\t';
+        Buffer.add_string buf (render_score codec s));
+    Buffer.contents buf
+  in
+  match scores with
+  | [] -> List.map (fun row -> line row None) rows
+  | ss -> List.map2 (fun row s -> line row (Some s)) rows ss
+
 let render_reply ?(codec = `Text) (r : Service.reply) =
   let fields =
     [
@@ -225,23 +246,7 @@ let render_reply ?(codec = `Text) (r : Service.reply) =
         if r.Service.columns = [] then []
         else [ String.concat "\t" r.Service.columns ]
       in
-      let scores =
-        match r.Service.scores with
-        | [] -> List.map (fun _ -> None) r.Service.rows
-        | ss -> List.map Option.some ss
-      in
-      let rows =
-        List.map2
-          (fun row score ->
-            let cells = Array.to_list (Array.map (render_cell codec) row) in
-            let cells =
-              match score with
-              | None -> cells
-              | Some s -> cells @ [ render_score codec s ]
-            in
-            String.concat "\t" cells)
-          r.Service.rows scores
-      in
+      let rows = render_rows codec r.Service.rows r.Service.scores in
       ok_response
         ~fields:(("rows", string_of_int (List.length r.Service.rows)) :: fields)
         (header @ rows)

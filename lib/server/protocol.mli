@@ -91,7 +91,10 @@ val render_reply : ?codec:[ `Text | `Hex ] -> Service.reply -> response
     fields. [`Hex] (default [`Text]) encodes cells with
     {!Storage.Persist.value_encode} and scores as [%h]. *)
 
-val render_cell : [ `Text | `Hex ] -> Relalg.Value.t -> string
+val render_rows :
+  [ `Text | `Hex ] -> Relalg.Value.t array list -> float list -> string list
+(** One line per row: its cells tab-separated, then, when [scores] is not
+    empty (one per row), a trailing {!render_score} cell. *)
 
 val render_score : [ `Text | `Hex ] -> float -> string
 

@@ -40,25 +40,7 @@ let render_coord_reply ~codec (r : Coordinator.reply) =
         if r.Coordinator.columns = [] then []
         else [ String.concat "\t" r.Coordinator.columns ]
       in
-      let scores =
-        match r.Coordinator.scores with
-        | [] -> List.map (fun _ -> None) r.Coordinator.rows
-        | ss -> List.map Option.some ss
-      in
-      let rows =
-        List.map2
-          (fun row score ->
-            let cells =
-              Array.to_list (Array.map (Proto.render_cell codec) row)
-            in
-            let cells =
-              match score with
-              | None -> cells
-              | Some s -> cells @ [ Proto.render_score codec s ]
-            in
-            String.concat "\t" cells)
-          r.Coordinator.rows scores
-      in
+      let rows = Proto.render_rows codec r.Coordinator.rows r.Coordinator.scores in
       Proto.ok_response
         ~fields:(("rows", string_of_int (List.length rows)) :: fields)
         (header @ rows)

@@ -230,6 +230,188 @@ let prop_nary_equals_oracle =
       List.length e = List.length a
       && List.for_all2 (fun x y -> Test_util.floats_close ~eps:1e-7 x y) e a)
 
+(* --- the threshold polling rule ([Adaptive]) --- *)
+
+(* Random inputs for the polling properties: scores on a 1/8 grid (ties),
+   about one key in ten NULL and one score in 25 NaN, each stream in
+   descending [Float.compare] order (NaN last); input [empty], if any,
+   has no rows. *)
+let polling_case g ~m ~n ~domain ~empty =
+  Array.init m (fun i ->
+      if i = empty then []
+      else
+        List.init (1 + Rkutil.Prng.int g n) (fun id ->
+            let key =
+              if Rkutil.Prng.int g 10 = 0 then Value.Null
+              else Value.Int (Rkutil.Prng.int g domain)
+            in
+            let s =
+              if Rkutil.Prng.int g 25 = 0 then nan
+              else float_of_int (Rkutil.Prng.int g 9) /. 8.0
+            in
+            ([| Value.Int id; key; Value.Float s |], s))
+        |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a))
+
+(* Input [i] over [rows]; every pull is logged to [log] (newest first) as
+   the input and the score it returned, [None] at exhaustion. *)
+let logged_input log i rows =
+  let s =
+    Operator.scored_of_list
+      (Test_util.scored_schema (String.make 1 (Char.chr (Char.code 'A' + i))))
+      rows
+  in
+  {
+    Rank_join.stream =
+      {
+        s with
+        Operator.s_next =
+          (fun () ->
+            let r = s.Operator.s_next () in
+            log := (i, Option.map snd r) :: !log;
+            r);
+      };
+    key = (fun tu -> Tuple.get tu 1);
+  }
+
+(* Every join result's score by brute force, folded left in input order as
+   the operator folds it; the best [k] by [Float.compare] (NaN lowest). *)
+let brute_top_k case k =
+  let m = Array.length case in
+  let out = ref [] in
+  let rec go j key acc =
+    if j = m then out := acc :: !out
+    else
+      List.iter
+        (fun (tu, s) ->
+          let kx = Tuple.get tu 1 in
+          if
+            Join_key.joins kx
+            && match key with None -> true | Some k0 -> Value.equal k0 kx
+          then go (j + 1) (Some kx) (if j = 0 then s else acc +. s))
+        case.(j)
+  in
+  go 0 None 0.0;
+  List.filteri (fun i _ -> i < k) (List.sort (fun a b -> Float.compare b a) !out)
+
+let run_logged ~polling case k =
+  let log = ref [] in
+  let stream, stats =
+    Rank_join.hrjn ~polling ~combine:( +. )
+      ~inputs:(Array.to_list (Array.mapi (logged_input log) case))
+      ()
+  in
+  stream.Operator.s_open ();
+  let results = List.map snd (Operator.scored_take stream k) in
+  (results, List.rev !log, stats)
+
+let gen_polling_case =
+  QCheck.make
+    ~print:(fun (seed, m, k) -> Printf.sprintf "seed=%d m=%d k=%d" seed m k)
+    QCheck.Gen.(triple (int_range 0 99_999) (int_range 3 4) (int_range 1 15))
+
+let polling_case_of (seed, m, _) =
+  let g = Rkutil.Prng.create seed in
+  let n = if m = 3 then 30 else 16 in
+  let empty = if Rkutil.Prng.int g 10 = 0 then Rkutil.Prng.int g m else -1 in
+  polling_case g ~m ~n ~domain:(2 + Rkutil.Prng.int g 5) ~empty
+
+(* (a) Same answers as the brute-force join, in non-increasing order. *)
+let prop_threshold_polling_oracle =
+  QCheck.Test.make ~name:"threshold polling: top-k = oracle (ties, NULL, NaN)"
+    ~count:300 gen_polling_case (fun ((_, _, k) as params) ->
+      let case = polling_case_of params in
+      let results, _, _ = run_logged ~polling:Rank_join.Adaptive case k in
+      let sorted l = List.sort Float.compare l in
+      let rec non_increasing = function
+        | a :: (b :: _ as rest) -> Float.compare a b >= 0 && non_increasing rest
+        | _ -> true
+      in
+      List.equal
+        (fun a b -> Float.compare a b = 0)
+        (sorted (brute_top_k case k))
+        (sorted results)
+      && non_increasing results)
+
+(* (b) Replaying the pull log, each pull goes to the first live input that
+   has produced nothing, or else to the live input whose threshold term
+   (the left fold with last_i in place of top_i) is largest: a NaN term
+   first, then the lowest index among the equal maxima. *)
+let prop_threshold_polling_order =
+  QCheck.Test.make ~name:"threshold polling: pull order" ~count:300
+    gen_polling_case (fun ((_, m, k) as params) ->
+      let case = polling_case_of params in
+      let _, pulls, _ = run_logged ~polling:Rank_join.Adaptive case k in
+      let top = Array.make m nan and last = Array.make m nan in
+      let started = Array.make m false and finished = Array.make m false in
+      let live i = not finished.(i) in
+      let term i =
+        let part j = if j = i then last.(j) else top.(j) in
+        let acc = ref (part 0) in
+        for j = 1 to m - 1 do
+          acc := !acc +. part j
+        done;
+        !acc
+      in
+      let expected () =
+        let ids = List.init m Fun.id in
+        match List.find_opt (fun i -> live i && not started.(i)) ids with
+        | Some i -> i
+        | None -> (
+            let terms = List.filter_map (fun i -> if live i then Some (i, term i) else None) ids in
+            match List.find_opt (fun (_, t) -> Float.is_nan t) terms with
+            | Some (i, _) -> i
+            | None ->
+                let hi = List.fold_left (fun a (_, t) -> Float.max a t) neg_infinity terms in
+                fst (List.find (fun (_, t) -> t = hi) terms))
+      in
+      List.iteri
+        (fun n (i, r) ->
+          let e = expected () in
+          if i <> e then
+            QCheck.Test.fail_reportf "pull %d went to input %d, expected %d" n i e;
+          match r with
+          | None -> finished.(i) <- true
+          | Some s ->
+              if not started.(i) then begin
+                top.(i) <- s;
+                started.(i) <- true
+              end;
+              last.(i) <- s)
+        pulls;
+      true)
+
+(* (c) Skewed weights (72, 3, 85): the steep inputs stop early, the flat
+   one reads no deeper than round-robin reads it. *)
+let test_threshold_polling_skewed () =
+  let rels = make_relations ~m:3 ~n:3000 ~domain:1500 ~seed:61 () in
+  let case =
+    Array.of_list
+      (List.map2
+         (fun w rel ->
+           List.map
+             (fun (tu, s) -> (tu, w *. s))
+             (Operator.scored_to_list (scored_stream rel)))
+         [ 72.0; 3.0; 85.0 ] rels)
+  in
+  let run polling =
+    let results, _, stats = run_logged ~polling case 10 in
+    (results, Exec_stats.depths stats)
+  in
+  let alt, alt_depths = run Rank_join.Alternate in
+  let thr, thr_depths = run Rank_join.Adaptive in
+  Alcotest.(check (list (float 0.0))) "same answers" alt thr;
+  let total = Array.fold_left ( + ) 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "total depth %d < %d" (total thr_depths) (total alt_depths))
+    true
+    (total thr_depths < total alt_depths);
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "input %d: %d <= %d" i d alt_depths.(i))
+        true (d <= alt_depths.(i)))
+    thr_depths
+
 let suites =
   [
     ( "exec.rank_join_nary",
@@ -246,6 +428,10 @@ let suites =
         Alcotest.test_case "adaptive 3-way oracle" `Quick test_adaptive_matches_oracle;
         Alcotest.test_case "exact threshold" `Quick test_exact_threshold;
         QCheck_alcotest.to_alcotest prop_nary_equals_oracle;
+        QCheck_alcotest.to_alcotest prop_threshold_polling_oracle;
+        QCheck_alcotest.to_alcotest prop_threshold_polling_order;
+        Alcotest.test_case "threshold polling: skewed weights" `Quick
+          test_threshold_polling_skewed;
       ] );
   ]
 

@@ -737,12 +737,132 @@ let test_rankcheck_server_slice () =
     "executions checked" true
     (outcome.Check.Rankcheck.o_plans >= 3 * 4)
 
+(* Cell text: [Value.to_string] against the [Format] rendering it
+   replaced, over edge values and random bit patterns and bytes. *)
+let format_cell v =
+  let pp fmt = function
+    | Relalg.Value.Null -> Format.pp_print_string fmt "NULL"
+    | Int x -> Format.pp_print_int fmt x
+    | Float x -> Format.fprintf fmt "%g" x
+    | Str s -> Format.fprintf fmt "%S" s
+    | Bool b -> Format.pp_print_bool fmt b
+  in
+  Format.asprintf "%a" pp v
+
+let render_values =
+  let open Relalg.Value in
+  let g = Rkutil.Prng.create 5 in
+  [
+    Null; Int 0; Int (-1); Int min_int; Int max_int; Float 0.0; Float (-0.0);
+    Float nan; Float (Float.neg nan); Float infinity; Float neg_infinity;
+    Float 1e300; Float (-1e300); Float 5e-324; Float 0.1; Float 123456789.0;
+    Float 1e-5; Str ""; Str "plain"; Str "tab\there \"quoted\" back\\slash\n";
+    Str "\000\255\r\x7f"; Str "\xc3\xa9t\xc3\xa9"; Bool true; Bool false;
+  ]
+  @ List.init 500 (fun _ -> Float (Int64.float_of_bits (Rkutil.Prng.bits64 g)))
+  @ List.init 200 (fun _ -> Int (Int64.to_int (Rkutil.Prng.bits64 g)))
+  @ List.init 200 (fun _ ->
+        Str (String.init (Rkutil.Prng.int g 12) (fun _ -> Char.chr (Rkutil.Prng.int g 256))))
+
+let test_cell_text_matches_format () =
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (format_cell v) (format_cell v) (Relalg.Value.to_string v))
+    render_values
+
+(* The list-based row renderer [render_reply] used before it built rows in
+   one buffer, with [Format] cell text. *)
+let reference_reply codec (r : Server.Service.reply) =
+  let cell =
+    match codec with `Text -> format_cell | `Hex -> Storage.Persist.value_encode
+  in
+  let fields =
+    [
+      ("cached", if r.Server.Service.cached then "1" else "0");
+      ("reoptimized", if r.Server.Service.reoptimized then "1" else "0");
+      ("latency_ms", Printf.sprintf "%.3f" (r.Server.Service.latency_s *. 1000.0));
+    ]
+  in
+  let header =
+    if r.Server.Service.columns = [] then []
+    else [ String.concat "\t" r.Server.Service.columns ]
+  in
+  let scores =
+    match r.Server.Service.scores with
+    | [] -> List.map (fun _ -> None) r.Server.Service.rows
+    | ss -> List.map Option.some ss
+  in
+  let rows =
+    List.map2
+      (fun row score ->
+        let cells = Array.to_list (Array.map cell row) in
+        let cells =
+          match score with
+          | None -> cells
+          | Some s -> cells @ [ Server.Protocol.render_score codec s ]
+        in
+        String.concat "\t" cells)
+      r.Server.Service.rows scores
+  in
+  match r.Server.Service.affected with
+  | Some n ->
+      Server.Protocol.ok_response ~fields:(("affected", string_of_int n) :: fields) []
+  | None ->
+      Server.Protocol.ok_response
+        ~fields:(("rows", string_of_int (List.length r.Server.Service.rows)) :: fields)
+        (header @ rows)
+
+let test_render_reply_matches_reference () =
+  let vals = Array.of_list render_values in
+  let g = Rkutil.Prng.create 9 in
+  let row w = Array.init w (fun _ -> Rkutil.Prng.pick g vals) in
+  let reply ~columns ~rows ~scored =
+    {
+      Server.Service.columns;
+      rows;
+      scores =
+        (if scored then List.map (fun _ -> Rkutil.Prng.pick g [| 0.5; -0.0; nan; 1e300; 1.0 /. 3.0 |]) rows
+         else []);
+      affected = None;
+      cached = Rkutil.Prng.bool g;
+      reoptimized = false;
+      latency_s = 0.00123;
+    }
+  in
+  let replies =
+    [
+      reply ~columns:[] ~rows:[] ~scored:false;
+      reply ~columns:[ "A.id"; "B.id" ] ~rows:[] ~scored:true;
+      reply ~columns:[ "A.id" ] ~rows:(List.init 5 (fun _ -> row 1)) ~scored:false;
+      reply ~columns:[ "A.id" ] ~rows:(List.init 5 (fun _ -> row 1)) ~scored:true;
+      reply ~columns:[ "A.id"; "B.id"; "C.id" ] ~rows:(List.init 40 (fun _ -> row 3)) ~scored:false;
+      reply ~columns:[ "A.id"; "B.id" ] ~rows:(List.init 40 (fun _ -> row 2)) ~scored:true;
+      reply ~columns:[] ~rows:(List.init 7 (fun _ -> [||])) ~scored:true;
+      reply ~columns:[] ~rows:(List.init 3 (fun _ -> [||])) ~scored:false;
+      { (reply ~columns:[] ~rows:[] ~scored:false) with affected = Some 3 };
+    ]
+  in
+  List.iter
+    (fun codec ->
+      List.iteri
+        (fun i r ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "reply %d" i)
+            (Server.Protocol.render (reference_reply codec r))
+            (Server.Protocol.render (Server.Protocol.render_reply ~codec r)))
+        replies)
+    [ `Text; `Hex ]
+
 let suites =
   [
     ( "server protocol",
       [
         Alcotest.test_case "parse commands" `Quick test_protocol_parse;
         Alcotest.test_case "response round-trip" `Quick test_protocol_roundtrip;
+        Alcotest.test_case "cell text = Format rendering" `Quick
+          test_cell_text_matches_format;
+        Alcotest.test_case "render_reply = list renderer" `Quick
+          test_render_reply_matches_reference;
       ] );
     ( "plan cache",
       [
