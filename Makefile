@@ -22,11 +22,10 @@ fuzz: build
 bench:
 	dune exec bench/main.exe
 
-# Perf trajectory: serial-vs-parallel wall time for the drain-heavy query,
-# the early-out guard, and compact serve/lint rows. Appends one JSON row
-# per measurement to BENCH_RANKOPT.json (commit the rows you want to keep;
-# every row records `cores` so single-core CI numbers aren't read as
-# regressions against multicore rows).
+# Perf trajectory: wall time for the drain-heavy query and compact
+# serve/lint rows. Appends one JSON row per measurement to
+# BENCH_RANKOPT.json (commit the rows you want to keep; every row records
+# `cores`).
 bench-perf: build
 	dune exec bench/main.exe -- perf
 
@@ -80,7 +79,9 @@ bench-nary: build
 
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
 # `make ci` stays clean-tree. plan-smoke exits 1 when a three-way prepare
-# allocates more than twice its recorded minor words; nary-smoke exits 1
+# allocates more than twice its recorded minor words or when its plan
+# digest or memo generated/retained counts differ from the pinned ones;
+# nary-smoke exits 1
 # when the three-way top-10 statement reads deeper or buffers more than
 # the threshold polling rule does.
 bench-smoke: build
@@ -94,9 +95,10 @@ bench-smoke: build
 sweep-check: build
 	sh scripts/sweep_check.sh
 
-# Static plan analysis (planlint): run the rule catalog (PL01..PL15) over
-# the example query corpus and over a fixed slice of the fuzz corpus,
-# linting the optimizer's chosen plan and every MEMO-retained subplan.
+# Static plan analysis (planlint): run the rule catalog (PL01..PL15, PL11
+# retired) over the example query corpus and over a fixed slice of the
+# fuzz corpus, linting the optimizer's chosen plan and every MEMO-retained
+# subplan.
 # Exits nonzero on any error-severity diagnostic. Open-ended sweeps:
 #   make lint LINT_SEED=0 LINT_CASES=6000
 LINT_SEED ?= 0
@@ -137,9 +139,8 @@ shard-smoke: build
 # What CI runs: a full build + test pass, the static plan lint, the
 # fixed-seed concurrency-discipline sweep, the server and
 # shard-coordinator smoke tests, the perf smoke subset, and the pinned
-# sweeps (sweep-check): the plain fuzz sweep, a short 2-domain
-# degree-sweep hammer (parallel execution must match serial exactly), a
-# short sharded differential sweep (scattered execution must match
+# sweeps (sweep-check): the plain fuzz sweep, a short sharded
+# differential sweep (scattered execution must match
 # single-node tuple-exactly), a vectorized-execution sweep (batched
 # plans must match tuple-at-a-time bit-exactly, depth counters included),
 # a cursor-enumeration sweep (EXECUTE + FETCH prefixes must match the

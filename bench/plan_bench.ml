@@ -13,8 +13,10 @@
    identity: a change that keeps the digest chose the same plans.
 
    The smoke mode runs 3 weight vectors and exits 1 when a three-way
-   prepare allocates more than [words_budget]: twice the words measured
-   when the memo began comparing precomputed order keys and costs. *)
+   prepare allocates more than [words_budget] (twice the words measured
+   when the memo began comparing precomputed order keys and costs), or
+   when its plan digest or memo counts differ from the pinned ones: the
+   same statements must choose the same plans from the same memo. *)
 
 let bench_file = "BENCH_RANKOPT.json"
 
@@ -26,6 +28,13 @@ let ks = [ 10; 50; 200; 2000 ]
 let words_3way = 328_405
 
 let words_budget = 2 * words_3way
+
+(* The smoke run's plan digest and (arity, memo generated, memo retained)
+   per shape. A planner change that alters them on purpose records the new
+   values here. *)
+let smoke_digest = "f66bb71121b71616e8c7d3cb98cc8766"
+
+let smoke_memo = [ (2, 1356, 192); (3, 8082, 691) ]
 
 let sql weights k =
   match weights with
@@ -166,13 +175,30 @@ let run ?(smoke = false) () =
   print_endline row;
   if smoke then begin
     let three = List.find (fun s -> s.arity = 3) shapes in
+    let failed = ref false in
     if three.words > float_of_int words_budget then begin
       Printf.printf
         "plan-smoke: a 3-way prepare allocates %.0f minor words, over the \
          budget of %d\n"
         three.words words_budget;
-      exit 1
-    end
+      failed := true
+    end;
+    if digest <> smoke_digest then begin
+      Printf.printf "plan-smoke: plan digest %s, pinned %s\n" digest
+        smoke_digest;
+      failed := true
+    end;
+    List.iter
+      (fun (arity, generated, retained) ->
+        let s = List.find (fun s -> s.arity = arity) shapes in
+        if s.generated <> generated || s.retained <> retained then begin
+          Printf.printf
+            "plan-smoke: %d-way memo generated %d retained %d, pinned %d / %d\n"
+            arity s.generated s.retained generated retained;
+          failed := true
+        end)
+      smoke_memo;
+    if !failed then exit 1
   end
   else begin
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 bench_file in

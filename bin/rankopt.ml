@@ -245,7 +245,7 @@ let endpoint_of socket port host =
 
 let serve_cmd =
   let run verbose tables seed pool from_dir socket port host workers queue
-      cache timeout dop shards partition =
+      cache timeout shards partition =
     setup_logs verbose;
     let catalog = build_catalog ?from_dir tables seed pool in
     let config =
@@ -254,7 +254,6 @@ let serve_cmd =
         queue_capacity = queue;
         cache_capacity = cache;
         default_timeout_s = timeout;
-        dop;
       }
     in
     let endpoint = endpoint_of socket port host in
@@ -297,14 +296,6 @@ let serve_cmd =
     let doc = "Default per-statement deadline, seconds." in
     Arg.(value & opt float 30.0 & info [ "timeout" ] ~docv:"SECS" ~doc)
   in
-  let dop_arg =
-    let doc =
-      "Intra-query parallel degree: with N >= 2 the optimizer may place \
-       exchange operators whose morsel pumps share the worker pool. 1 \
-       keeps all plans serial."
-    in
-    Arg.(value & opt int 1 & info [ "dop" ] ~docv:"N" ~doc)
-  in
   let shards_arg =
     let doc =
       "Coordinator mode: partition the catalog across N in-process engine \
@@ -339,7 +330,7 @@ let serve_cmd =
       ret
         (const run $ verbose_arg $ tables_arg $ seed_arg $ pool_arg $ from_arg
        $ socket_arg $ port_arg $ host_arg $ workers_arg $ queue_arg $ cache_arg
-       $ timeout_arg $ dop_arg $ shards_arg $ partition_arg))
+       $ timeout_arg $ shards_arg $ partition_arg))
 
 let client_cmd =
   let run socket port host commands =
@@ -389,7 +380,7 @@ let client_cmd =
     Term.(ret (const run $ socket_arg $ port_arg $ host_arg $ commands_arg))
 
 let fuzz_cmd =
-  let run seed cases server_mode enum_mode rank_mode vector_mode degree shard =
+  let run seed cases server_mode enum_mode rank_mode vector_mode shard =
     let t0 = Unix.gettimeofday () in
     let progress i =
       if cases > 20 && i > 0 && i mod 50 = 0 then
@@ -418,29 +409,6 @@ let fuzz_cmd =
                   };
                 ];
             } )
-      | None -> (
-      match degree with
-      | Some d when d >= 2 ->
-          ( Printf.sprintf " (degree %d)" d,
-            Check.Rankcheck.run_degree ~progress ~seed ~cases ~degree:d () )
-      | Some d ->
-          ( "",
-            {
-              Check.Rankcheck.o_cases = 0;
-              o_plans = 0;
-              o_failures =
-                [
-                  {
-                    Check.Rankcheck.f_seed = seed;
-                    f_reason =
-                      Printf.sprintf "--degree %d: degree must be >= 2" d;
-                    f_plan = None;
-                    f_case = Check.Rankcheck.gen_case seed;
-                    f_replay =
-                      Printf.sprintf "rankopt fuzz --degree 2 --seed %d" seed;
-                  };
-                ];
-            } )
       | None ->
           if vector_mode then
             ( " (vector mode)",
@@ -451,7 +419,7 @@ let fuzz_cmd =
             (" (enum mode)", Check.Rankcheck.run_enum ~progress ~seed ~cases ())
           else if server_mode then
             (" (server mode)", Check.Rankcheck.run_server ~progress ~seed ~cases ())
-          else ("", Check.Rankcheck.run ~progress ~seed ~cases ()))
+          else ("", Check.Rankcheck.run ~progress ~seed ~cases ())
     in
     let dt = Unix.gettimeofday () -. t0 in
     List.iter
@@ -464,11 +432,10 @@ let fuzz_cmd =
       (seed + cases - 1)
       outcome.Check.Rankcheck.o_plans
       (if shard <> None then "sharded statements"
-       else if vector_mode && degree = None then "vectorized plan pairs"
-       else if rank_mode && degree = None then "window executions"
-       else if enum_mode && degree = None then "fetch prefixes"
-       else if server_mode && degree = None then "server executions"
-       else if degree <> None then "degree executions"
+       else if vector_mode then "vectorized plan pairs"
+       else if rank_mode then "window executions"
+       else if enum_mode then "fetch prefixes"
+       else if server_mode then "server executions"
        else "plans")
       (List.length outcome.Check.Rankcheck.o_failures)
       dt;
@@ -517,16 +484,6 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "vector" ] ~doc)
   in
-  let degree_arg =
-    let doc =
-      "Parallel-determinism sweep: plan each case with intra-query \
-       parallelism enabled at the given degree, execute the chosen plan \
-       at degree overrides 1/2/N/2N on a shared domain pool, and require \
-       bit-identical output at every degree (plus a score-multiset \
-       cross-check against an independently planned serial statement)."
-    in
-    Arg.(value & opt (some int) None & info [ "degree" ] ~docv:"N" ~doc)
-  in
   let shard_arg =
     let doc =
       "Distributed-coordinator sweep: run each generated top-k join both \
@@ -548,15 +505,14 @@ let fuzz_cmd =
      enumeration against a full-list oracle; with --rank, sweep by-rank \
      windows against a sort-everything oracle; with --vector, sweep \
      vectorized vs tuple-at-a-time execution of every retained plan; with \
-     --degree, sweep parallel-execution determinism; with --shard, sweep \
-     single-node vs sharded-coordinator equivalence."
+     --shard, sweep single-node vs sharded-coordinator equivalence."
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
       ret
         (const run $ seed_arg $ cases_arg $ server_arg $ enum_arg $ rank_arg
-       $ vector_arg $ degree_arg $ shard_arg))
+       $ vector_arg $ shard_arg))
 
 (* -- lint: the planlint static analyzer --------------------------------- *)
 
@@ -796,9 +752,7 @@ let sanitize_serve ~seed =
        (Rkutil.Prng.create (seed + 1))
        ~name:"B" ~n:300 ~key_domain:20 ());
   let ep = Server.Listener.Unix_socket path in
-  let config =
-    { Server.Service.default_config with workers = 2; dop = 2 }
-  in
+  let config = { Server.Service.default_config with workers = 2 } in
   let srv = Server.Listener.start ~config ep cat in
   let errors = Atomic.make 0 in
   let client tid =
@@ -867,8 +821,6 @@ let sanitize_cmd =
           if serve_errors > 0 then
             fail "serve mix: %d malformed replies" serve_errors;
           sweep "fuzz --server" (Check.Rankcheck.run_server ~seed ~cases ());
-          sweep "fuzz --degree 2"
-            (Check.Rankcheck.run_degree ~seed ~cases ~degree:2 ());
           sweep
             (Printf.sprintf "fuzz --shard %d" shards)
             (Check.Rankcheck.run_shard ~seed
@@ -917,7 +869,7 @@ let sanitize_cmd =
   in
   let doc =
     "Replay concurrency-heavy workloads (buffer-pool domain hammer, socket \
-     serve mix with graceful SHUTDOWN, fuzz --server/--degree/--shard \
+     serve mix with graceful SHUTDOWN, fuzz --server/--shard \
      slices) with every latch instrumented, and audit the traces against \
      the declared concurrency discipline: lock-order-graph acyclicity and \
      declared ranks (LK01/LK02), blocking-under-latch (LK03), guarded-state \

@@ -441,8 +441,6 @@ let depth_bounds catalog plan =
     | Core.Plan.Top_k { k; input } -> walk (min demand k) input
     | Core.Plan.Sort { input; _ } | Core.Plan.Filter { input; _ } ->
         walk max_int input
-    (* a gather drains its spine regardless of the consumer's demand *)
-    | Core.Plan.Exchange { input; _ } -> walk max_int input
     | Core.Plan.Table_scan _ | Core.Plan.Index_scan _
     | Core.Plan.Rank_index_scan _ | Core.Plan.Remote_scan _ ->
         ()
@@ -977,121 +975,6 @@ let run_server ?progress ~seed ~cases () =
     ~seed ~cases ()
 
 (* ------------------------------------------------------------------ *)
-(* Degree mode: parallel-execution determinism sweep                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Plan each case with intra-query parallelism enabled, then execute the
-   chosen plan at several degree overrides. Exchange operators are
-   order-preserving by construction (morsel-index gather, stable top-N
-   merge, arrival-order build chains), so the output must be *bit
-   identical* — same tuples, same scores, same order — at every degree,
-   including the forced-serial degree 1. A second, independently planned
-   serial statement cross-checks the score multiset, so a parallel plan
-   that is deterministic but wrong cannot pass. *)
-
-let rows_identical a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (t1, s1) (t2, s2) ->
-         Relalg.Tuple.equal t1 t2 && Float.compare s1 s2 = 0)
-       a b
-
-let check_case_degree ?pool ~degree case : (int, string * string option) result =
-  let degree = max 2 degree in
-  let catalog = build_catalog case in
-  match Sqlfront.Binder.bind_result catalog case.c_query with
-  | Error e -> Error (e, None)
-  | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
-  | Ok bound -> (
-      let query = bound.Sqlfront.Binder.logical in
-      let k = Option.value ~default:1 query.Core.Logical.k in
-      let env =
-        Core.Cost_model.default_env ~k_min:(min k 1000) ~dop:degree catalog
-          query
-      in
-      match Core.Optimizer.optimize ~env catalog query with
-      | exception e -> Error ("optimize raised: " ^ Printexc.to_string e, None)
-      | planned -> (
-          let desc = Some (Core.Plan.describe planned.Core.Optimizer.plan) in
-          match Core.Optimizer.execute ~degree:1 catalog planned with
-          | exception e ->
-              Error ("degree-1 execution raised: " ^ Printexc.to_string e, desc)
-          | reference -> (
-              let degrees =
-                List.sort_uniq compare [ 2; degree; 2 * degree ]
-              in
-              let rec sweep n = function
-                | [] -> Ok n
-                | d :: rest -> (
-                    match Core.Optimizer.execute ?pool ~degree:d catalog planned with
-                    | exception e ->
-                        Error
-                          ( Printf.sprintf "degree-%d execution raised: %s" d
-                              (Printexc.to_string e),
-                            desc )
-                    | res ->
-                        if
-                          rows_identical reference.Core.Executor.rows
-                            res.Core.Executor.rows
-                        then sweep (n + 1) rest
-                        else
-                          Error
-                            ( Printf.sprintf
-                                "degree %d diverges from degree 1: rows %d vs \
-                                 %d, or tuple order/scores differ"
-                                d
-                                (List.length res.Core.Executor.rows)
-                                (List.length reference.Core.Executor.rows),
-                              desc ))
-              in
-              match sweep 0 degrees with
-              | Error e -> Error e
-              | Ok n -> (
-                  (* Cross-check against an independently planned serial
-                     statement: catches deterministic-but-wrong plans. *)
-                  match
-                    let serial_env =
-                      Core.Cost_model.default_env ~k_min:(min k 1000) catalog
-                        query
-                    in
-                    let serial =
-                      Core.Optimizer.optimize ~env:serial_env catalog query
-                    in
-                    Core.Optimizer.execute catalog serial
-                  with
-                  | exception e ->
-                      Error
-                        ("serial cross-check raised: " ^ Printexc.to_string e,
-                         desc)
-                  | serial_res ->
-                      let a =
-                        sorted_desc
-                          (List.map snd reference.Core.Executor.rows)
-                      in
-                      let b =
-                        sorted_desc (List.map snd serial_res.Core.Executor.rows)
-                      in
-                      if
-                        List.length a = List.length b
-                        && List.for_all2 scores_close a b
-                      then Ok (n + 1)
-                      else
-                        Error
-                          ( Printf.sprintf
-                              "parallel plan disagrees with serial plan: %d \
-                               vs %d rows"
-                              (List.length a) (List.length b),
-                            desc )))))
-
-let run_degree ?progress ~seed ~cases ~degree () =
-  let pool = Rkutil.Task_pool.create ~domains:(max 2 degree) in
-  Fun.protect ~finally:(fun () -> Rkutil.Task_pool.shutdown pool) @@ fun () ->
-  sweep ?progress ~gen:gen_case ~check:(check_case_degree ~pool ~degree)
-    ~prefix:(Printf.sprintf "degree-mode(%d): " degree)
-    ~replay:(Printf.sprintf "rankopt fuzz --degree %d --seed %d --cases 1" degree)
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
 (* Vector mode: batched execution vs the tuple-at-a-time reference     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1106,6 +989,13 @@ let run_degree ?progress ~seed ~cases ~degree () =
    and emitted counts must also match exactly, proving the batching
    boundary never changes how far a rank join reads (Theorem 1/2
    accounting is untouched). *)
+
+let rows_identical a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (t1, s1) (t2, s2) ->
+         Relalg.Tuple.equal t1 t2 && Float.compare s1 s2 = 0)
+       a b
 
 let vector_stats_divergence label a b =
   let da = Exec.Exec_stats.depths a and db = Exec.Exec_stats.depths b in

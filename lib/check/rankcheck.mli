@@ -96,22 +96,6 @@ val run_server : ?progress:(int -> unit) -> seed:int -> cases:int -> unit -> out
 (** Like {!run}, but [o_plans] counts server executions checked (plus
     plan-cache entries audited). *)
 
-(** {2 Degree mode}
-
-    Intra-query-parallelism determinism sweep: plans each case with
-    exchange generation enabled ([env.dop = degree]), executes the chosen
-    plan at degree overrides 1, 2, [degree] and [2*degree] on a shared
-    domain pool, and asserts the output is {e bit identical} — same
-    tuples, same scores, same order — at every degree (exchanges are
-    order-preserving by construction). An independently planned serial
-    statement cross-checks the score multiset so a deterministic-but-wrong
-    parallel plan cannot pass. This is what [rankopt fuzz --degree N]
-    drives. *)
-
-val run_degree :
-  ?progress:(int -> unit) -> seed:int -> cases:int -> degree:int -> unit -> outcome
-(** Like {!run}, but [o_plans] counts degree executions compared. *)
-
 (** {2 Vector mode}
 
     Batched-execution differential check: every MEMO-retained plan of each

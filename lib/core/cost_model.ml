@@ -4,37 +4,29 @@ type env = {
   catalog : Storage.Catalog.t;
   query : Logical.t;
   k_min : int;
-  cpu_factor : float;
-  memory_tuples : int;
-  sort_fan_in : int;
-  nl_block_tuples : int;
   depth_mode : [ `Average | `Worst ];
-  dop : int;
-  exchange_startup : float;
-  remote_startup : float;
-  remote_row : float;
-  vector_cpu : float;
 }
 
-let default_env ?(k_min = 1) ?(cpu_factor = 0.002) ?(memory_tuples = 10_000)
-    ?(sort_fan_in = 8) ?(nl_block_tuples = 1000) ?(depth_mode = `Worst)
-    ?(dop = 1) ?(exchange_startup = 2.0) ?(remote_startup = 5.0)
-    ?(remote_row = 0.01) ?(vector_cpu = 1.0) catalog query =
-  {
-    catalog;
-    query;
-    k_min = max 1 k_min;
-    cpu_factor;
-    memory_tuples = max 2 memory_tuples;
-    sort_fan_in = max 2 sort_fan_in;
-    nl_block_tuples = max 1 nl_block_tuples;
-    depth_mode;
-    dop = max 1 dop;
-    exchange_startup = Float.max 0.0 exchange_startup;
-    remote_startup = Float.max 0.0 remote_startup;
-    remote_row = Float.max 0.0 remote_row;
-    vector_cpu = Float.max 0.0 vector_cpu;
-  }
+let default_env ?(k_min = 1) ?(depth_mode = `Worst) catalog query =
+  { catalog; query; k_min = max 1 k_min; depth_mode }
+
+(* I/O-unit cost of processing one tuple. *)
+let cpu_factor = 0.002
+
+(* The executor's sort memory and merge fan-in, and its nested-loops left
+   block, as the operators default them. *)
+let memory_tuples = Exec.Sort.default_memory_tuples
+
+let sort_fan_in = Exec.Sort.default_fan_in
+
+let nl_block_tuples = Exec.Join.default_block_size
+
+(* Per remote shard a gather touches (connection round-trip, shard-side
+   prepare), and per row pulled from it (wire encode / decode) on top of
+   [cpu_factor]. *)
+let remote_startup = 5.0
+
+let remote_row = 0.01
 
 type estimate = {
   rows : float;
@@ -157,24 +149,17 @@ let side_slab env score_expr ~rows =
 
 let frac rows x = if rows <= 0.0 then 1.0 else Rkutil.Mathx.clamp ~lo:0.0 ~hi:1.0 (x /. rows)
 
-(* [node child bulk env plan]: the estimate of [plan]'s root operator, each
-   of its inputs estimated by [child ctx input]. [bulk] mirrors the
-   executor's compilation context (see [Vectorize.any]) — when true and the
-   plan is a vector spine, its per-tuple CPU term is discounted by
-   [vector_cpu]. The default multiplier of 1.0 keeps the model's choices
-   identical to the tuple-at-a-time model; a measured discount can be
-   supplied per deployment. *)
-let rec node child bulk env plan =
+(* [node child env plan]: the estimate of [plan]'s root operator, each of
+   its inputs estimated by [child input]. *)
+let rec node child env plan =
   match plan with
   | Plan.Table_scan { table } ->
       let info = table_info env table in
       let rows = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_cardinality in
       let pages = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_pages in
-      (* A bare Table_scan is always a vector spine in a bulk context. *)
-      let cpu = if bulk then env.cpu_factor *. env.vector_cpu else env.cpu_factor in
       let cost_at x =
         let x = Float.min x rows in
-        (pages *. frac rows x) +. (cpu *. x)
+        (pages *. frac rows x) +. (cpu_factor *. x)
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = false }
   | Plan.Index_scan { table; index; _ } ->
@@ -195,7 +180,7 @@ let rec node child bulk env plan =
       let frames = float_of_int (Storage.Buffer_pool.frames (Storage.Catalog.pool env.catalog)) in
       let cost_at x =
         let x = Float.min x rows in
-        if clustered then height +. (x /. leaf_cap) +. (env.cpu_factor *. x)
+        if clustered then height +. (x /. leaf_cap) +. (cpu_factor *. x)
         else begin
           (* Unclustered: each entry fetches a heap page at random. With a
              pool that holds the whole table the cost is the distinct pages
@@ -207,7 +192,7 @@ let rec node child bulk env plan =
             if frames >= pages then touched
             else Float.max touched (x *. (1.0 -. (frames /. Float.max 1.0 pages)))
           in
-          height +. (x /. leaf_cap) +. io +. (env.cpu_factor *. x)
+          height +. (x /. leaf_cap) +. io +. (cpu_factor *. x)
         end
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = false }
@@ -249,17 +234,17 @@ let rec node child bulk env plan =
                 else Float.max touched (x *. (1.0 -. (frames /. Float.max 1.0 pages)))
               end
             in
-            height +. (x /. leaf_cap) +. heap_io +. (env.cpu_factor *. x)
+            height +. (x /. leaf_cap) +. heap_io +. (cpu_factor *. x)
           in
           { rows; total_cost = cost_at rows; cost_at; k_dependent = false }
       | None ->
           (* No order-statistic index: drain the heap, sort by score, slice
              the window. Blocking, so flat in x. *)
-          let scan = pages +. (env.cpu_factor *. card) in
+          let scan = pages +. (cpu_factor *. card) in
           let sort_cpu =
-            env.cpu_factor *. card *. log (Float.max 2.0 card) /. log 2.0
+            cpu_factor *. card *. log (Float.max 2.0 card) /. log 2.0
           in
-          let total = scan +. sort_cpu +. (env.cpu_factor *. rows) in
+          let total = scan +. sort_cpu +. (cpu_factor *. rows) in
           { rows; total_cost = total; cost_at = (fun _ -> total); k_dependent = false })
   | Plan.Remote_scan { tables; k_bound; score; _ } ->
       (* One shard's pushed subquery, seen from the coordinator: a startup
@@ -278,7 +263,7 @@ let rec node child bulk env plan =
       in
       let cost_at x =
         let x = Float.min x rows in
-        env.remote_startup +. ((env.remote_row +. env.cpu_factor) *. x)
+        remote_startup +. ((remote_row +. cpu_factor) *. x)
       in
       {
         rows;
@@ -287,7 +272,7 @@ let rec node child bulk env plan =
         k_dependent = Option.is_some score;
       }
   | Plan.Gather_merge { inputs; k; score } ->
-      let ests = List.map (child false) inputs in
+      let ests = List.map child inputs in
       let n = float_of_int (max 1 (List.length inputs)) in
       let sum_rows = List.fold_left (fun acc e -> acc +. e.rows) 0.0 ests in
       let rows =
@@ -304,7 +289,7 @@ let rec node child bulk env plan =
         let per_shard = (x /. n) +. 8.0 in
         List.fold_left
           (fun acc e -> acc +. e.cost_at (Float.min per_shard e.rows))
-          (env.cpu_factor *. x *. (log (Float.max 2.0 n) /. log 2.0))
+          (cpu_factor *. x *. (log (Float.max 2.0 n) /. log 2.0))
           ests
       in
       {
@@ -314,77 +299,42 @@ let rec node child bulk env plan =
         k_dependent = Option.is_some score;
       }
   | Plan.Filter { pred; input } ->
-      let i = child bulk input in
+      let i = child input in
       let sel = filter_selectivity env pred in
       let rows = i.rows *. sel in
-      let cpu =
-        if bulk && Vectorize.spine_ok plan then env.cpu_factor *. env.vector_cpu
-        else env.cpu_factor
-      in
       let cost_at x =
         let x = Float.min x rows in
         let need = if sel <= 0.0 then i.rows else Float.min i.rows (x /. sel) in
-        i.cost_at need +. (cpu *. need)
+        i.cost_at need +. (cpu_factor *. need)
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
   | Plan.Sort { input; _ } ->
-      (* A sort drains its input: always a bulk context below. *)
-      let i = child true input in
+      let i = child input in
       let rows = i.rows in
       let pages = rows /. tuples_per_page env in
       let extra_io =
-        if rows <= float_of_int env.memory_tuples then 0.0
+        if rows <= float_of_int memory_tuples then 0.0
         else begin
-          let runs = Float.ceil (rows /. float_of_int env.memory_tuples) in
+          let runs = Float.ceil (rows /. float_of_int memory_tuples) in
           let passes =
-            Float.ceil (log (Float.max 2.0 runs) /. log (float_of_int env.sort_fan_in))
+            Float.ceil (log (Float.max 2.0 runs) /. log (float_of_int sort_fan_in))
           in
           2.0 *. pages *. Float.max 1.0 passes
         end
       in
-      let cpu = env.cpu_factor *. rows *. log (Float.max 2.0 rows) /. log 2.0 in
+      let cpu = cpu_factor *. rows *. log (Float.max 2.0 rows) /. log 2.0 in
       let total = i.total_cost +. extra_io +. cpu in
       { rows; total_cost = total; cost_at = (fun _ -> total); k_dependent = false }
   | Plan.Top_k { k; input } ->
-      let child_bulk = match input with Plan.Sort _ -> bulk | _ -> false in
-      let i = child child_bulk input in
+      let i = child input in
       let kf = float_of_int k in
       let rows = Float.min kf i.rows in
       let cost_at x = i.cost_at (Float.min x rows) in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
   | Plan.Join { algo; cond; left; right; _ } ->
-      estimate_join child bulk env plan algo cond left right
-  | Plan.Exchange { dop; input } ->
-      (* Exchange workers compile their morsels tuple-at-a-time. *)
-      let i = child false input in
-      let d = float_of_int (max 1 dop) in
-      (* Off-spine subtrees (hash build sides, NL inners, INL probe paths)
-         are built once, by one worker; only the driving spine's work
-         divides by the degree. Startup charges pump scheduling, the
-         per-tuple term charges the slot/merge hand-off at the gather. *)
-      let serial =
-        List.fold_left
-          (fun acc p -> acc +. (est false env p).total_cost)
-          0.0
-          (Parallel.off_spine input)
-      in
-      let parallel = Float.max 0.0 (i.total_cost -. serial) in
-      let total =
-        env.exchange_startup +. serial +. (parallel /. d)
-        +. (env.cpu_factor *. i.rows)
-      in
-      (* A gather consumes whole morsels: there is no early-out below the
-         exchange, so the cost is flat in x. This is exactly how the
-         pipeline-breaking enters the k* rule: a serial incremental plan
-         with cost_at(k) below this flat line stays serial. *)
-      {
-        rows = i.rows;
-        total_cost = total;
-        cost_at = (fun _ -> total);
-        k_dependent = false;
-      }
+      estimate_join child env plan algo cond left right
   | Plan.Nary_rank_join { inputs; key; tables; _ } ->
-      let ests = List.map (child false) inputs in
+      let ests = List.map child inputs in
       let m = List.length inputs in
       (* Pairwise selectivity from the first adjacent pair (shared key, so
          all pairs estimate alike). *)
@@ -400,7 +350,7 @@ let rec node child bulk env plan =
         List.fold_left (fun acc e -> acc *. e.rows) 1.0 ests
         *. (s ** float_of_int (m - 1))
       in
-      let cpu = env.cpu_factor in
+      let cpu = cpu_factor in
       let cost_at x =
         let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
         let d = Depth_model.nary_uniform_depth ~m ~k:x ~s in
@@ -412,7 +362,7 @@ let rec node child bulk env plan =
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
   | Plan.Any_k { inputs; keys; _ } ->
-      let ests = List.map (child false) inputs in
+      let ests = List.map child inputs in
       let m = List.length inputs in
       (* One selectivity per join-tree edge; the acyclic output cardinality
          is the product of input cardinalities and edge selectivities. *)
@@ -431,7 +381,7 @@ let rec node child bulk env plan =
         List.fold_left (fun acc e -> acc *. e.rows) 1.0 ests
         *. List.fold_left (fun acc k -> acc *. edge_sel k) 1.0 keys
       in
-      let cpu = env.cpu_factor in
+      let cpu = cpu_factor in
       (* Build: every input materialized in full plus the per-bucket sort
          of the DP tables. Enumeration: a bounded per-result delay (heap
          pop + O(m) candidate expansions), flat in the answer's rank. *)
@@ -453,25 +403,14 @@ let rec node child bulk env plan =
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
 
-and estimate_join child bulk env plan algo cond left right =
-  (* Child contexts mirror the executor: hash joins drain both sides; a
-     block-NL join materializes its right; merge and INL joins inherit;
-     rank joins pull both sides incrementally. *)
-  let lbulk, rbulk =
-    match algo with
-    | Plan.Hash -> (true, true)
-    | Plan.Nested_loops -> (bulk, true)
-    | Plan.Sort_merge -> (bulk, bulk)
-    | Plan.Index_nl -> (bulk, false)
-    | Plan.Hrjn | Plan.Nrjn -> (false, false)
-  in
-  let l = child lbulk left and r = child rbulk right in
+and estimate_join child env plan algo cond left right =
+  let l = child left and r = child right in
   let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
   let rows = l.rows *. r.rows *. s in
-  let cpu = env.cpu_factor in
+  let cpu = cpu_factor in
   match algo with
   | Plan.Nested_loops ->
-      let blocks = Float.max 1.0 (Float.ceil (l.rows /. float_of_int env.nl_block_tuples)) in
+      let blocks = Float.max 1.0 (Float.ceil (l.rows /. float_of_int nl_block_tuples)) in
       let total =
         l.total_cost +. (blocks *. r.total_cost) +. (cpu *. l.rows *. r.rows)
       in
@@ -509,7 +448,7 @@ and estimate_join child bulk env plan algo cond left right =
       (* The executor's hash join spills Grace partitions when the build
          side exceeds memory: both inputs are then written and re-read. *)
       let spill_io =
-        if r.rows <= float_of_int env.memory_tuples then 0.0
+        if r.rows <= float_of_int memory_tuples then 0.0
         else 2.0 *. ((l.rows +. r.rows) /. tuples_per_page env)
       in
       let total =
@@ -604,13 +543,10 @@ and estimate_join child bulk env plan algo cond left right =
         +. (cpu *. ((outer *. r.rows) +. x))
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
-  [@@warning "-27"]
 
-and est bulk env plan = node (fun b p -> est b env p) bulk env plan
+let rec estimate env plan = node (estimate env) env plan
 
-let estimate env plan = est true env plan
-
-let estimate_with ~child ~bulk env plan = node child bulk env plan
+let estimate_with ~child env plan = node child env plan
 
 let rank_join_depths env plan ~k ~cond ~left ~right =
   let l = estimate env left and r = estimate env right in

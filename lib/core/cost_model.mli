@@ -6,7 +6,10 @@
     are pulled from them, via the estimated input depths of {!Depth_model}.
     Every estimate therefore carries both a total cost and a [cost_at]
     function; for blocking plans the two coincide. Costs are in page-I/O
-    units with a small CPU term. *)
+    units with a small CPU term (0.002 per tuple). Sort memory, merge
+    fan-in and the nested-loops block are the executor operators' own
+    defaults ({!Exec.Sort.default_memory_tuples},
+    {!Exec.Sort.default_fan_in}, {!Exec.Join.default_block_size}). *)
 
 open Relalg
 
@@ -14,48 +17,15 @@ type env = {
   catalog : Storage.Catalog.t;
   query : Logical.t;
   k_min : int;  (** The k of the query: minimum any subplan will be asked. *)
-  cpu_factor : float;  (** I/O-unit cost of processing one tuple. *)
-  memory_tuples : int;  (** Sort memory, in tuples. *)
-  sort_fan_in : int;
-  nl_block_tuples : int;
   depth_mode : [ `Average | `Worst ];
       (** Which closed form to use; default [`Worst] — the operator's
           threshold-based stopping tracks the certification (worst-case)
           bound, cf. EXPERIMENTS.md. *)
-  dop : int;
-      (** Workers available for intra-query parallelism; [1] (the
-          default) disables exchange generation entirely. *)
-  exchange_startup : float;
-      (** Fixed I/O-unit charge per exchange (pump scheduling, slot
-          setup): keeps small inputs serial. *)
-  remote_startup : float;
-      (** Fixed I/O-unit charge per remote shard touched by a gather
-          (connection round-trip, shard-side prepare). *)
-  remote_row : float;
-      (** Per-row transfer charge on a remote stream (wire encode /
-          decode), on top of [cpu_factor]. *)
-  vector_cpu : float;
-      (** Multiplier on [cpu_factor] where the executor vectorizes
-          ({!Vectorize.spine_ok} subplans in bulk contexts: scans and
-          filter stacks feeding sorts, hash joins and the fused top-k
-          sink). The default 1.0 is behaviourally neutral — plan choices
-          match the tuple-at-a-time model; a measured per-deployment
-          discount (e.g. 0.25) makes spine-heavy plans proportionally
-          cheaper. *)
 }
 
 val default_env :
   ?k_min:int ->
-  ?cpu_factor:float ->
-  ?memory_tuples:int ->
-  ?sort_fan_in:int ->
-  ?nl_block_tuples:int ->
   ?depth_mode:[ `Average | `Worst ] ->
-  ?dop:int ->
-  ?exchange_startup:float ->
-  ?remote_startup:float ->
-  ?remote_row:float ->
-  ?vector_cpu:float ->
   Storage.Catalog.t ->
   Logical.t ->
   env
@@ -72,14 +42,10 @@ type estimate = {
 }
 
 val estimate : env -> Plan.t -> estimate
-(** The plan's estimate in a bulk (draining) context, the context of a
-    plan's root. *)
 
-val estimate_with :
-  child:(bool -> Plan.t -> estimate) -> bulk:bool -> env -> Plan.t -> estimate
+val estimate_with : child:(Plan.t -> estimate) -> env -> Plan.t -> estimate
 (** The estimate of the plan's root operator alone: each input is
-    estimated by [child bulk input], with [bulk] the context the operator
-    gives that input. [estimate env p] is [estimate_with ~bulk:true env p]
+    estimated by [child input]. [estimate env p] is [estimate_with env p]
     with a [child] that recurses the same way. The optimizer's memo passes
     a [child] that returns the stored estimates of subplans it already
     holds, so a candidate costs one node, not its whole subtree. *)

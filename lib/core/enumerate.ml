@@ -3,10 +3,8 @@
 
    A plan is *resumable* when the stream under its Top-k sink produces the
    query's exact scoring order and keeps producing when pulled past k:
-   rank joins, anyK and a final Sort qualify; anything containing an
-   exchange does not (gathers drain whole morsels, and the fused parallel
-   top-N keeps only k per worker), nor does a nested Top-k (it truncates
-   the stream). *)
+   rank joins, anyK and a final Sort qualify; a nested Top-k does not (it
+   truncates the stream). *)
 
 open Relalg
 
@@ -150,17 +148,14 @@ let rec has_topk = function
   | Plan.Remote_scan _ | Plan.Gather_merge _ ->
       false
   | Plan.Top_k _ -> true
-  | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Exchange { input; _ }
-    ->
-      has_topk input
+  | Plan.Filter { input; _ } | Plan.Sort { input; _ } -> has_topk input
   | Plan.Join { left; right; _ } -> has_topk left || has_topk right
   | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
       List.exists has_topk inputs
 
 (* Can [p] (a stream with no Top-k above it) back a cursor? *)
 let resumable (query : Logical.t) p =
-  (not (Parallel.has_exchange p))
-  && (not (has_topk p))
+  (not (has_topk p))
   &&
   match Logical.scoring_expr query with
   | None -> false

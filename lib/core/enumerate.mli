@@ -10,10 +10,8 @@
 
     A plan is {e resumable} when the stream under its root Top-k produces
     the query's exact scoring order and keeps producing when pulled past
-    k. Rank joins, anyK and a final [Sort] qualify. Anything containing an
-    [Exchange] does not (the gather drains whole morsels and the fused
-    parallel top-N keeps only k per worker), nor does a nested [Top_k]
-    (it truncates the stream at its own k). *)
+    k. Rank joins, anyK and a final [Sort] qualify; a nested [Top_k] does
+    not (it truncates the stream at its own k). *)
 
 type shape = [ `Path | `Star ]
 
@@ -34,7 +32,7 @@ val any_k_plan : Logical.t -> Plan.t option
 
 val resumable : Logical.t -> Plan.t -> bool
 (** Can this stream (a plan with its root Top-k already stripped) back a
-    cursor? True when it is exchange-free, Top-k-free, and its output
+    cursor? True when it is Top-k-free and its output
     order satisfies the query's descending total score. *)
 
 val eligible : Logical.t -> Plan.t -> bool

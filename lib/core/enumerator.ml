@@ -221,55 +221,10 @@ let run ?(config = default_config) env =
     if Memo.add memo ~first_rows:config.first_rows ~key sp then
       !retain_hook env ~key sp
   in
-  (* Parallel variants (env.dop > 1): an exchange over every morselizable
-     retained plan, plus blocking sort enforcers over the cheapest exchange
-     so ranked orders gain a parallel alternative (fused into per-worker
-     top-k by the optimizer's post-pass). An exchange is blocking, so with
-     [first_rows] it can never prune a serial pipelined plan: rank-join
-     spines keep their incremental inputs and the k* rule arbitrates. *)
-  let exchange_pass mask names =
-    if env.Cost_model.dop > 1 then begin
-      let dop = env.Cost_model.dop in
-      List.iter
-        (fun sp ->
-          if Parallel.spine_ok sp.Memo.plan then
-            add ~children:[ sp ] mask (Plan.Exchange { dop; input = sp.Memo.plan }))
-        (Memo.plans memo mask);
-      let exchanges =
-        List.filter
-          (fun sp ->
-            match sp.Memo.plan with Plan.Exchange _ -> true | _ -> false)
-          (Memo.plans memo mask)
-      in
-      match exchanges with
-      | [] -> ()
-      | first :: rest ->
-          let cheapest =
-            List.fold_left
-              (fun acc sp ->
-                if
-                  sp.Memo.est.Cost_model.total_cost
-                  < acc.Memo.est.Cost_model.total_cost
-                then sp
-                else acc)
-              first rest
-          in
-          List.iter
-            (fun (o : Interesting_orders.interesting_order) ->
-              add ~children:[ cheapest ] mask
-                (Plan.Sort
-                   {
-                     order = order_of_interesting o;
-                     input = cheapest.Memo.plan;
-                   }))
-            (Interesting_orders.for_subset interesting names)
-    end
-  in
   (* Level 1: access paths. *)
   Array.iteri
     (fun i b -> List.iter (add (1 lsl i)) (access_plans env config interesting b))
     rels;
-  Array.iteri (fun i b -> exchange_pass (1 lsl i) [ b.Logical.name ]) rels;
   (* Levels 2..n: joins of connected subsets. *)
   for mask = 1 to (1 lsl n) - 1 do
     if popcount mask >= 2 then begin
@@ -330,8 +285,7 @@ let run ?(config = default_config) env =
                 add ~children:[ cheapest ] mask
                   (Plan.Sort { order = want; input = cheapest.Memo.plan })
             | _ -> ())
-          applicable;
-        exchange_pass mask names
+          applicable
       end
     end
   done;

@@ -103,7 +103,6 @@ let node_label = function
         (if order.Plan.direction = Interesting_orders.Desc then "DESC" else "ASC")
   | Plan.Top_k { k; _ } -> Printf.sprintf "Top-%d" k
   | Plan.Join { algo; _ } -> Plan.algo_name algo
-  | Plan.Exchange { dop; _ } -> Printf.sprintf "Gather[%d]" dop
   | Plan.Nary_rank_join { inputs; _ } ->
       Printf.sprintf "HRJN*[%d]" (List.length inputs)
   | Plan.Any_k { inputs; _ } ->
@@ -111,8 +110,7 @@ let node_label = function
 
 exception Interrupted
 
-let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
-    catalog plan =
+let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
   let rank_nodes = ref [] in
   let nary_nodes = ref [] in
   (* Cooperative cancellation: when an interrupt predicate is supplied
@@ -325,166 +323,6 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
         in
         let child, prof = go child_ctx (child_ann ann 0) input in
         instrument plan stats (Exec.Basic_ops.limit ~stats k child) [ prof ]
-    | Plan.Exchange { dop; input } ->
-        let dop = match degree with Some d -> max 1 d | None -> max 1 dop in
-        let stats = Exec.Exec_stats.create (dop + 1) in
-        let morsel_pages = 4 in
-        let morsel_tuples = morsel_pages * Storage.Catalog.tuples_per_page catalog in
-        (* Off-spine subplans (hash builds, NL inners) run once, serially,
-           inside this worker; compile them without metrics — the exchange
-           reports as a single leaf node. *)
-        let serial p =
-          let op, _, _, _ = compile ?interrupt ~vectorized:false catalog p in
-          op
-        in
-        let drain op = Exec.Operator.to_list op in
-        (* Morselize the driving spine: (n_morsels, factory). The factory
-           must be domain-safe: each call builds a fresh operator over
-           shared read-only state. *)
-        let rec spine p : int * (int -> Exec.Operator.t) =
-          match p with
-          | Plan.Table_scan { table } ->
-              let info = Storage.Catalog.table catalog table in
-              let npages = Storage.Heap_file.n_pages info.Storage.Catalog.tb_heap in
-              let n = (npages + morsel_pages - 1) / morsel_pages in
-              ( n,
-                fun i ->
-                  Exec.Scan.heap_range info ~lo:(i * morsel_pages)
-                    ~hi:(min npages ((i + 1) * morsel_pages)) )
-          | Plan.Index_scan { table; index; desc; _ } ->
-              (* B+-tree iteration isn't page-partitionable; materialize
-                 the ordered leaf sequence once at prepare and slice it. *)
-              let ix = find_index catalog table index in
-              let op =
-                if desc then Exec.Scan.index_desc catalog ix
-                else Exec.Scan.index_asc catalog ix
-              in
-              let schema = op.Exec.Operator.schema in
-              let tuples = Array.of_list (drain op) in
-              let len = Array.length tuples in
-              let n = (len + morsel_tuples - 1) / morsel_tuples in
-              ( n,
-                fun i ->
-                  let lo = i * morsel_tuples in
-                  let hi = min len (lo + morsel_tuples) in
-                  Exec.Operator.of_list schema
-                    (Array.to_list (Array.sub tuples lo (hi - lo))) )
-          | Plan.Filter { pred; input } ->
-              let n, f = spine input in
-              (n, fun i -> Exec.Basic_ops.filter pred (f i))
-          | Plan.Join { algo; cond; left; right; _ } -> (
-              let lt = cond.Logical.left_table
-              and lc = cond.Logical.left_column in
-              let rt = cond.Logical.right_table
-              and rc = cond.Logical.right_column in
-              let n, lf = spine left in
-              match algo with
-              | Plan.Hash ->
-                  (* Shared build: morsel-parallel partitioned hash of the
-                     right side; every probe morsel reads the same frozen
-                     tables. Probe order per left tuple matches the serial
-                     in-memory hash join (chains in arrival order). *)
-                  let right_schema = Plan.schema_of catalog right in
-                  let rkey =
-                    Expr.compile right_schema (Expr.col ~relation:rt rc)
-                  in
-                  let rn, rf =
-                    if Parallel.spine_ok right then spine right
-                    else (1, fun _ -> serial right)
-                  in
-                  let lookup =
-                    Exec.Exchange.partitioned_build ?pool ~dop
-                      ~partitions:(max 8 dop) ~key:rkey ~n:rn
-                      ~run:(fun i -> drain (rf i))
-                      ~cancel:(Atomic.make false) ()
-                  in
-                  ( n,
-                    fun i ->
-                      Exec.Join.index_nested_loops
-                        ~left_key:(Expr.col ~relation:lt lc)
-                        ~right_schema ~lookup (lf i) )
-              | Plan.Index_nl ->
-                  let info = Storage.Catalog.table catalog rt in
-                  let ix =
-                    match
-                      Storage.Catalog.find_index_on_expr catalog ~table:rt
-                        (Expr.col ~relation:rt rc)
-                    with
-                    | Some ix -> ix
-                    | None -> invalid_arg "Executor: INL join without index"
-                  in
-                  let rec right_preds = function
-                    | Plan.Filter { pred; input } -> pred :: right_preds input
-                    | _ -> []
-                  in
-                  let lookup =
-                    match right_preds right with
-                    | [] -> Exec.Scan.index_probe catalog ix
-                    | preds ->
-                        let keep =
-                          List.map
-                            (Expr.compile_bool info.Storage.Catalog.tb_schema)
-                            preds
-                        in
-                        fun key ->
-                          List.filter
-                            (fun tu -> List.for_all (fun p -> p tu) keep)
-                            (Exec.Scan.index_probe catalog ix key)
-                  in
-                  ( n,
-                    fun i ->
-                      Exec.Join.index_nested_loops
-                        ~left_key:(Expr.col ~relation:lt lc)
-                        ~right_schema:info.Storage.Catalog.tb_schema ~lookup
-                        (lf i) )
-              | Plan.Nested_loops ->
-                  let rop = serial right in
-                  let rschema = rop.Exec.Operator.schema in
-                  let rtuples = drain rop in
-                  let pred = Expr.(col ~relation:lt lc = col ~relation:rt rc) in
-                  ( n,
-                    fun i ->
-                      Exec.Join.nested_loops ~pred (lf i)
-                        (Exec.Operator.of_list rschema rtuples) )
-              | Plan.Sort_merge | Plan.Hrjn | Plan.Nrjn ->
-                  invalid_arg "Executor: join not morselizable under Exchange")
-          | Plan.Sort _ | Plan.Top_k _ | Plan.Exchange _ | Plan.Nary_rank_join _
-          | Plan.Any_k _ | Plan.Rank_index_scan _ | Plan.Remote_scan _
-          | Plan.Gather_merge _ ->
-              invalid_arg "Executor: operator not morselizable under Exchange"
-        in
-        let source sp =
-          {
-            Exec.Exchange.src_schema = Plan.schema_of catalog sp;
-            src_prepare =
-              (fun ~cancel ->
-                let n, f = spine sp in
-                let wrap op =
-                  let op = guard op in
-                  let next = op.Exec.Operator.next in
-                  {
-                    op with
-                    Exec.Operator.next =
-                      (fun () -> if cancel () then None else next ());
-                  }
-                in
-                {
-                  Exec.Exchange.n_morsels = n;
-                  run_morsel = (fun i -> drain (wrap (f i)));
-                });
-          }
-        in
-        let op =
-          match input with
-          | Plan.Top_k { k; input = Plan.Sort { order; input = sp } }
-            when order.Plan.direction = Interesting_orders.Desc
-                 && Parallel.spine_ok sp ->
-              let schema = Plan.schema_of catalog sp in
-              let score = Expr.compile_float schema order.Plan.expr in
-              Exec.Exchange.top_n ?pool ~stats ~dop ~k ~score (source sp)
-          | sp -> Exec.Exchange.gather ?pool ~stats ~dop (source sp)
-        in
-        instrument plan stats op []
     | Plan.Nary_rank_join { inputs; scores; key; tables } ->
         let stats = Exec.Exec_stats.create (List.length inputs) in
         let compiled =
@@ -670,10 +508,9 @@ let rec compile ?hints ?metrics ?interrupt ?pool ?degree ?(vectorized = true)
   let op, profile = go `Bulk hints plan in
   (op, List.rev !rank_nodes, List.rev !nary_nodes, profile)
 
-let run ?hints ?metrics ?interrupt ?pool ?degree ?vectorized ?fetch_limit
-    catalog plan =
+let run ?hints ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
   let op, rank_nodes, nary_nodes, profile =
-    compile ?hints ?metrics ?interrupt ?pool ?degree ?vectorized catalog plan
+    compile ?hints ?metrics ?interrupt ?vectorized catalog plan
   in
   let schema = op.Exec.Operator.schema in
   let score =
@@ -711,13 +548,11 @@ let rec strip_topk = function
   | Plan.Top_k { input; _ } -> strip_topk input
   | p -> p
 
-let open_cursor ?hints ?interrupt ?pool ?degree catalog plan =
+let open_cursor ?hints ?interrupt catalog plan =
   let plan = strip_topk plan in
   (* A cursor pulls incrementally and may never be drained: batching would
      over-read, so the whole plan compiles tuple-at-a-time. *)
-  let op, _, _, _ =
-    compile ?hints ?interrupt ?pool ?degree ~vectorized:false catalog plan
-  in
+  let op, _, _, _ = compile ?hints ?interrupt ~vectorized:false catalog plan in
   let schema = op.Exec.Operator.schema in
   let score =
     match Plan.order_of plan with

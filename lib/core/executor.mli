@@ -50,8 +50,6 @@ val compile :
   ?hints:Propagate.annotation ->
   ?metrics:Exec.Metrics.t ->
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   ?vectorized:bool ->
   Storage.Catalog.t ->
   Plan.t ->
@@ -65,17 +63,10 @@ val compile :
     registry is supplied, every operator is registered and I/O-scoped, and
     the matching [profile] tree is returned.
 
-    Exchange nodes schedule their morsels on [pool] (in-process when
-    absent: the gathering consumer runs every morsel itself, preserving
-    the exact parallel semantics at degree-of-one speed). [degree]
-    overrides the planned degree of {e every} exchange in the plan —
-    the determinism sweeps rely on the output being bit-identical across
-    overrides.
-
     [vectorized] (default [true]) runs the plan's {!Vectorize.spine_ok}
     regions batch-at-a-time on columnar batches with selection vectors,
     handing tuples back to streaming consumers at sink boundaries; rank
-    joins, sorts, top-k heaps and exchanges are untouched. Tuple-exact:
+    joins, sorts and top-k heaps are untouched. Tuple-exact:
     same rows, same order, same rank-join depths, same buffer-pool
     charges; per-operator depth/emitted totals match at batch granularity
     (identical after a full drain). [~vectorized:false] forces the classic
@@ -86,8 +77,6 @@ val run :
   ?hints:Propagate.annotation ->
   ?metrics:Exec.Metrics.t ->
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   ?vectorized:bool ->
   ?fetch_limit:int ->
   Storage.Catalog.t ->
@@ -125,8 +114,6 @@ val canonical_compare : int array -> Tuple.t -> Tuple.t -> int
 val open_cursor :
   ?hints:Propagate.annotation ->
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   Storage.Catalog.t ->
   Plan.t ->
   cursor

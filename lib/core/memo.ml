@@ -4,23 +4,20 @@ type subplan = {
   order : Plan.order option;
   key : Plan.order_key option;
   pipelined : bool;
-  dop : int;
   vectorized : bool;
   at_k_min : float;
   at_full : float;
-  streamed : Cost_model.estimate Lazy.t;
 }
 
 let subplan_of ?(children = []) env plan =
-  (* A subtree that is one of [children] takes its stored estimate for the
-     context the operator above gives it; anything else is costed node by
-     node the same way. *)
-  let rec child bulk p =
+  (* A subtree that is one of [children] takes its stored estimate;
+     anything else is costed node by node the same way. *)
+  let rec child p =
     match List.find_opt (fun c -> c.plan == p) children with
-    | Some c -> if bulk then c.est else Lazy.force c.streamed
-    | None -> Cost_model.estimate_with ~child ~bulk env p
+    | Some c -> c.est
+    | None -> Cost_model.estimate_with ~child env p
   in
-  let est = Cost_model.estimate_with ~child ~bulk:true env plan in
+  let est = Cost_model.estimate_with ~child env plan in
   let order = Plan.order_of plan in
   {
     plan;
@@ -28,14 +25,12 @@ let subplan_of ?(children = []) env plan =
     order;
     key = Option.map Plan.order_key order;
     pipelined = Plan.pipelined plan;
-    dop = Plan.dop plan;
     vectorized = Vectorize.vectorized plan;
     at_k_min = est.Cost_model.cost_at (float_of_int env.Cost_model.k_min);
     at_full =
       (if est.Cost_model.k_dependent then
          est.Cost_model.cost_at (Float.max 1.0 est.Cost_model.rows)
        else est.Cost_model.total_cost);
-    streamed = lazy (Cost_model.estimate_with ~child ~bulk:false env plan);
   }
 
 type t = {

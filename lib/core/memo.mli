@@ -15,23 +15,19 @@
 
 type subplan = {
   plan : Plan.t;
-  est : Cost_model.estimate;  (** In a bulk context, as {!Cost_model.estimate}. *)
+  est : Cost_model.estimate;  (** As {!Cost_model.estimate}. *)
   order : Plan.order option;
   key : Plan.order_key option;  (** [order]'s key, for dominance tests. *)
   pipelined : bool;
-  dop : int;  (** Degree-of-parallelism property bit: [Plan.dop plan]. *)
   vectorized : bool;
       (** Vectorized-execution property bit: {!Vectorize.vectorized}
           — whether the executor runs any of the plan batch-at-a-time.
-          Stored (like [dop]) so EXPLAIN, the plan cache and planlint's
-          PL15 see the property the plan was costed with. *)
+          Stored so EXPLAIN, the plan cache and planlint's PL15 see the
+          property of the plan the memo kept. *)
   at_k_min : float;  (** [est.cost_at k_min]: the {!decision_cost}. *)
   at_full : float;
       (** [est.cost_at (max 1 rows)] for a k-dependent plan, its total
           cost otherwise: what a rank plan costs at full output. *)
-  streamed : Cost_model.estimate Lazy.t;
-      (** The estimate in a streaming (non-bulk) context, the one rank
-          joins and any-k give their inputs. *)
 }
 
 val subplan_of : ?children:subplan list -> Cost_model.env -> Plan.t -> subplan

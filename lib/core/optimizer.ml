@@ -226,23 +226,16 @@ let optimize ?(config = Enumerator.default_config) ?env catalog query =
           m "chose %s (cost %.1f, %s)" (Plan.describe sp.Memo.plan)
             sp.Memo.est.Cost_model.total_cost
             (if Plan.has_rank_join sp.Memo.plan then "rank-aware" else "traditional"));
-      (* The k-interval is derived against the memo's retained candidates,
-         so compute it on the pre-fusion plan; then apply the top-N fusion
-         rewrite (output-preserving, never slower) and re-estimate. *)
-      let k_validity = k_validity_of env result sp in
-      let plan = Parallel.fuse_topk sp.Memo.plan in
-      let est =
-        if plan == sp.Memo.plan then sp.Memo.est else Cost_model.estimate env plan
-      in
+      let plan = sp.Memo.plan in
       let p =
         {
           query;
           plan;
-          est;
+          est = sp.Memo.est;
           stats = result.Enumerator.stats;
           interesting = result.Enumerator.interesting;
           env;
-          k_validity;
+          k_validity = k_validity_of env result sp;
           enumerable = Enumerate.eligible query plan;
         }
       in
@@ -259,8 +252,6 @@ let rebind_k planned k =
       let plan =
         match planned.plan with
         | Plan.Top_k { input; _ } -> Plan.Top_k { k; input }
-        | Plan.Exchange { dop; input = Plan.Top_k { input; _ } } ->
-            Plan.Exchange { dop; input = Plan.Top_k { k; input } }
         | p -> p
       in
       let env = { planned.env with Cost_model.query; k_min = k } in
@@ -272,16 +263,15 @@ let propagation planned =
       Some (Propagate.run planned.env ~k planned.plan)
   | _ -> None
 
-let execute ?interrupt ?pool ?degree ?vectorized ?fetch_limit catalog planned =
-  Executor.run ?hints:(propagation planned) ?interrupt ?pool ?degree
-    ?vectorized ?fetch_limit catalog planned.plan
+let execute ?interrupt ?vectorized ?fetch_limit catalog planned =
+  Executor.run ?hints:(propagation planned) ?interrupt ?vectorized ?fetch_limit
+    catalog planned.plan
 
-let execute_analyzed ?pool ?degree ?vectorized ?fetch_limit catalog planned =
+let execute_analyzed ?vectorized ?fetch_limit catalog planned =
   let hints = propagation planned in
   let metrics = Exec.Metrics.create (Storage.Catalog.io catalog) in
   let result =
-    Executor.run ?hints ~metrics ?pool ?degree ?vectorized ?fetch_limit catalog
-      planned.plan
+    Executor.run ?hints ~metrics ?vectorized ?fetch_limit catalog planned.plan
   in
   let profile =
     match result.Executor.profile with
@@ -290,10 +280,8 @@ let execute_analyzed ?pool ?degree ?vectorized ?fetch_limit catalog planned =
   in
   (Analyze.render ~env:planned.env ?hints profile, result)
 
-let explain_analyze ?pool ?degree ?vectorized ?fetch_limit catalog planned =
-  let tree, result =
-    execute_analyzed ?pool ?degree ?vectorized ?fetch_limit catalog planned
-  in
+let explain_analyze ?vectorized ?fetch_limit catalog planned =
+  let tree, result = execute_analyzed ?vectorized ?fetch_limit catalog planned in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "Query: %s\n" (Format.asprintf "%a" Logical.pp planned.query));

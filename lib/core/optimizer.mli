@@ -58,8 +58,6 @@ val rebind_k : planned -> int -> planned
 
 val execute :
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   ?vectorized:bool ->
   ?fetch_limit:int ->
   Storage.Catalog.t ->
@@ -67,10 +65,9 @@ val execute :
   Executor.run_result
 (** Run the chosen plan. For ranking queries the plan already contains the
     Top-k limit. [interrupt] is the cooperative deadline hook, checked at
-    operator [next()] boundaries (see {!Executor.run}). [pool] and
-    [degree] control exchange execution; [vectorized] (default on)
-    selects batch-at-a-time execution of the plan's vector spines (see
-    {!Executor.compile}). *)
+    operator [next()] boundaries (see {!Executor.run}). [vectorized]
+    (default on) selects batch-at-a-time execution of the plan's vector
+    spines (see {!Executor.compile}). *)
 
 val run_query :
   ?config:Enumerator.config ->
@@ -83,8 +80,6 @@ val explain : planned -> string
 (** Human-readable plan with cost, properties and depth propagation. *)
 
 val execute_analyzed :
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   ?vectorized:bool ->
   ?fetch_limit:int ->
   Storage.Catalog.t ->
@@ -95,8 +90,6 @@ val execute_analyzed :
     predictions, and actual vs estimated I/O. *)
 
 val explain_analyze :
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   ?vectorized:bool ->
   ?fetch_limit:int ->
   Storage.Catalog.t ->

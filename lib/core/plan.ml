@@ -58,7 +58,6 @@ type t =
       right_score : Expr.t option;
     }
   | Top_k of { k : int; input : t }
-  | Exchange of { dop : int; input : t }
   | Nary_rank_join of {
       inputs : t list;
       scores : Expr.t list;
@@ -132,7 +131,6 @@ let rec order_of = function
   | Join { algo = Hash | Index_nl; left; _ } -> order_of left
   | Join { algo = Nested_loops; _ } -> None
   | Top_k { input; _ } -> order_of input
-  | Exchange { input; _ } -> order_of input
   | Nary_rank_join { scores; _ } | Any_k { scores; _ } ->
       Some
         {
@@ -159,9 +157,6 @@ let rec pipelined = function
   | Join { algo = Hrjn; left; right; _ } -> pipelined left && pipelined right
   | Join { algo = Nrjn; left; _ } -> pipelined left
   | Top_k { input; _ } -> pipelined input
-  (* an exchange drains its parallel producers: first results wait on
-     whole morsels, so it breaks the pipeline property *)
-  | Exchange _ -> false
   | Nary_rank_join { inputs; _ } -> List.for_all pipelined inputs
   (* anyK materializes and indexes its inputs before the first answer *)
   | Any_k _ -> false
@@ -173,35 +168,17 @@ let rec relations = function
   (* every shard serves the same relations; report one copy *)
   | Gather_merge { inputs; _ } -> (
       match inputs with first :: _ -> relations first | [] -> [])
-  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ }
-  | Exchange { input; _ } ->
+  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       relations input
   | Join { left; right; _ } -> relations left @ relations right
   | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } ->
       List.concat_map relations inputs
 
-(* Degree of parallelism: the widest exchange in the tree (1 = serial).
-   A plan property like order and pipelining: stored in the memo, audited
-   by planlint (PL11). *)
-let rec dop = function
-  (* inter-shard parallelism is not an Exchange: dop tracks intra-shard
-     morsel width, the gather's fan-out is its own axis *)
-  | Table_scan _ | Index_scan _ | Rank_index_scan _ | Remote_scan _
-  | Gather_merge _ ->
-      1
-  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
-      dop input
-  | Exchange { dop = d; input } -> max d (dop input)
-  | Join { left; right; _ } -> max (dop left) (dop right)
-  | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } ->
-      List.fold_left (fun acc i -> max acc (dop i)) 1 inputs
-
 let rec has_rank_join = function
   | Table_scan _ | Index_scan _ | Rank_index_scan _ | Remote_scan _
   | Gather_merge _ ->
       false
-  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ }
-  | Exchange { input; _ } ->
+  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       has_rank_join input
   | Join { algo = Hrjn | Nrjn; _ } -> true
   | Join { left; right; _ } -> has_rank_join left || has_rank_join right
@@ -212,8 +189,7 @@ let rec join_count = function
   | Table_scan _ | Index_scan _ | Rank_index_scan _ | Remote_scan _
   | Gather_merge _ ->
       0
-  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ }
-  | Exchange { input; _ } ->
+  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       join_count input
   | Join { left; right; _ } -> 1 + join_count left + join_count right
   | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } ->
@@ -248,8 +224,7 @@ let rec schema_of catalog = function
       match inputs with
       | first :: _ -> schema_of catalog first
       | [] -> invalid_arg "Plan.schema_of: empty gather")
-  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ }
-  | Exchange { input; _ } ->
+  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       schema_of catalog input
   | Join { left; right; _ } ->
       Schema.concat (schema_of catalog left) (schema_of catalog right)
@@ -290,7 +265,6 @@ let rec describe = function
   | Join { algo; left; right; _ } ->
       Printf.sprintf "%s(%s,%s)" (algo_name algo) (describe left) (describe right)
   | Top_k { k; input } -> Printf.sprintf "Top%d(%s)" k (describe input)
-  | Exchange { dop; input } -> Printf.sprintf "Ex%d(%s)" dop (describe input)
   | Nary_rank_join { inputs; _ } ->
       Printf.sprintf "HRJN*(%s)" (String.concat "," (List.map describe inputs))
   | Any_k { inputs; shape; _ } ->
@@ -353,9 +327,6 @@ let pp fmt plan =
         go (indent + 2) right
     | Top_k { k; input } ->
         Format.fprintf fmt "%sTopK k=%d@." pad k;
-        go (indent + 2) input
-    | Exchange { dop; input } ->
-        Format.fprintf fmt "%sExchange dop=%d@." pad dop;
         go (indent + 2) input
     | Nary_rank_join { inputs; key; scores; _ } ->
         Format.fprintf fmt "%sHRJN* on shared key %s  [rank: %a]@." pad key

@@ -74,14 +74,6 @@ type t =
     }
   | Top_k of { k : int; input : t }
       (** Stop after [k] results from a ranked input. *)
-  | Exchange of { dop : int; input : t }
-      (** Morsel-driven parallel execution of [input] on [dop] workers,
-          gathered in morsel order (output is degree-invariant). Breaks
-          pipelining: results arrive a whole morsel at a time, so the k*
-          rule decides when a parallel drain beats a serial incremental
-          plan. When [input] is [Top_k (Sort ...)] the executor fuses the
-          pair into a parallel top-N with per-worker local top-k merged
-          at the gather. *)
   | Nary_rank_join of {
       inputs : t list;  (** Each ordered on its own score expression. *)
       scores : Expr.t list;  (** Per-input weighted score expressions. *)
@@ -143,10 +135,6 @@ val pipelined : t -> bool
     inputs. [Sort] is blocking; rank-joins are "almost non-blocking" and
     count as pipelined (Section 2.2); a hash join is pipelined in its probe
     (left) input. *)
-
-val dop : t -> int
-(** Degree-of-parallelism property: the widest [Exchange] in the tree,
-    [1] for a fully serial plan. *)
 
 val relations : t -> string list
 (** Base relations covered by the plan, in schema order. *)

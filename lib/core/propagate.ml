@@ -29,16 +29,6 @@ let rec annotate env plan required =
       let sel = Cost_model.filter_selectivity env pred in
       let need = if sel <= 0.0 then infinity else required /. sel in
       { node = plan; required; depths = None; children = [ annotate env input need ] }
-  | Plan.Exchange { input; _ } ->
-      (* A gather drains its producers regardless of how much the consumer
-         takes: the child owes its full output. *)
-      let child_est = Cost_model.estimate env input in
-      {
-        node = plan;
-        required;
-        depths = None;
-        children = [ annotate env input child_est.Cost_model.rows ];
-      }
   | Plan.Sort { input; _ } ->
       (* Blocking: the child must produce everything. *)
       let child_est = Cost_model.estimate env input in
@@ -150,7 +140,6 @@ let pp fmt ann =
       | Plan.Sort _ -> "Sort"
       | Plan.Join { algo; _ } -> Plan.algo_name algo
       | Plan.Top_k { k; _ } -> Printf.sprintf "TopK k=%d" k
-      | Plan.Exchange { dop; _ } -> Printf.sprintf "Exchange dop=%d" dop
       | Plan.Nary_rank_join { inputs; _ } ->
           Printf.sprintf "HRJN* (%d-way)" (List.length inputs)
       | Plan.Any_k { inputs; _ } ->

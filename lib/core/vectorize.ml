@@ -3,11 +3,10 @@
 
    The executor batches a *vector spine*: a Table_scan leaf, any stack of
    Filters, and in-memory-probed Hash joins whose LEFT input continues the
-   spine and whose right (build) side is an ordinary serial subplan. Index
+   spine and whose right (build) side is a rank-join-free subplan. Index
    scans stay tuple-at-a-time (a B+-tree walk is inherently per-tuple, and
    scored index scans feed early-out consumers that must not over-read), as
-   do rank joins, sorts, top-k heaps and everything under an Exchange (its
-   workers compile their morsels serially). Batches flow upward until a
+   do rank joins, sorts and top-k heaps. Batches flow upward until a
    sink boundary, where an adapter restores the GetNext interface — or into
    the fused vectorized top-k sink when the plan ends in Top_k over Sort
    over a spine.
@@ -16,13 +15,11 @@
    PL15 checks the memo's stored bit against this recompute, so any change
    here must ship with the matching executor change (and vice versa). *)
 
-let serial_ok p = not (Plan.has_rank_join p) && not (Parallel.has_exchange p)
-
 let rec spine_ok = function
   | Plan.Table_scan _ -> true
   | Plan.Filter { input; _ } -> spine_ok input
   | Plan.Join { algo = Plan.Hash; left; right; _ } ->
-      spine_ok left && serial_ok right
+      spine_ok left && not (Plan.has_rank_join right)
   | _ -> false
 
 let fused_sink = function
@@ -40,7 +37,6 @@ let rec any bulk p =
     | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
     | Plan.Remote_scan _ | Plan.Gather_merge _ ->
         false
-    | Plan.Exchange _ -> false (* workers compile serially *)
     | Plan.Filter { input; _ } -> any bulk input
     | Plan.Sort { input; _ } -> any true input (* sorts drain: always bulk below *)
     | Plan.Top_k { input = Plan.Sort _ as s; _ } -> any bulk s

@@ -23,8 +23,8 @@ val note_depth : t -> int -> int -> unit
 
 val add_depth : t -> int -> int -> unit
 (** [add_depth t i n]: add [n] tuples to input [i] in one step — bulk
-    accounting for exchange workers that count a whole morsel at once
-    (callers serialize updates; the record itself is not domain-safe). *)
+    accounting for the vectorized operators, which count a whole batch at
+    once. *)
 
 val bump_emitted : t -> unit
 

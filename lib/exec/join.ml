@@ -34,7 +34,9 @@ let emitting stats (op : Operator.t) : Operator.t =
         | None -> None);
   }
 
-let nested_loops ?stats ?(block_size = 1000) ~pred (left : Operator.t)
+let default_block_size = 1000
+
+let nested_loops ?stats ?(block_size = default_block_size) ~pred (left : Operator.t)
     (right : Operator.t) : Operator.t =
   let stats = stats_or stats 2 in
   let left = tap stats 0 left and right = tap stats 1 right in

@@ -13,6 +13,10 @@
 
 open Relalg
 
+val default_block_size : int
+(** 1000: the executor's nested-loops left block, in tuples, and the cost
+    model's. *)
+
 val nested_loops :
   ?stats:Exec_stats.t ->
   ?block_size:int ->
@@ -22,7 +26,7 @@ val nested_loops :
   Operator.t
 (** Block nested loops under an arbitrary predicate over the concatenated
     schema. The right input is re-opened once per left block
-    (default block size 1000 tuples). *)
+    (default {!default_block_size} tuples). *)
 
 val index_nested_loops :
   ?stats:Exec_stats.t ->

@@ -22,25 +22,6 @@ let heap ?stats (info : Catalog.table_info) : Operator.t =
     close = (fun () -> cursor := fun () -> None);
   }
 
-let heap_range ?stats (info : Catalog.table_info) ~lo ~hi : Operator.t =
-  let stats = stats_or stats in
-  let cursor = ref (fun () -> None) in
-  {
-    schema = info.tb_schema;
-    open_ =
-      (fun () ->
-        Exec_stats.reset stats;
-        cursor := Heap_file.scan_pages info.tb_heap ~lo ~hi);
-    next =
-      (fun () ->
-        match !cursor () with
-        | Some tu ->
-            Exec_stats.bump_emitted stats;
-            Some tu
-        | None -> None);
-    close = (fun () -> cursor := fun () -> None);
-  }
-
 let index_with ?stats ~direction catalog (ix : Catalog.index_info) : Operator.t =
   let stats = stats_or stats in
   let info = Catalog.table catalog ix.Catalog.ix_table in

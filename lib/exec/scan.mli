@@ -9,12 +9,6 @@ open Storage
 val heap : ?stats:Exec_stats.t -> Catalog.table_info -> Operator.t
 (** Full table scan through the buffer pool. *)
 
-val heap_range :
-  ?stats:Exec_stats.t -> Catalog.table_info -> lo:int -> hi:int -> Operator.t
-(** Morsel scan: the tuples of heap pages [\[lo, hi)] in storage order
-    (see {!Storage.Heap_file.scan_pages}). Safe to run concurrently with
-    other readers of the same table. *)
-
 val index_asc : ?stats:Exec_stats.t -> Catalog.t -> Catalog.index_info -> Operator.t
 (** Full index scan in ascending key order. Unclustered indexes resolve each
     entry through the heap (a random page access per tuple). *)

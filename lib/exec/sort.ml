@@ -8,7 +8,12 @@ type budget = {
   fan_in : int;
 }
 
-let budget ?(memory_tuples = 10_000) ?(tuples_per_page = 50) ?(fan_in = 8) pool =
+let default_memory_tuples = 10_000
+
+let default_fan_in = 8
+
+let budget ?(memory_tuples = default_memory_tuples) ?(tuples_per_page = 50)
+    ?(fan_in = default_fan_in) pool =
   {
     pool;
     memory_tuples = max 2 memory_tuples;

@@ -16,9 +16,17 @@ type budget = {
   fan_in : int;  (** Max runs merged per pass. *)
 }
 
+val default_memory_tuples : int
+(** 10_000: the executor's sort and hash-join memory, and the cost
+    model's. *)
+
+val default_fan_in : int
+(** 8: the executor's merge fan-in, and the cost model's. *)
+
 val budget :
   ?memory_tuples:int -> ?tuples_per_page:int -> ?fan_in:int -> Buffer_pool.t -> budget
-(** Defaults: 10_000 in-memory tuples, 50 tuples/page, fan-in 8. *)
+(** Defaults: {!default_memory_tuples} in-memory tuples, 50 tuples/page,
+    {!default_fan_in}. *)
 
 val by_cmp :
   ?stats:Exec_stats.t -> budget -> cmp:(Tuple.t -> Tuple.t -> int) -> Operator.t -> Operator.t

@@ -2,12 +2,11 @@ module Cost_model = Core.Cost_model
 
 let errors ds = List.filter Diag.is_error ds
 
-let structural ?query ?dop ?vectorized catalog plan =
+let structural ?query ?vectorized catalog plan =
   let facts = Walk.derive catalog plan in
   Rules.schema_rule catalog facts
   @ Rules.order_rule facts
   @ Rules.pipeline_rule facts
-  @ Rules.exchange_rule ?dop facts
   @ Rules.vector_rule ?vectorized facts
   @ Rules.rank_rule catalog facts
   @ Rules.shard_rule facts
@@ -31,8 +30,8 @@ let lint_plan ?query ?env catalog plan =
 let lint_subplan env ?key (sp : Core.Memo.subplan) =
   let catalog = env.Cost_model.catalog in
   Diag.sort
-    (structural ~query:env.Cost_model.query ~dop:sp.Core.Memo.dop
-       ~vectorized:sp.Core.Memo.vectorized catalog sp.Core.Memo.plan
+    (structural ~query:env.Cost_model.query ~vectorized:sp.Core.Memo.vectorized
+       catalog sp.Core.Memo.plan
     @ Rules.subplan_rule env ?key sp)
 
 let lint_memo env memo =

@@ -17,7 +17,7 @@ val lint_subplan :
   Core.Cost_model.env -> ?key:int -> Core.Memo.subplan -> Diag.t list
 (** What the emit-time mode runs per retained plan: the structural rules
     plus filter preservation against [env]'s query and the property-bit
-    checks (PL03/PL08/PL11/PL15) against the stored subplan record. *)
+    checks (PL03/PL08/PL15) against the stored subplan record. *)
 
 val lint_memo : Core.Cost_model.env -> Core.Memo.t -> Diag.t list
 (** Every retained subplan of every entry, plus memo hygiene (PL08). *)

@@ -19,11 +19,10 @@ let catalog =
     ("PL08-memo", "memo entries are valid masks and retained property bits match recomputation");
     ("PL09-topk", "a ranking plan is one Top-k over a justified scoring order; k-interval is sane");
     ("PL10-cache", "plan-cache keys are canonical and bound k lies in the variant's interval");
-    ("PL11-exchange", "exchanges sit on morselizable spines with a parallel degree; DOP bits match");
     ("PL12-enum", "the Enumerate bit matches recomputed cursor-resumability; anyK shapes are sound");
     ("PL13-rank", "a by-rank scan's window is sane and its claimed order is justified by an order-statistic index on the scored column");
     ("PL14-shard", "a gather-merge sits over distinct same-score remote shard streams, each bounded at k' >= the gather's k");
-    ("PL15-vector", "batched regions (vector spines, fused top-k sink) contain no rank join or exchange; the Vectorized bit matches recomputation");
+    ("PL15-vector", "batched regions (vector spines, fused top-k sink) contain no rank join; the Vectorized bit matches recomputation");
   ]
 
 let d rule ?hint path fmt = Printf.ksprintf (fun m -> Diag.make ~rule ?hint ~path m) fmt
@@ -110,7 +109,6 @@ let schema_node catalog (f : Walk.facts) =
           | Error msg -> [ d rule01 path "sort key: %s" msg ]))
   | Plan.Top_k { k; _ } ->
       if k >= 0 then [] else [ d rule01 path "negative k (%d)" k ]
-  | Plan.Exchange _ -> [] (* placement soundness is PL11's finding *)
   | Plan.Join { algo; cond; left_score; right_score; _ } ->
       let lkey = Expr.col ~relation:cond.Logical.left_table cond.Logical.left_column in
       let rkey = Expr.col ~relation:cond.Logical.right_table cond.Logical.right_column in
@@ -565,10 +563,8 @@ let depth_rule env plan =
            | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
            | Plan.Remote_scan _ ->
                []
-           | Plan.Filter { input; _ }
-           | Plan.Sort { input; _ }
-           | Plan.Top_k { input; _ }
-           | Plan.Exchange { input; _ } ->
+           | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ }
+             ->
                [ (input, "input") ]
            | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
            | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
@@ -694,11 +690,6 @@ let cost_rule env plan =
             ~child_floor:(est input).Cost_model.total_cost e
           @ rows_leq input "sort"
       | Plan.Top_k { input; _ } -> check_estimate ~path e @ rows_leq input "Top-k"
-      | Plan.Exchange { input; _ } ->
-          (* no child floor: the spine's cost genuinely divides across
-             workers, so an exchange legitimately undercuts its input's
-             serial total *)
-          check_estimate ~path e @ rows_leq input "exchange"
       | Plan.Join { algo; left; right; _ } ->
           let l = est left and r = est right in
           let floor =
@@ -739,10 +730,8 @@ let cost_rule env plan =
            | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
            | Plan.Remote_scan _ ->
                []
-           | Plan.Filter { input; _ }
-           | Plan.Sort { input; _ }
-           | Plan.Top_k { input; _ }
-           | Plan.Exchange { input; _ } ->
+           | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ }
+             ->
                [ (input, "input") ]
            | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
            | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
@@ -844,8 +833,7 @@ let memo_rule env memo =
               let rec spine = function
                 | Plan.Filter { input; _ }
                 | Plan.Sort { input; _ }
-                | Plan.Top_k { input; _ }
-                | Plan.Exchange { input; _ } ->
+                | Plan.Top_k { input; _ } ->
                     spine input
                 | p -> p
               in
@@ -885,9 +873,7 @@ let rec count_topk = function
       0
   | Plan.Gather_merge { inputs; _ } ->
       List.fold_left (fun acc i -> acc + count_topk i) 0 inputs
-  | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Exchange { input; _ }
-    ->
-      count_topk input
+  | Plan.Filter { input; _ } | Plan.Sort { input; _ } -> count_topk input
   | Plan.Top_k { input; _ } -> 1 + count_topk input
   | Plan.Join { left; right; _ } -> count_topk left + count_topk right
   | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
@@ -948,14 +934,7 @@ let topk_rule (p : Core.Optimizer.planned) =
       in
       containment
       @
-      (* the optimizer's fusion post-pass may push the root Top-k under an
-         exchange (per-worker local top-k); the shape requirement applies
-         to the plan modulo that rewrite *)
-      match
-        (match p.Core.Optimizer.plan with
-        | Plan.Exchange { input = Plan.Top_k _ as t; _ } -> t
-        | r -> r)
-      with
+      match p.Core.Optimizer.plan with
       | Plan.Top_k { k = plan_k; input } ->
           (if plan_k = k then []
            else
@@ -1057,62 +1036,6 @@ let cache_entry_rule ~key ~epoch (prepared : Sqlfront.Sql.prepared) =
   epoch_check @ canonical @ interval @ containment
 
 (* ------------------------------------------------------------------ *)
-(* PL11-exchange *)
-
-let rule11 = "PL11-exchange"
-
-let exchange_node (f : Walk.facts) =
-  let path = f.Walk.path in
-  match f.Walk.plan with
-  | Plan.Exchange { dop; input } ->
-      (if dop >= 2 then []
-       else
-         [
-           d rule11 path
-             ~hint:"a serial exchange is pure overhead; plan it away instead"
-             "exchange degree %d is not parallel" dop;
-         ])
-      @ (if not (Plan.has_rank_join input) then []
-         else
-           [
-             d rule11 path
-               ~hint:
-                 "rank joins must stay sequential and incremental; they may \
-                  pull from an exchange, never run inside one"
-               "exchange over a rank join breaks incremental early-out";
-           ])
-      @ (if not (Core.Parallel.has_exchange input) then []
-         else [ d rule11 path "nested exchange" ])
-      @
-      if Core.Parallel.eligible input then []
-      else
-        [
-          d rule11 path
-            ~hint:
-              "morselizable shapes: a scan/filter/hash/INL/NL left spine \
-               with serial right sides, or Top-k over Sort over one"
-            "exchange input %s is not a morselizable spine"
-            (Plan.describe input);
-        ]
-  | _ -> []
-
-let exchange_rule ?dop facts =
-  let per_node = Walk.fold (fun acc f -> acc @ exchange_node f) [] facts in
-  per_node
-  @
-  (* the memo/cache property bit must match a recomputation over the
-     retained plan shape *)
-  match dop with
-  | Some bit when bit <> Plan.dop facts.Walk.plan ->
-      [
-        d rule11 facts.Walk.path
-          ~hint:"the DOP property bit disagrees with the plan shape"
-          "stored degree-of-parallelism bit is %d but the plan's is %d" bit
-          (Plan.dop facts.Walk.plan);
-      ]
-  | _ -> []
-
-(* ------------------------------------------------------------------ *)
 (* PL12-enum *)
 
 let rule12 = "PL12-enum"
@@ -1149,7 +1072,7 @@ let check_enumerate_bit ~path ~query ~recomputed bit =
       d rule12 path
         ~hint:
           "a cursor over this statement would resume a non-resumable sink \
-           (exchange, nested Top-k, or an unjustified scoring order)"
+           (nested Top-k, or an unjustified scoring order)"
         "Enumerate bit set but the plan is not cursor-resumable";
     ]
   else
@@ -1174,15 +1097,13 @@ let enumerate_rule (p : Core.Optimizer.planned) =
   (* Independent justification: when the bit is set, the stream under the
      root Top-k must produce the scoring order by the walker's own
      derivation (not Plan.order_of, which the Enumerate recomputation
-     already trusts) and must be exchange- and Top-k-free. *)
+     already trusts) and must be Top-k-free. *)
   let sink_check =
     if not p.Core.Optimizer.enumerable then []
     else
       match plan with
       | Plan.Top_k { input; _ } ->
-          (if not (Core.Parallel.has_exchange input) then []
-           else [ d rule12 path "Enumerate over an exchange (morsel drain)" ])
-          @ (if count_topk input = 0 then []
+          (if count_topk input = 0 then []
              else [ d rule12 path "Enumerate over a nested Top-k" ])
           @
           let produced = (Walk.derive catalog input).Walk.produced in
@@ -1418,28 +1339,21 @@ let rule15 = "PL15-vector"
    batch-at-a-time exactly when {!Core.Vectorize.spine_ok} holds (scans and
    filter stacks, optionally stacked through hash-join probes) or when the
    root is the fused sort+limit top-k sink. Both regions must be free of
-   rank joins and exchanges: a rank join inside a batched region would see
-   its incremental early-out (Theorem 1/2 depth accounting) quantized to
-   batch boundaries, and an exchange would morselize a spine the vector
-   operators already own. The predicates here are the claims; the
-   has-rank-join / has-exchange facts are recomputed independently, so a
-   future widening of [spine_ok] that swallows a streaming sink is caught
-   the moment any plan exercises it. *)
-let check_vector_spine ~path ~spine ~fused ~has_rank_join ~has_exchange =
-  let bad region what =
+   rank joins: a rank join inside a batched region would see its
+   incremental early-out (Theorem 1/2 depth accounting) quantized to batch
+   boundaries. The predicates here are the claims; the has-rank-join fact
+   is recomputed independently, so a future widening of [spine_ok] that
+   swallows a streaming sink is caught the moment any plan exercises it. *)
+let check_vector_spine ~path ~spine ~fused ~has_rank_join =
+  let bad region =
     d rule15 path
       ~hint:
-        "rank joins and exchanges must stay streaming: batching them would \
-         quantize rank-join early-out depths to batch boundaries"
-      "%s claims batched execution but contains %s" region what
+        "rank joins must stay streaming: batching them would quantize \
+         rank-join early-out depths to batch boundaries"
+      "%s claims batched execution but contains a rank join" region
   in
-  (if spine && has_rank_join then [ bad "vector spine" "a rank join" ] else [])
-  @ (if spine && has_exchange then [ bad "vector spine" "an exchange" ] else [])
-  @ (if fused && has_rank_join then
-       [ bad "fused top-k sink" "a rank join" ]
-     else [])
-  @ if fused && has_exchange then [ bad "fused top-k sink" "an exchange" ]
-    else []
+  (if spine && has_rank_join then [ bad "vector spine" ] else [])
+  @ if fused && has_rank_join then [ bad "fused top-k sink" ] else []
 
 let vector_node (f : Walk.facts) =
   let plan = f.Walk.plan in
@@ -1447,7 +1361,6 @@ let vector_node (f : Walk.facts) =
     ~spine:(Core.Vectorize.spine_ok plan)
     ~fused:(Core.Vectorize.fused_sink plan)
     ~has_rank_join:(Plan.has_rank_join plan)
-    ~has_exchange:(Core.Parallel.has_exchange plan)
 
 let check_vector_bit ~path ~recomputed bit =
   if bit = recomputed then []

@@ -1,4 +1,5 @@
-(** The planlint rule catalog (PL01–PL15).
+(** The planlint rule catalog (PL01–PL15; PL11, exchange placement, was
+    retired with intra-query parallelism and its ID is not reused).
 
     Each rule checks one optimizer invariant and reports violations as
     {!Diag.t} values. Rules come in two layers: pure checkers over plain
@@ -117,16 +118,6 @@ val cache_entry_rule :
     bound [k] lies inside the variant's validity interval, and the interval
     endpoints are sane. *)
 
-(** {2 PL11-exchange — exchange placement soundness} *)
-
-val exchange_rule : ?dop:int -> Walk.facts -> Diag.t list
-(** Every exchange has a parallel degree (≥ 2), sits on a morselizable
-    spine ({!Core.Parallel.eligible}), contains no rank join (which must
-    stay sequential for incremental early-out — they may pull {e from} an
-    exchange, never run inside one) and no nested exchange. When a stored
-    [dop] property bit is supplied (memo/cache) it must equal
-    {!Core.Plan.dop} of the plan. *)
-
 (** {2 PL12-enum — Enumerate-bit / cursor-resumability consistency} *)
 
 val check_enumerate_bit :
@@ -141,7 +132,7 @@ val check_enumerate_bit :
 val enumerate_rule : Core.Optimizer.planned -> Diag.t list
 (** Driver: the planned statement's Enumerate bit matches recomputation;
     when set, the stream under the root Top-k is independently verified
-    resumable (no exchange, no nested Top-k, walker-justified scoring
+    resumable (no nested Top-k, walker-justified scoring
     order) — no cursor may be kept open over a non-resumable sink. Every
     anyK node's shape bit must describe its key bindings' parents. *)
 
@@ -175,8 +166,8 @@ val shard_rule : Walk.facts -> Diag.t list
 (** {2 PL15-vector — batched/streaming boundary soundness}
 
     The executor runs {!Core.Vectorize.spine_ok} subplans and the fused
-    sort+limit top-k sink batch-at-a-time; rank joins and exchanges must
-    never fall inside such a region (batching would quantize rank-join
+    sort+limit top-k sink batch-at-a-time; rank joins must never fall
+    inside such a region (batching would quantize rank-join
     early-out depths to batch boundaries), and the [Vectorized] property
     bit stored in the MEMO must match recomputation over the plan
     shape. *)
@@ -186,11 +177,10 @@ val check_vector_spine :
   spine:bool ->
   fused:bool ->
   has_rank_join:bool ->
-  has_exchange:bool ->
   Diag.t list
 (** Pure checker over the claims and independently derived facts: a
     claimed batched region ([spine] or [fused]) must not contain a rank
-    join or an exchange. *)
+    join. *)
 
 val check_vector_bit : path:string -> recomputed:bool -> bool -> Diag.t list
 (** Pure checker: the stored Vectorized property bit equals the recomputed

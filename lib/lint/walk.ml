@@ -80,9 +80,6 @@ let produced_order plan child_orders =
           Some { Plan.expr = e; direction = Io.Desc }
       | _ -> None)
   | Plan.Filter _ | Plan.Top_k _ -> child 0
-  (* the gather drains slots in morsel-index order, so the exchange
-     passes its input's order through unchanged *)
-  | Plan.Exchange _ -> child 0
   | Plan.Sort { order; _ } -> Some order
   | Plan.Join { algo = Plan.Nested_loops | Plan.Index_nl | Plan.Hash; _ } ->
       child 0
@@ -168,8 +165,6 @@ let streaming_of plan child_streams =
   | Plan.Gather_merge { inputs; _ } ->
       List.mapi (fun i _ -> child i) inputs |> List.for_all Fun.id
   | Plan.Filter _ | Plan.Top_k _ -> child 0
-  (* first results wait on whole morsels: not streaming *)
-  | Plan.Exchange _ -> false
   | Plan.Sort _ -> false
   | Plan.Join { algo = Plan.Nested_loops | Plan.Index_nl | Plan.Hash; _ } ->
       child 0
@@ -188,10 +183,7 @@ let children_of = function
       []
   | Plan.Gather_merge { inputs; _ } ->
       List.mapi (fun i p -> (p, Printf.sprintf "shard%d" i)) inputs
-  | Plan.Filter { input; _ }
-  | Plan.Sort { input; _ }
-  | Plan.Top_k { input; _ }
-  | Plan.Exchange { input; _ } ->
+  | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ } ->
       [ (input, "input") ]
   | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
   | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
@@ -230,7 +222,7 @@ let derive catalog plan =
           | _ -> None)
       | Plan.Gather_merge _ -> (
           match children with c :: _ -> c.schema | [] -> None)
-      | Plan.Filter _ | Plan.Sort _ | Plan.Top_k _ | Plan.Exchange _ ->
+      | Plan.Filter _ | Plan.Sort _ | Plan.Top_k _ ->
           (match children with [ c ] -> c.schema | _ -> None)
       | Plan.Join _ -> (
           match children with

@@ -51,12 +51,10 @@ let create ~domains =
   t.domains <- List.init size (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-let size t = t.size
-
 let submit t job =
   Latch.lock t.lock;
   (* No workers means an enqueued job would never run: reject so the
-     caller runs it (exchange consumers help-drain their own morsels). *)
+     caller runs it. *)
   if t.stopping || t.size = 0 then begin
     Latch.unlock t.lock;
     false
@@ -67,12 +65,6 @@ let submit t job =
     Latch.unlock t.lock;
     true
   end
-
-let pending t =
-  Latch.lock t.lock;
-  let n = Queue.length t.jobs in
-  Latch.unlock t.lock;
-  n
 
 let shutdown t =
   Latch.lock t.lock;

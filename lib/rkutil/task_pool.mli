@@ -1,15 +1,10 @@
 (** A fixed pool of OCaml 5 domain workers draining a shared job queue.
 
-    One pool serves both inter-query work (the server schedules whole
-    statements on it) and intra-query work (exchange operators schedule
-    morsel pumps on it). Submitters that need results or exceptions must
-    thread them through their own channels; a job that raises is dropped
-    and the worker keeps running.
-
-    Deadlock discipline: jobs never block waiting for other jobs to be
-    {e scheduled}. An exchange consumer that owns a worker helps drain its
-    own morsel queue instead of waiting on the pool, so a full pool only
-    costs parallelism, never progress. *)
+    The query service schedules whole statements on it, one job per
+    statement. Submitters that need results or exceptions must thread them
+    through their own channels; a job that raises is dropped and the
+    worker keeps running. A job must never block waiting for another job
+    of the same pool to be scheduled. *)
 
 type t
 
@@ -17,15 +12,9 @@ val create : domains:int -> t
 (** Spawn [domains] worker domains (0 is legal: every submit is rejected
     and callers run the work themselves). *)
 
-val size : t -> int
-(** Number of worker domains the pool was created with. *)
-
 val submit : t -> (unit -> unit) -> bool
 (** Enqueue a job; returns [false] if the pool is shutting down (the job
     is not enqueued — the caller must run or drop it). *)
-
-val pending : t -> int
-(** Jobs enqueued but not yet picked up by a worker. *)
 
 val shutdown : t -> unit
 (** Stop accepting new jobs, drain the queue, join the workers.

@@ -20,7 +20,6 @@ let table =
     ("server.metrics", 50, Short);
     ("server.ivar", 55, Short);
     ("rkutil.task_pool", 60, Short);
-    ("exec.exchange.gather", 65, Short);
     ("storage.bufpool.shard", 70, Short);
     (* Reserved for the sanitizer's own integration tests. *)
     ("test.outer", 100, Short);

@@ -3,7 +3,6 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   default_timeout_s : float;
-  dop : int;
 }
 
 let default_config =
@@ -12,7 +11,6 @@ let default_config =
     queue_capacity = 64;
     cache_capacity = 128;
     default_timeout_s = 30.0;
-    dop = 1;
   }
 
 type error =
@@ -97,10 +95,8 @@ type t = {
   lock : Rkutil.Latch.Rw.rw;
   metrics : Metrics.t;
   pool : Rkutil.Task_pool.t;
-      (* One pool serves both layers: whole statements (inter-query) and
-         exchange morsel pumps (intra-query). Safe because no pool job ever
-         blocks on the *scheduling* of another — exchange consumers help-run
-         unclaimed morsels themselves (see Exec.Exchange). *)
+      (* The worker domains: each job runs one whole statement, serially;
+         no job ever waits on another job of the pool. *)
   queued : int Atomic.t;  (* statements admitted but not yet started *)
   inflight : int Atomic.t;
       (* statements admitted whose reply has not been filled yet; the
@@ -134,9 +130,7 @@ type session = {
 }
 
 let create ?(config = default_config) cat =
-  let config =
-    { config with workers = max 1 config.workers; dop = max 1 config.dop }
-  in
+  let config = { config with workers = max 1 config.workers } in
   {
     cat;
     config;
@@ -220,9 +214,7 @@ let close_session s =
   List.iter close_cursor_entry cursors
 
 (* Hand [f] to a pool worker; block until it completes, the deadline
-   cancels it, or admission control sheds it. The queued counter tracks
-   statements only — morsel pump jobs the statements themselves submit to
-   the same pool never count against admission. *)
+   cancels it, or admission control sheds it. *)
 let submit t ~label ~deadline (f : unit -> ('a, error) result) :
     ('a, error) result =
   let iv = Ivar.create () in
@@ -326,7 +318,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
                         Sqlfront.Sql.open_cursor
                           ~interrupt:(fun () ->
                             Unix.gettimeofday () > !oc_deadline)
-                          ~pool:t.pool t.cat prepared
+                          t.cat prepared
                       in
                       match Sqlfront.Sql.cursor_fetch cur fetch_k with
                       | rows, scores ->
@@ -355,8 +347,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
               | _ ->
                   Rkutil.Latch.Rw.with_read t.lock (fun () ->
                       match
-                        Sqlfront.Sql.run_prepared ~interrupt ~pool:t.pool t.cat
-                          prepared
+                        Sqlfront.Sql.run_prepared ~interrupt t.cat prepared
                       with
                       | Ok ans -> Ok (ans, cached, reoptimized)
                       | Error e -> Error (Exec_error e))
@@ -373,7 +364,7 @@ let run_template sess ?timeout_s ?k ?cursor_name (tpl : Sqlfront.Sql.template) =
                 | Ok ast -> (
                     match
                       Rkutil.Latch.Rw.with_read t.lock (fun () ->
-                          Sqlfront.Sql.prepare_ast ~dop:t.config.dop t.cat ast)
+                          Sqlfront.Sql.prepare_ast t.cat ast)
                     with
                     | Error e -> Error (Plan_error e)
                     | Ok p ->
@@ -594,7 +585,6 @@ let stats t =
       ("cache_hit_rate", Printf.sprintf "%.3f" (Plan_cache.hit_rate c));
       ("queue_depth", string_of_int (queue_depth t));
       ("workers", string_of_int t.config.workers);
-      ("dop", string_of_int t.config.dop);
       ("sessions", string_of_int (Atomic.get t.active_sessions));
       ("stats_epoch", string_of_int (Storage.Catalog.stats_epoch t.cat));
     ]

@@ -26,12 +26,6 @@ type config = {
   queue_capacity : int;  (** Bounded job queue; overflow is shed. *)
   cache_capacity : int;  (** Plan-cache templates (LRU). *)
   default_timeout_s : float;  (** Per-statement deadline when unspecified. *)
-  dop : int;
-      (** Intra-query parallel degree handed to the optimizer ([1] =
-          serial plans only). Exchange morsel pumps run on the {e same}
-          worker pool as whole statements; a saturated pool costs
-          parallelism, never progress, because exchange consumers
-          help-run their own unclaimed morsels. *)
 }
 
 val default_config : config

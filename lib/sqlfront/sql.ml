@@ -48,19 +48,9 @@ let instantiate tpl ?k () =
     | Some k -> Error (Printf.sprintf "bind error: negative k %d" k)
     | None -> Error "bind error: LIMIT ? is unbound: supply k"
 
-let prepare_ast ?config ?dop catalog ast =
+let prepare_ast ?config catalog ast =
   let* bound = Binder.bind_result catalog ast in
-  let logical = bound.Binder.logical in
-  let env =
-    match dop with
-    | Some d when d > 1 ->
-        Some
-          (Core.Cost_model.default_env
-             ~k_min:(Option.value ~default:1 logical.Core.Logical.k)
-             ~dop:d catalog logical)
-    | _ -> None
-  in
-  match Core.Optimizer.optimize ?config ?env catalog logical with
+  match Core.Optimizer.optimize ?config catalog bound.Binder.logical with
   | planned -> Ok { bound; planned }
   | exception Failure msg -> Error ("plan error: " ^ msg)
 
@@ -75,9 +65,9 @@ let rebind_k p k =
       };
   }
 
-let plan_of ?config ?dop catalog text =
+let plan_of ?config catalog text =
   let* ast = Parser.parse_result text in
-  let* p = prepare_ast ?config ?dop catalog ast in
+  let* p = prepare_ast ?config catalog ast in
   Ok (p.bound, p.planned)
 
 (* Post-executor answer assembly: projection (including the absolute
@@ -145,8 +135,8 @@ let project_rows ({ bound; planned } : prepared) schema result_rows =
     planned;
   }
 
-let run_prepared ?interrupt ?pool ?degree catalog { bound; planned } =
-  let result = Core.Optimizer.execute ?interrupt ?pool ?degree catalog planned in
+let run_prepared ?interrupt catalog { bound; planned } =
+  let result = Core.Optimizer.execute ?interrupt catalog planned in
   match bound.Binder.aggregation with
   | Some agg ->
       let schema = result.Core.Executor.schema in
@@ -214,9 +204,9 @@ let cursor_eligible { bound; planned } =
   && Option.is_none bound.Binder.aggregation
   && Option.is_none bound.Binder.post_sort
 
-let open_cursor ?interrupt ?pool ?degree catalog ({ bound; planned } as p) =
+let open_cursor ?interrupt catalog ({ bound; planned } as p) =
   let cur_exec =
-    Core.Executor.open_cursor ?interrupt ?pool ?degree catalog
+    Core.Executor.open_cursor ?interrupt catalog
       planned.Core.Optimizer.plan
   in
   let schema = Core.Executor.cursor_schema cur_exec in
@@ -259,9 +249,9 @@ let cursor_fetch cur n =
 
 let cursor_close cur = Core.Executor.cursor_close cur.cur_exec
 
-let query ?config ?dop ?pool catalog text =
-  let* bound, planned = plan_of ?config ?dop catalog text in
-  run_prepared ?pool catalog { bound; planned }
+let query ?config catalog text =
+  let* bound, planned = plan_of ?config catalog text in
+  run_prepared catalog { bound; planned }
 
 type exec_result =
   | Rows of answer

@@ -18,15 +18,11 @@ type answer = {
 
 val query :
   ?config:Core.Enumerator.config ->
-  ?dop:int ->
-  ?pool:Rkutil.Task_pool.t ->
   Storage.Catalog.t ->
   string ->
   (answer, string) result
 (** Execute a SQL string end to end. All failures (lex, parse, bind, plan)
-    are returned as [Error]. With [dop > 1] the optimizer may place
-    exchange operators; [pool] supplies the worker domains they schedule
-    morsels on (in-process execution when absent). *)
+    are returned as [Error]. *)
 
 (** {2 Prepared statements}
 
@@ -65,14 +61,10 @@ val instantiate : template -> ?k:int -> unit -> (Ast.query, string) result
 
 val prepare_ast :
   ?config:Core.Enumerator.config ->
-  ?dop:int ->
   Storage.Catalog.t ->
   Ast.query ->
   (prepared, string) result
-(** Bind and optimize an instantiated query. [dop > 1] enables exchange
-    placement: the cost model charges startup plus per-worker division, so
-    only drain-heavy plans go parallel (the k{^*} rule keeps early-out
-    rank-join spines serial). *)
+(** Bind and optimize an instantiated query. *)
 
 val rebind_k : prepared -> int -> prepared
 (** Re-push a new [k] through the prepared statement: the plan's Top-k
@@ -90,16 +82,13 @@ val project_rows :
 
 val run_prepared :
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   Storage.Catalog.t ->
   prepared ->
   (answer, string) result
 (** Execute a prepared statement (projection, post-sort/limit and
     aggregation included). [interrupt] is checked at operator [next()]
     boundaries; when it fires, {!Core.Executor.Interrupted} escapes — the
-    server maps it to a timeout error. [pool]/[degree] control exchange
-    execution (see {!Core.Executor.compile}). *)
+    server maps it to a timeout error. *)
 
 (** {2 Cursors}
 
@@ -119,8 +108,6 @@ val cursor_eligible : prepared -> bool
 
 val open_cursor :
   ?interrupt:(unit -> bool) ->
-  ?pool:Rkutil.Task_pool.t ->
-  ?degree:int ->
   Storage.Catalog.t ->
   prepared ->
   cursor

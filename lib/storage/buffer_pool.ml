@@ -13,9 +13,9 @@ type frame = {
 
 (* Pages are striped across shards by id; each shard owns its slice of
    the backing store, its cache partition, its LRU clock, and its own
-   latch. Parallel morsel scans touch distinct pages and therefore mostly
-   distinct shards, so they no longer serialize on one pool-wide mutex —
-   the lock-splitting that intra-query parallelism needs. The pool-wide
+   latch. Statements running concurrently on the service's worker domains
+   mostly touch distinct pages and therefore distinct shards, so they do
+   not serialize on one pool-wide mutex. The pool-wide
    invariants are preserved per shard: a shard never caches more than its
    frame quota, so total residency never exceeds the configured frame
    budget, and every miss/hit/write-back is charged to the shared

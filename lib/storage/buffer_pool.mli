@@ -7,8 +7,8 @@
 
     The pool is domain-safe and latch-split: pages are striped across
     shards by id, each with its own mutex, cache partition, and LRU clock,
-    so parallel morsel scans touching distinct pages do not serialize on
-    one pool-wide lock. Per-shard frame quotas sum to the configured
+    so statements running on several service worker domains and touching
+    distinct pages do not serialize on one pool-wide lock. Per-shard frame quotas sum to the configured
     budget, so total residency never exceeds [frames]; small pools
     collapse to a single shard and behave exactly as before. *)
 

@@ -44,15 +44,9 @@ val scan : t -> unit -> Tuple.t option
 val page_rows : t -> int -> Tuple.t array
 (** [page_rows t i] — the live tuples of the [i]-th page in storage order,
     read through the pool in one batch. Charges the same [tuples_read]
-    total as pulling the page through a {!scan_pages} cursor, but with a
+    total as pulling the page through a {!scan} cursor, but with a
     single bulk charge per page (the unit of a vectorized scan). Out-of-range
     indices yield [[||]]. *)
-
-val scan_pages : t -> lo:int -> hi:int -> unit -> Tuple.t option
-(** Cursor over the page-index range [\[lo, hi)] of the file's pages in
-    storage order — the unit of work ("morsel") for parallel scans.
-    Concatenating [scan_pages] cursors over a partition of [0, n_pages)]
-    yields exactly [scan]'s sequence. Out-of-range bounds are clamped. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
 

@@ -24,7 +24,6 @@ check() {
 check 4190 fuzz --seed 0 --cases 400
 check 4190 fuzz --vector --seed 0 --cases 400
 check 2596 fuzz --enum --seed 0 --cases 200
-check 600 fuzz --degree 2 --seed 0 --cases 200
 check 150 fuzz --shard 4 --seed 0 --cases 50
 check 600 fuzz --rank --seed 0 --cases 200
 check 254 fuzz --server --seed 0 --cases 50

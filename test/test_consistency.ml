@@ -56,10 +56,7 @@ let plan_children = function
   | Plan.Remote_scan _ ->
       []
   | Plan.Gather_merge { inputs; _ } -> inputs
-  | Plan.Filter { input; _ }
-  | Plan.Sort { input; _ }
-  | Plan.Top_k { input; _ }
-  | Plan.Exchange { input; _ } ->
+  | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ } ->
       [ input ]
   | Plan.Join { left; right; _ } -> [ left; right ]
   | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } -> inputs

@@ -291,26 +291,23 @@ let test_mutation_pl15 () =
   let cat = setup () in
   let path = "plan:root" in
   (* Pure spine checker: a claimed batched region containing a streaming
-     sink or an exchange fires; a clean claim is silent. *)
+     sink fires; a clean claim is silent. *)
   expect_only "PL15-vector"
     (Lint.Rules.check_vector_spine ~path ~spine:true ~fused:false
-       ~has_rank_join:true ~has_exchange:false);
-  expect_only "PL15-vector"
-    (Lint.Rules.check_vector_spine ~path ~spine:true ~fused:false
-       ~has_rank_join:false ~has_exchange:true);
+       ~has_rank_join:true);
   expect_only "PL15-vector"
     (Lint.Rules.check_vector_spine ~path ~spine:false ~fused:true
-       ~has_rank_join:true ~has_exchange:true);
+       ~has_rank_join:true);
   Alcotest.(check int)
     "sound batched region lints clean" 0
     (List.length
        (Lint.Rules.check_vector_spine ~path ~spine:true ~fused:false
-          ~has_rank_join:false ~has_exchange:false));
+          ~has_rank_join:false));
   Alcotest.(check int)
     "streaming region may hold rank joins" 0
     (List.length
        (Lint.Rules.check_vector_spine ~path ~spine:false ~fused:false
-          ~has_rank_join:true ~has_exchange:true));
+          ~has_rank_join:true));
   (* Pure bit checker: disagreement fires both ways, agreement is silent. *)
   expect_only "PL15-vector"
     (Lint.Rules.check_vector_bit ~path ~recomputed:true false);
@@ -401,7 +398,15 @@ let test_fuzz_corpus_clean () =
 
 let test_catalog_complete () =
   let ids = List.map fst Lint.Rules.catalog in
-  Alcotest.(check int) "fifteen rules" 15 (List.length ids);
+  Alcotest.(check int) "fourteen rules" 14 (List.length ids);
+  (* PL11 (exchange placement) was retired with intra-query parallelism;
+     the other rules keep their numbers and PL11 is not reused. *)
+  Alcotest.(check (list string))
+    "rule numbers"
+    (List.filter
+       (fun n -> n <> "PL11")
+       (List.init 15 (fun i -> Printf.sprintf "PL%02d" (i + 1))))
+    (List.map (fun id -> String.sub id 0 4) ids);
   Alcotest.(check bool)
     "distinct ids" true
     (List.length (List.sort_uniq String.compare ids) = List.length ids)

@@ -37,7 +37,6 @@ let () =
          Test_consistency.suites;
          Test_rankcheck.suites;
          Test_concurrency.suites;
-         Test_parallel.suites;
          Test_server.suites;
          Test_shard.suites;
          Test_sanitize.suites;

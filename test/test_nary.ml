@@ -469,8 +469,7 @@ let rec plan_has_nary = function
   | Core.Plan.Gather_merge { inputs; _ } -> List.exists plan_has_nary inputs
   | Core.Plan.Filter { input; _ }
   | Core.Plan.Sort { input; _ }
-  | Core.Plan.Top_k { input; _ }
-  | Core.Plan.Exchange { input; _ } ->
+  | Core.Plan.Top_k { input; _ } ->
       plan_has_nary input
   | Core.Plan.Join { left; right; _ } -> plan_has_nary left || plan_has_nary right
   | Core.Plan.Any_k { inputs; _ } -> List.exists plan_has_nary inputs

@@ -17,22 +17,6 @@ let test_fixed_seed_sweep () =
     "many plans exercised" true
     (outcome.Rankcheck.o_plans > 1000)
 
-(* Parallel-determinism sweep: the same exchange plan at degree overrides
-   1/2/N/2N must return bit-identical output (satellite of the morsel
-   parallelism work; the 1000-seed version is `rankopt fuzz --degree N`). *)
-let test_degree_sweep () =
-  List.iter
-    (fun degree ->
-      let outcome = Rankcheck.run_degree ~seed:0 ~cases:60 ~degree () in
-      (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
-      Alcotest.(check int)
-        (Printf.sprintf "cases at degree %d" degree)
-        60 outcome.Rankcheck.o_cases;
-      Alcotest.(check bool)
-        "degree executions compared" true
-        (outcome.Rankcheck.o_plans >= 60 * 3))
-    [ 2; 4 ]
-
 (* Case i of [run ~seed ~cases] must be exactly case 0 of
    [run ~seed:(seed + i) ~cases:1] — that is the whole replay contract. *)
 let test_replay_composition () =
@@ -293,8 +277,6 @@ let suites =
       [
         Alcotest.test_case "fixed-seed sweep (42..241)" `Slow
           test_fixed_seed_sweep;
-        Alcotest.test_case "degree sweep (0..59, degrees 2 and 4)" `Quick
-          test_degree_sweep;
         Alcotest.test_case "replay composition" `Quick test_replay_composition;
         Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
         Alcotest.test_case "regression: INLJ drops inner filter" `Quick

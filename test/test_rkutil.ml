@@ -1,4 +1,4 @@
-(* Tests for the rkutil substrate: PRNG, heap, math helpers, stats. *)
+(* Tests for the rkutil substrate: PRNG, heap, math helpers, stats, task pool. *)
 
 let test_prng_determinism () =
   let a = Rkutil.Prng.create 7 and b = Rkutil.Prng.create 7 in
@@ -215,6 +215,35 @@ let prop_running_stats_merge =
            (Rkutil.Running_stats.variance merged)
            (Rkutil.Running_stats.variance direct))
 
+let with_pool domains f =
+  let pool = Rkutil.Task_pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Rkutil.Task_pool.shutdown pool) (fun () -> f pool)
+
+let test_pool_runs_jobs () =
+  with_pool 3 (fun pool ->
+      let counter = Atomic.make 0 in
+      for _ = 1 to 100 do
+        Alcotest.(check bool) "submitted" true
+          (Rkutil.Task_pool.submit pool (fun () -> Atomic.incr counter))
+      done;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get counter < 100 && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check int) "all jobs ran" 100 (Atomic.get counter))
+
+let test_pool_shutdown_rejects () =
+  let pool = Rkutil.Task_pool.create ~domains:2 in
+  Rkutil.Task_pool.shutdown pool;
+  Alcotest.(check bool) "submit after shutdown" false
+    (Rkutil.Task_pool.submit pool (fun () -> ()))
+
+let test_pool_zero_domains () =
+  let pool = Rkutil.Task_pool.create ~domains:0 in
+  Alcotest.(check bool) "zero-domain pool rejects" false
+    (Rkutil.Task_pool.submit pool (fun () -> ()));
+  Rkutil.Task_pool.shutdown pool
+
 let suites =
   [
     ( "rkutil.prng",
@@ -252,5 +281,12 @@ let suites =
       [
         Alcotest.test_case "against direct" `Quick test_running_stats_against_direct;
         QCheck_alcotest.to_alcotest prop_running_stats_merge;
+      ] );
+    ( "rkutil.task_pool",
+      [
+        Alcotest.test_case "pool: runs jobs" `Quick test_pool_runs_jobs;
+        Alcotest.test_case "pool: shutdown rejects" `Quick
+          test_pool_shutdown_rejects;
+        Alcotest.test_case "pool: zero domains" `Quick test_pool_zero_domains;
       ] );
   ]

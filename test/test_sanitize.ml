@@ -281,7 +281,7 @@ let slow_join_sql =
 
 let test_service_drain () =
   let cat = mk_catalog ~n:800 ~domain:10 [ "A"; "B" ] in
-  let config = { Server.Service.default_config with workers = 2; dop = 2 } in
+  let config = { Server.Service.default_config with workers = 2 } in
   let svc = Server.Service.create ~config cat in
   Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
   let s1 = Server.Service.open_session svc in
@@ -319,7 +319,7 @@ let test_socket_shutdown_drains () =
   in
   let cat = mk_catalog ~n:800 ~domain:10 [ "A"; "B" ] in
   let ep = Server.Listener.Unix_socket path in
-  let config = { Server.Service.default_config with workers = 2; dop = 2 } in
+  let config = { Server.Service.default_config with workers = 2 } in
   let srv = Server.Listener.start ~config ep cat in
   let reply = ref None in
   let th =
@@ -352,13 +352,13 @@ let test_socket_shutdown_drains () =
   try Sys.remove path with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Exception-path release: an interrupted parallel statement must not   *)
-(* leak any latch (this deadlocked the pool before the Fun.protect fix) *)
+(* Exception-path release: an interrupted statement must not leak any   *)
+(* latch (this deadlocked the pool before the Fun.protect fix)          *)
 (* ------------------------------------------------------------------ *)
 
 let test_interrupt_releases_latches () =
   let cat = mk_catalog ~n:1500 ~domain:8 [ "A"; "B" ] in
-  let config = { Server.Service.default_config with workers = 2; dop = 4 } in
+  let config = { Server.Service.default_config with workers = 2 } in
   let (), su, diags =
     Sanitize.Engine.checked (fun () ->
         let svc = Server.Service.create ~config cat in
@@ -373,7 +373,7 @@ let test_interrupt_releases_latches () =
         Server.Service.close_session s)
   in
   Alcotest.(check bool) "events recorded" true (su.Sanitize.Trace.su_events > 0);
-  clean "interrupted parallel statement" diags
+  clean "interrupted statement" diags
 
 (* ------------------------------------------------------------------ *)
 (* SHARD ADD racing a gather cursor: stale, never wrong                 *)

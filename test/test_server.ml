@@ -246,53 +246,6 @@ let test_service_dml_invalidation () =
     (cs.Server.Plan_cache.invalidations >= 1);
   Server.Service.close_session s
 
-(* One pool serves both whole statements and exchange morsel pumps: a
-   dop>1 service must answer a drain-heavy query exactly like a serial
-   one, and concurrent sessions must not deadlock even though their
-   statements and the statements' own morsels compete for the same two
-   workers. *)
-let test_service_parallel_dop () =
-  let sql = "SELECT A.id, B.id FROM A, B WHERE A.key = B.key ORDER BY A.score + B.score DESC LIMIT 150" in
-  let serial_scores =
-    let cat = mk_catalog [ "A"; "B" ] in
-    with_service cat @@ fun svc ->
-    let s = Server.Service.open_session svc in
-    let r = get_reply (Server.Service.query s sql) in
-    Server.Service.close_session s;
-    r.Server.Service.scores
-  in
-  let cat = mk_catalog [ "A"; "B" ] in
-  with_service
-    ~config:{ Server.Service.default_config with workers = 2; dop = 4 }
-    cat
-  @@ fun svc ->
-  let s = Server.Service.open_session svc in
-  let r = get_reply (Server.Service.query s sql) in
-  Alcotest.(check (list (float 1e-9)))
-    "dop=4 service matches serial scores" serial_scores
-    r.Server.Service.scores;
-  (* Hammer: a few domains issuing the same drain query concurrently. *)
-  let errors = Atomic.make 0 in
-  let hammer () =
-    let s = Server.Service.open_session svc in
-    for _ = 1 to 5 do
-      match Server.Service.query s sql with
-      | Ok reply ->
-          if reply.Server.Service.scores <> serial_scores then
-            Atomic.incr errors
-      | Error _ -> Atomic.incr errors
-    done;
-    Server.Service.close_session s
-  in
-  let ds = List.init 3 (fun _ -> Domain.spawn hammer) in
-  List.iter Domain.join ds;
-  Alcotest.(check int) "no divergence or failure under hammer" 0
-    (Atomic.get errors);
-  Alcotest.(check (option string))
-    "stats advertise the degree" (Some "4")
-    (List.assoc_opt "dop" (Server.Service.stats svc));
-  Server.Service.close_session s
-
 let test_service_timeout () =
   let cat = mk_catalog [ "A"; "B" ] in
   with_service cat @@ fun svc ->
@@ -878,8 +831,6 @@ let suites =
           test_service_prepared_flow;
         Alcotest.test_case "DML invalidates cached plans" `Quick
           test_service_dml_invalidation;
-        Alcotest.test_case "parallel dop: shared pool, serial answers" `Quick
-          test_service_parallel_dop;
         Alcotest.test_case "deadline: expired statements time out" `Quick
           test_service_timeout;
         Alcotest.test_case "admission control sheds on full queue" `Slow
