@@ -71,17 +71,20 @@ let index_scan_desc cat t =
   in
   Core.Plan.Index_scan { table = t; index = ix; key = score_of t; desc = true }
 
+(* A binary HRJN joining [left_table].key = [right_table].key. *)
+let hrjn ~left_table ~right_table left right ~left_score ~right_score =
+  Core.Plan.Rank_join
+    {
+      inputs = [ left; right ];
+      scores = [ left_score; right_score ];
+      keys = [ (left_table, "key"); (right_table, "key") ];
+    }
+
 (* The canonical two-way rank-join plan: HRJN over descending index scans. *)
 let hrjn_plan cat =
-  Core.Plan.Join
-    {
-      algo = Core.Plan.Hrjn;
-      cond = cond ~left:"A" ~right:"B";
-      left = index_scan_desc cat "A";
-      right = index_scan_desc cat "B";
-      left_score = Some (score_of "A");
-      right_score = Some (score_of "B");
-    }
+  hrjn ~left_table:"A" ~right_table:"B" (index_scan_desc cat "A")
+    (index_scan_desc cat "B") ~left_score:(score_of "A")
+    ~right_score:(score_of "B")
 
 (* The canonical sort plan: hash join then a blocking sort on the combined
    score. *)
@@ -108,26 +111,10 @@ let sort_plan _cat =
 (* Plan P of Figure 11: HRJN(HRJN(A,B),C), all inputs via descending score
    indexes. *)
 let plan_p cat =
-  let child =
-    Core.Plan.Join
-      {
-        algo = Core.Plan.Hrjn;
-        cond = cond ~left:"A" ~right:"B";
-        left = index_scan_desc cat "A";
-        right = index_scan_desc cat "B";
-        left_score = Some (score_of "A");
-        right_score = Some (score_of "B");
-      }
-  in
-  Core.Plan.Join
-    {
-      algo = Core.Plan.Hrjn;
-      cond = cond ~left:"B" ~right:"C";
-      left = child;
-      right = index_scan_desc cat "C";
-      left_score = Some (Expr.Add (score_of "A", score_of "B"));
-      right_score = Some (score_of "C");
-    }
+  hrjn ~left_table:"B" ~right_table:"C" (hrjn_plan cat)
+    (index_scan_desc cat "C")
+    ~left_score:(Expr.Add (score_of "A", score_of "B"))
+    ~right_score:(score_of "C")
 
 let pct_error ~actual ~estimate =
   if actual = 0.0 then 0.0

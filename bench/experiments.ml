@@ -242,17 +242,28 @@ let observe_plan_p ?(depth_mode = `Worst) cat ~k =
     | [ (n1, r1, d1); (n2, r2, d2) ] -> (n1, r1, d1, n2, r2, d2)
     | _ -> failwith "expected two rank-join nodes"
   in
+  (* A binary HRJN as its join condition and two inputs. *)
+  let binary = function
+    | Core.Plan.Rank_join
+        { inputs = [ left; right ]; keys = [ (lt, lc); (rt, rc) ]; _ } ->
+        ( {
+            Core.Logical.left_table = lt;
+            left_column = lc;
+            right_table = rt;
+            right_column = rc;
+          },
+          left,
+          right )
+    | _ -> failwith "not a binary rank join"
+  in
   let anyk node req =
-    match node with
-    | Core.Plan.Join { cond; left; right; _ } ->
-        let d = Core.Cost_model.any_k_depths_for env ~k:req ~cond ~left ~right in
-        (d.Core.Depth_model.d_left, d.Core.Depth_model.d_right)
-    | _ -> failwith "not a join"
+    let cond, left, right = binary node in
+    let d = Core.Cost_model.any_k_depths_for env ~k:req ~cond ~left ~right in
+    (d.Core.Depth_model.d_left, d.Core.Depth_model.d_right)
   in
   let s =
-    match top_node with
-    | Core.Plan.Join { cond; _ } -> Core.Cost_model.join_selectivity env cond
-    | _ -> 0.0
+    let cond, _, _ = binary top_node in
+    Core.Cost_model.join_selectivity env cond
   in
   (* Execute and measure; the operator polls in the model's estimated depth
      ratio, as the optimizer-integrated executor does. *)
@@ -567,29 +578,19 @@ let ablate_slabs () =
       let query = topk_query ~weights:[ ("A", wa); ("B", wb) ] ~k:10 [ "A"; "B" ] in
       let env = Core.Cost_model.default_env ~k_min:10 cat query in
       let plan =
-        Core.Plan.Join
-          {
-            algo = Core.Plan.Hrjn;
-            cond = cond ~left:"A" ~right:"B";
-            left = index_scan_desc cat "A";
-            right = index_scan_desc cat "B";
-            left_score = Some (Relalg.Expr.Mul (Relalg.Expr.cfloat wa, score_of "A"));
-            right_score = Some (Relalg.Expr.Mul (Relalg.Expr.cfloat wb, score_of "B"));
-          }
+        hrjn ~left_table:"A" ~right_table:"B" (index_scan_desc cat "A")
+          (index_scan_desc cat "B")
+          ~left_score:(Relalg.Expr.Mul (Relalg.Expr.cfloat wa, score_of "A"))
+          ~right_score:(Relalg.Expr.Mul (Relalg.Expr.cfloat wb, score_of "B"))
       in
-      let d =
-        match plan with
-        | Core.Plan.Join { cond; left; right; _ } ->
-            Core.Cost_model.rank_join_depths env plan ~k:10.0 ~cond ~left ~right
-        | _ -> assert false
-      in
+      let d = Core.Cost_model.rank_join_depths env plan ~k:10.0 in
       let topk = Core.Plan.Top_k { k = 10; input = plan } in
       let ann = Core.Propagate.run env ~k:10 topk in
       let result = Core.Executor.run ~hints:ann cat topk in
       match result.Core.Executor.rank_nodes with
       | [ rn ] ->
           row "%6.1f / %5.1f  %10.0f %10.0f  %12d %12d\n" wa wb
-            d.Core.Depth_model.d_left d.Core.Depth_model.d_right
+            d.(0) d.(1)
             (Exec.Exec_stats.left_depth rn.Core.Executor.stats)
             (Exec.Exec_stats.right_depth rn.Core.Executor.stats)
       | _ -> row "unexpected plan shape\n")

@@ -104,11 +104,11 @@ let lint_row ~smoke () =
   ]
 
 let run ?(smoke = false) () =
-  let rows =
-    drain_rows ~smoke ()
-    @ serve_row ~smoke ()
-    @ lint_row ~smoke ()
-  in
+  (* [let] fixes the order: the operands of [@] evaluate right to left. *)
+  let drain = drain_rows ~smoke () in
+  let serve = serve_row ~smoke () in
+  let lint = lint_row ~smoke () in
+  let rows = drain @ serve @ lint in
   Bench_util.section
     (if smoke then "perf rows (smoke: not appended)"
      else "perf rows appended to " ^ bench_file);

@@ -10,12 +10,14 @@
    minor words one prepare allocates (deterministic for a given build),
    and the memo's generated and retained plan counts summed over the
    statements. A digest of every chosen plan's rendering pins plan
-   identity: a change that keeps the digest chose the same plans.
+   identity: a change that keeps the digest chose the same plans. A
+   second digest, of the chosen plans' estimates and rank-join depths,
+   pins costing: a change that keeps it costed them bit for bit alike.
 
    The smoke mode runs 3 weight vectors and exits 1 when a three-way
    prepare allocates more than [words_budget] (twice the words measured
    when the memo began comparing precomputed order keys and costs), or
-   when its plan digest or memo counts differ from the pinned ones: the
+   when either digest or the memo counts differ from the pinned ones: the
    same statements must choose the same plans from the same memo. *)
 
 let bench_file = "BENCH_RANKOPT.json"
@@ -33,6 +35,11 @@ let words_budget = 2 * words_3way
    per shape. A planner change that alters them on purpose records the new
    values here. *)
 let smoke_digest = "f66bb71121b71616e8c7d3cb98cc8766"
+
+(* The smoke run's digest of chosen-plan estimates and rank-join depths
+   ([costed_line]): a refactor of the cost model or of depth propagation
+   keeps it. *)
+let smoke_cost_digest = "f401cbe29f71c47dbbacaec3fb38adcd"
 
 let smoke_memo = [ (2, 1356, 192); (3, 8082, 691) ]
 
@@ -88,7 +95,36 @@ type shape = {
   generated : int;
   retained : int;
   rendered : string list;  (* each chosen plan, in statement order *)
+  costed : string list;  (* each chosen plan's estimate and depths *)
 }
+
+(* The chosen plan's root estimate (as the memo stored it and as
+   [Cost_model.estimate] recomputes it) and, for every rank-join node, its
+   propagated requirement and per-input depths, all rendered exactly
+   ([%h]): the same line means bit-identical costing and depths. *)
+let costed_line (planned : Core.Optimizer.planned) =
+  let env = planned.Core.Optimizer.env and plan = planned.Core.Optimizer.plan in
+  let k = Option.value ~default:1 planned.Core.Optimizer.query.Core.Logical.k in
+  let est (e : Core.Cost_model.estimate) =
+    Printf.sprintf "%h %h %h" e.Core.Cost_model.rows e.Core.Cost_model.total_cost
+      (e.Core.Cost_model.cost_at (float_of_int k))
+  in
+  let rec nodes acc (a : Core.Propagate.annotation) =
+    let acc =
+      match a.Core.Propagate.depths with
+      | Some ds ->
+          Printf.sprintf "%h:%s" a.Core.Propagate.required
+            (String.concat ","
+               (List.map (Printf.sprintf "%h") (Array.to_list ds)))
+          :: acc
+      | None -> acc
+    in
+    List.fold_left nodes acc a.Core.Propagate.children
+  in
+  String.concat " | "
+    (est planned.Core.Optimizer.est
+    :: est (Core.Cost_model.estimate env plan)
+    :: List.rev (nodes [] (Core.Propagate.run env ~k plan)))
 
 let run_shape catalog ~arity ~vectors ~runs =
   let stmts =
@@ -97,7 +133,8 @@ let run_shape catalog ~arity ~vectors ~runs =
       (weight_vectors ~arity ~count:vectors)
   in
   let times = ref [] and words = ref 0.0 in
-  let generated = ref 0 and retained = ref 0 and rendered = ref [] in
+  let generated = ref 0 and retained = ref 0 in
+  let rendered = ref [] and costed = ref [] in
   List.iter
     (fun go ->
       for r = 1 to runs do
@@ -115,7 +152,8 @@ let run_shape catalog ~arity ~vectors ~runs =
           retained := !retained + stats.Core.Enumerator.retained;
           rendered :=
             Format.asprintf "%a" Core.Plan.pp planned.Core.Optimizer.plan
-            :: !rendered
+            :: !rendered;
+          costed := costed_line planned :: !costed
         end
       done)
     stmts;
@@ -128,6 +166,7 @@ let run_shape catalog ~arity ~vectors ~runs =
     generated = !generated;
     retained = !retained;
     rendered = List.rev !rendered;
+    costed = List.rev !costed;
   }
 
 let run ?(smoke = false) () =
@@ -142,11 +181,12 @@ let run ?(smoke = false) () =
       (fun arity -> run_shape catalog ~arity ~vectors ~runs)
       [ 2; 3 ]
   in
-  let digest =
+  let digest_of field =
     Digest.to_hex
-      (Digest.string
-         (String.concat "\n" (List.concat_map (fun s -> s.rendered) shapes)))
+      (Digest.string (String.concat "\n" (List.concat_map field shapes)))
   in
+  let digest = digest_of (fun s -> s.rendered) in
+  let cost_digest = digest_of (fun s -> s.costed) in
   List.iter
     (fun s ->
       Bench_util.row
@@ -164,13 +204,13 @@ let run ?(smoke = false) () =
     Printf.sprintf
       "{\"bench\":\"plan\",\"n\":16000,\"domain\":8000,\"pool_frames\":256,\
        \"vectors\":%d,\"ks\":[%s],\"runs\":%d,\"cores\":%d,\"shapes\":[%s],\
-       \"digest\":\"%s\"}"
+       \"digest\":\"%s\",\"cost_digest\":\"%s\"}"
       vectors
       (String.concat "," (List.map string_of_int ks))
       runs
       (Domain.recommended_domain_count ())
       (String.concat "," (List.map shape_json shapes))
-      digest
+      digest cost_digest
   in
   print_endline row;
   if smoke then begin
@@ -186,6 +226,11 @@ let run ?(smoke = false) () =
     if digest <> smoke_digest then begin
       Printf.printf "plan-smoke: plan digest %s, pinned %s\n" digest
         smoke_digest;
+      failed := true
+    end;
+    if cost_digest <> smoke_cost_digest then begin
+      Printf.printf "plan-smoke: cost/depth digest %s, pinned %s\n"
+        cost_digest smoke_cost_digest;
       failed := true
     end;
     List.iter

@@ -448,15 +448,8 @@ let depth_bounds catalog plan =
        harness compares coordinator output tuple-by-tuple instead *)
     | Core.Plan.Gather_merge { inputs; _ } -> List.iter (walk max_int) inputs
     | Core.Plan.Join
-        {
-          algo = (Core.Plan.Hrjn | Core.Plan.Nrjn) as algo;
-          cond;
-          left;
-          right;
-          left_score;
-          right_score;
-        } ->
-        rank_join plan demand ~nrjn:(algo = Core.Plan.Nrjn)
+        { algo = Core.Plan.Nrjn; cond; left; right; left_score; right_score } ->
+        rank_join plan demand ~nrjn:true
           [|
             (left, left_score, cond.Core.Logical.left_table,
              cond.Core.Logical.left_column);
@@ -466,13 +459,14 @@ let depth_bounds catalog plan =
     | Core.Plan.Join { left; right; _ } ->
         walk max_int left;
         walk max_int right
-    | Core.Plan.Nary_rank_join { inputs; scores; key; tables } ->
+    | Core.Plan.Rank_join { inputs; scores; keys } ->
         rank_join plan demand ~nrjn:false
           (Array.of_list
              (List.map2
-                (fun (input, score) table -> (input, Some score, table, key))
+                (fun (input, score) (table, column) ->
+                  (input, Some score, table, column))
                 (List.combine inputs scores)
-                tables))
+                keys))
     (* anyK's build drains every input regardless of demand; there is no
        depth bound to check on it *)
     | Core.Plan.Any_k { inputs; _ } -> List.iter (walk max_int) inputs
@@ -496,16 +490,16 @@ let depth_bounds catalog plan =
   walk max_int plan;
   tbl
 
-(* Every rank-join node of a run, in plan pre-order per kind: an n-ary
-   node is HRJN over more than two inputs. *)
+(* Every rank-join node of a run as (label, is NRJN, stats): the binary
+   nodes, then those over three or more inputs. *)
 let rank_join_nodes (res : Core.Executor.run_result) =
   List.map
     (fun (rn : Core.Executor.rank_node_stats) ->
-      (rn.Core.Executor.label, rn.Core.Executor.algo, rn.Core.Executor.stats))
+      (rn.Core.Executor.label, rn.Core.Executor.nrjn, rn.Core.Executor.stats))
     res.Core.Executor.rank_nodes
   @ List.map
       (fun (nn : Core.Executor.nary_node_stats) ->
-        (nn.Core.Executor.nary_label, Core.Plan.Hrjn, nn.Core.Executor.nary_stats))
+        (nn.Core.Executor.nary_label, false, nn.Core.Executor.nary_stats))
       res.Core.Executor.nary_nodes
 
 (* First input [i] (with its depth) satisfying [p i depth]. *)
@@ -523,9 +517,9 @@ let depth_check catalog plan (res : Core.Executor.run_result) =
   (* After input [e] comes back empty, the others may be read only as far
      as learning that takes: two pulls, or one outer pull for NRJN (it
      finds the inner empty on its first scan). *)
-  let over_read (label, algo, st) =
+  let over_read (label, nrjn, st) =
     Option.bind (find_input st (fun _ d -> d = 0)) (fun (e, _) ->
-        let slack = if algo = Core.Plan.Nrjn && e = 1 then 1 else 2 in
+        let slack = if nrjn && e = 1 then 1 else 2 in
         Option.map
           (fun (i, d) ->
             Printf.sprintf "%s over-reads input %d (depth %d) after empty input %d"

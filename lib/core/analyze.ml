@@ -31,12 +31,10 @@ let child_ann ann i =
   | None -> None
   | Some a -> List.nth_opt a.Propagate.children i
 
-let pp_depths fmt (observed : int array) (predicted : Depth_model.depths option)
-    =
+let pp_depths fmt (observed : int array) (predicted : float array option) =
   let pred i =
-    match (predicted, i) with
-    | Some d, 0 -> Printf.sprintf " (predicted %.1f)" d.Depth_model.d_left
-    | Some d, 1 -> Printf.sprintf " (predicted %.1f)" d.Depth_model.d_right
+    match predicted with
+    | Some d when i < Array.length d -> Printf.sprintf " (predicted %.1f)" d.(i)
     | _ -> ""
   in
   let cells =

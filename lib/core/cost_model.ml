@@ -100,8 +100,7 @@ let ranked_fan env plan =
 (* The depth-model parameters of a binary rank join, as a function of k:
    selectivity, fans and n do not depend on k, so they are computed once
    and a cost function evaluated at many k only fills in k. *)
-let depth_params env ~cond ~left ~right ~left_rows ~right_rows =
-  let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
+let depth_params env ~s ~left ~right ~left_rows ~right_rows =
   let fan p = max 1 (ranked_fan env p) in
   let n =
     let names = Plan.relations left @ Plan.relations right in
@@ -116,36 +115,89 @@ let depth_params env ~cond ~left ~right ~left_rows ~right_rows =
 (* Mean score-decrement slab of a side's (weighted, linear) score
    expression, from column statistics: the "x"/"y" of the any-k formulas.
    [None] when the expression is not linear over columns with stats. *)
-let side_slab env score_expr ~rows =
+let side_slab env e ~rows =
   if rows < 2.0 then None
   else
-    match score_expr with
+    match Expr.as_linear e with
     | None -> None
-    | Some e -> (
-        match Expr.as_linear e with
-        | None -> None
-        | Some lin ->
-            let range =
-              List.fold_left
-                (fun acc ((w, r) : float * Expr.column_ref) ->
-                  match acc, r.Expr.relation with
-                  | None, _ | _, None -> None
-                  | Some total, Some table -> (
-                      match
-                        Storage.Catalog.column_stats env.catalog ~table
-                          ~column:r.Expr.name
-                      with
-                      | Some cs ->
-                          Some
-                            (total
-                            +. Float.abs w
-                               *. (cs.Storage.Catalog.cs_max -. cs.Storage.Catalog.cs_min))
-                      | None -> None))
-                (Some 0.0) lin.Expr.terms
-            in
-            match range with
-            | Some r when r > 0.0 -> Some (r /. (rows -. 1.0))
+    | Some lin -> (
+        let range =
+          List.fold_left
+            (fun acc ((w, r) : float * Expr.column_ref) ->
+              match acc, r.Expr.relation with
+              | None, _ | _, None -> None
+              | Some total, Some table -> (
+                  match
+                    Storage.Catalog.column_stats env.catalog ~table
+                      ~column:r.Expr.name
+                  with
+                  | Some cs ->
+                      Some
+                        (total
+                        +. Float.abs w
+                           *. (cs.Storage.Catalog.cs_max -. cs.Storage.Catalog.cs_min))
+                  | None -> None))
+            (Some 0.0) lin.Expr.terms
+        in
+        match range with
+        | Some r when r > 0.0 -> Some (r /. (rows -. 1.0))
+        | _ -> None)
+
+(* Selectivity of a rank join's equi-join. Every input joins on one key
+   value, so the first pair stands for every pair. *)
+let rank_join_selectivity env keys =
+  match keys with
+  | a :: b :: _ ->
+      Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
+        (Storage.Catalog.estimate_join_selectivity env.catalog ~left:a ~right:b)
+  | _ -> 1.0
+
+(* The depths a rank join over [inputs] (estimated [ests], joined with
+   selectivity [s]) reads from each input to produce its top k, as a
+   function of k: one depth per input, each clamped to its input. Two
+   inputs take the binary model (Theorems 1-2): the slab form when both
+   are single ranked base relations whose [scores] give histogram slabs,
+   else the [depth_mode] closed form. [scores = []] skips the slab
+   refinement. More inputs take the symmetric {!Depth_model.nary_uniform_depth}. *)
+let depth_fn env ~inputs ~ests ~scores ~s =
+  match inputs, ests with
+  | [ left; right ], [ l; r ] ->
+      let slabs =
+        (* Histogram-derived slabs refine the uniform assumption for 2-way
+           joins of base ranked inputs (e.g. asymmetric score weights). *)
+        match scores with
+        | [ left_score; right_score ]
+          when ranked_fan env left = 1 && ranked_fan env right = 1 -> (
+            match
+              ( side_slab env left_score ~rows:l.rows,
+                side_slab env right_score ~rows:r.rows )
+            with
+            | Some x, Some y -> Some (x, y)
             | _ -> None)
+        | _ -> None
+      in
+      let params =
+        depth_params env ~s ~left ~right ~left_rows:l.rows ~right_rows:r.rows
+      in
+      fun k ->
+        let p = params k in
+        let d =
+          match slabs with
+          | Some (x, y) ->
+              Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
+          | None -> (
+              match env.depth_mode with
+              | `Average -> Depth_model.average_case_depths p
+              | `Worst -> Depth_model.worst_case_depths p)
+        in
+        let d = Depth_model.clamped p d in
+        [| d.Depth_model.d_left; d.Depth_model.d_right |]
+  | _ ->
+      let m = List.length inputs in
+      let rows = Array.of_list (List.map (fun e -> e.rows) ests) in
+      fun k ->
+        let d = Depth_model.nary_uniform_depth ~m ~k:(Float.max 1.0 k) ~s in
+        Array.map (fun r -> Float.min d r) rows
 
 let frac rows x = if rows <= 0.0 then 1.0 else Rkutil.Mathx.clamp ~lo:0.0 ~hi:1.0 (x /. rows)
 
@@ -332,35 +384,38 @@ let rec node child env plan =
       let cost_at x = i.cost_at (Float.min x rows) in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
   | Plan.Join { algo; cond; left; right; _ } ->
-      estimate_join child env plan algo cond left right
-  | Plan.Nary_rank_join { inputs; key; tables; _ } ->
+      estimate_join child env algo cond left right
+  | Plan.Rank_join { inputs; scores; keys } -> (
       let ests = List.map child inputs in
-      let m = List.length inputs in
-      (* Pairwise selectivity from the first adjacent pair (shared key, so
-         all pairs estimate alike). *)
-      let s =
-        match tables with
-        | a :: b :: _ ->
-            Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
-              (Storage.Catalog.estimate_join_selectivity env.catalog
-                 ~left:(a, key) ~right:(b, key))
-        | _ -> 1.0
-      in
-      let rows =
-        List.fold_left (fun acc e -> acc *. e.rows) 1.0 ests
-        *. (s ** float_of_int (m - 1))
-      in
+      let s = rank_join_selectivity env keys in
+      let depths = depth_fn env ~inputs ~ests ~scores ~s in
       let cpu = cpu_factor in
-      let cost_at x =
-        let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
-        let d = Depth_model.nary_uniform_depth ~m ~k:x ~s in
-        List.fold_left
-          (fun acc e ->
-            let di = Float.min d e.rows in
-            acc +. e.cost_at di +. (cpu *. di))
-          (cpu *. x) ests
-      in
-      { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
+      match ests with
+      | [ l; r ] ->
+          let rows = l.rows *. r.rows *. s in
+          let cost_at x =
+            let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
+            let d = depths x in
+            l.cost_at d.(0) +. r.cost_at d.(1)
+            +. (cpu *. (d.(0) +. d.(1) +. x +. (d.(0) *. d.(1) *. s)))
+          in
+          { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
+      | _ ->
+          let m = List.length inputs in
+          let rows =
+            List.fold_left (fun acc e -> acc *. e.rows) 1.0 ests
+            *. (s ** float_of_int (m - 1))
+          in
+          let cost_at x =
+            let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
+            let d = depths x in
+            let acc = ref (cpu *. x) in
+            List.iteri
+              (fun i e -> acc := !acc +. e.cost_at d.(i) +. (cpu *. d.(i)))
+              ests;
+            !acc
+          in
+          { rows; total_cost = cost_at rows; cost_at; k_dependent = true })
   | Plan.Any_k { inputs; keys; _ } ->
       let ests = List.map child inputs in
       let m = List.length inputs in
@@ -403,7 +458,7 @@ let rec node child env plan =
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
 
-and estimate_join child env plan algo cond left right =
+and estimate_join child env algo cond left right =
   let l = child left and r = child right in
   let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
   let rows = l.rows *. r.rows *. s in
@@ -475,69 +530,14 @@ and estimate_join child env plan algo cond left right =
         cost_at;
         k_dependent = l.k_dependent || r.k_dependent;
       }
-  | Plan.Hrjn ->
-      let left_score, right_score =
-        match plan with
-        | Plan.Join { left_score; right_score; _ } -> (left_score, right_score)
-        | _ -> (None, None)
-      in
-      let slabs =
-        (* Histogram-derived slabs refine the uniform assumption for 2-way
-           joins of base ranked inputs (e.g. asymmetric score weights). *)
-        if ranked_fan env left = 1 && ranked_fan env right = 1 then
-          match
-            ( side_slab env left_score ~rows:l.rows,
-              side_slab env right_score ~rows:r.rows )
-          with
-          | Some x, Some y -> Some (x, y)
-          | _ -> None
-        else None
-      in
-      let params =
-        depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows
-      in
-      let depths k =
-        let p = params k in
-        let d =
-          match slabs with
-          | Some (x, y) ->
-              Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
-          | None -> (
-              match env.depth_mode with
-              | `Average -> Depth_model.average_case_depths p
-              | `Worst -> Depth_model.worst_case_depths p)
-        in
-        Depth_model.clamped p d
-      in
-      let cost_at x =
-        let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
-        let d = depths x in
-        l.cost_at d.Depth_model.d_left
-        +. r.cost_at d.Depth_model.d_right
-        +. (cpu
-           *. (d.Depth_model.d_left +. d.Depth_model.d_right +. x
-              +. Depth_model.buffer_upper_bound d ~s))
-      in
-      { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
   | Plan.Nrjn ->
-      (* Outer depth from the model; the inner input is fully re-scanned for
-         every outer tuple. *)
-      let params =
-        depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows
-      in
-      let depths k =
-        let p = params k in
-        let d =
-          match env.depth_mode with
-          | `Average -> Depth_model.average_case_depths p
-          | `Worst -> Depth_model.worst_case_depths p
-        in
-        Depth_model.clamped p d
-      in
+      (* Outer depth from the model, on the closed form (no slab
+         refinement); the inner input is fully re-scanned for every outer
+         tuple. *)
+      let depths = depth_fn env ~inputs:[ left; right ] ~ests:[ l; r ] ~scores:[] ~s in
       let cost_at x =
         let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
-        let d = depths x in
-        let outer = d.Depth_model.d_left in
+        let outer = (depths x).(0) in
         l.cost_at outer
         +. (outer *. r.total_cost)
         +. (cpu *. ((outer *. r.rows) +. x))
@@ -548,38 +548,27 @@ let rec estimate env plan = node (estimate env) env plan
 
 let estimate_with ~child env plan = node child env plan
 
-let rank_join_depths env plan ~k ~cond ~left ~right =
-  let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
-  let left_score, right_score =
-    match plan with
-    | Plan.Join { left_score; right_score; _ } -> (left_score, right_score)
-    | _ -> (None, None)
-  in
-  let slabs =
-    if ranked_fan env left = 1 && ranked_fan env right = 1 then
-      match
-        ( side_slab env left_score ~rows:l.rows,
-          side_slab env right_score ~rows:r.rows )
-      with
-      | Some x, Some y -> Some (x, y)
-      | _ -> None
-    else None
-  in
-  let d =
-    match slabs with
-    | Some (x, y) ->
-        Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
-    | None -> (
-        match env.depth_mode with
-        | `Average -> Depth_model.average_case_depths p
-        | `Worst -> Depth_model.worst_case_depths p)
-  in
-  Depth_model.clamped p d
+let rank_join_depths env plan ~k =
+  match plan with
+  | Plan.Rank_join { inputs; scores; keys } ->
+      depth_fn env ~inputs
+        ~ests:(List.map (estimate env) inputs)
+        ~scores ~s:(rank_join_selectivity env keys) k
+  | Plan.Join { algo = Plan.Nrjn; cond; left; right; left_score; right_score } ->
+      let scores =
+        match left_score, right_score with Some l, Some r -> [ l; r ] | _ -> []
+      in
+      depth_fn env ~inputs:[ left; right ]
+        ~ests:[ estimate env left; estimate env right ]
+        ~scores
+        ~s:(Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond))
+        k
+  | _ -> invalid_arg "Cost_model.rank_join_depths: not a rank join"
 
 let any_k_depths_for env ~k ~cond ~left ~right =
   let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
+  let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
+  let p = depth_params env ~s ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
   (* Use the slab formulation with equal slabs scaled by n/card: for the
      model's uniform-[0,n] convention the slab is n/card per input. *)
   let x = p.Depth_model.n /. p.Depth_model.left.Depth_model.card in

@@ -150,7 +150,7 @@ let rec has_topk = function
   | Plan.Top_k _ -> true
   | Plan.Filter { input; _ } | Plan.Sort { input; _ } -> has_topk input
   | Plan.Join { left; right; _ } -> has_topk left || has_topk right
-  | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
+  | Plan.Rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
       List.exists has_topk inputs
 
 (* Can [p] (a stream with no Top-k above it) back a cursor? *)

@@ -132,6 +132,8 @@ type split = {
   rscore : Expr.t option;
   lranked : Plan.order_key option;  (* left input descending on [lscore] *)
   rranked : Plan.order_key option;
+  rank_join : (Expr.t list * (string * string) list) option;
+      (* the HRJN candidate's scores and keys, when both sides are scored *)
 }
 
 let split_of query ~left_names ~right_names ~right_singleton
@@ -157,18 +159,29 @@ let split_of query ~left_names ~right_names ~right_singleton
     rscore;
     lranked = ranked lscore;
     rranked = ranked rscore;
+    rank_join =
+      (match lscore, rscore with
+      | Some l, Some r ->
+          Some
+            ( [ l; r ],
+              [
+                (cond.Logical.left_table, cond.Logical.left_column);
+                (cond.Logical.right_table, cond.Logical.right_column);
+              ] )
+      | _ -> None);
   }
 
 (* Candidate join plans combining a left and right subplan. *)
 let join_candidates env config query sp (pl : Memo.subplan) (pr : Memo.subplan) =
-  let mk algo ?left_score ?right_score () =
-    let join =
-      Plan.Join
-        { algo; cond = sp.cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score }
-    in
+  let wrap join =
     match sp.residual with
     | None -> join
     | Some pred -> Plan.Filter { pred; input = join }
+  in
+  let mk algo ?left_score ?right_score () =
+    wrap
+      (Plan.Join
+         { algo; cond = sp.cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score })
   in
   let candidates = ref [ mk Plan.Hash (); mk Plan.Nested_loops () ] in
   (* Index nested loops: right side must be a bare access of a single
@@ -191,10 +204,14 @@ let join_candidates env config query sp (pl : Memo.subplan) (pr : Memo.subplan) 
       Option.is_some want && Plan.key_satisfies ~have:s.Memo.key ~want
     in
     (* HRJN needs sorted access on both inputs. *)
-    if ranked_on sp.lranked pl && ranked_on sp.rranked pr then
-      candidates :=
-        mk Plan.Hrjn ?left_score:sp.lscore ?right_score:sp.rscore ()
-        :: !candidates;
+    (match sp.rank_join with
+    | Some (scores, keys) when ranked_on sp.lranked pl && ranked_on sp.rranked pr ->
+        candidates :=
+          wrap
+            (Plan.Rank_join
+               { inputs = [ pl.Memo.plan; pr.Memo.plan ]; scores; keys })
+          :: !candidates
+    | _ -> ());
     (* NRJN needs sorted access on the outer (left) input only. *)
     if ranked_on sp.lranked pl then
       candidates :=
@@ -332,12 +349,11 @@ let run ?(config = default_config) env =
            let parts = List.map Option.get per_relation in
            let children = List.map (fun (sp, _, _) -> sp) parts in
            add ~children full_mask
-             (Plan.Nary_rank_join
+             (Plan.Rank_join
                 {
                   inputs = List.map (fun (sp, _, _) -> sp.Memo.plan) parts;
                   scores = List.map (fun (_, s, _) -> s) parts;
-                  key;
-                  tables = List.map (fun (_, _, t) -> t) parts;
+                  keys = List.map (fun (_, _, t) -> (t, key)) parts;
                 })
          end
    end);

@@ -2,7 +2,7 @@ open Relalg
 
 type rank_node_stats = {
   label : string;
-  algo : Plan.join_algo;
+  nrjn : bool;
   stats : Exec.Exec_stats.t;
 }
 
@@ -46,7 +46,8 @@ let score_fn schema = function
 let rank_input op score ~table ~column =
   let schema = op.Exec.Operator.schema in
   {
-    Exec.Rank_join.stream = Exec.Operator.with_score (score_fn schema score) op;
+    Exec.Rank_join.stream =
+      Exec.Operator.with_score (Expr.compile_float schema score) op;
     key = key_extractor schema ~table ~column;
   }
 
@@ -103,7 +104,8 @@ let node_label = function
         (if order.Plan.direction = Interesting_orders.Desc then "DESC" else "ASC")
   | Plan.Top_k { k; _ } -> Printf.sprintf "Top-%d" k
   | Plan.Join { algo; _ } -> Plan.algo_name algo
-  | Plan.Nary_rank_join { inputs; _ } ->
+  | Plan.Rank_join { inputs = [ _; _ ]; _ } -> "HRJN"
+  | Plan.Rank_join { inputs; _ } ->
       Printf.sprintf "HRJN*[%d]" (List.length inputs)
   | Plan.Any_k { inputs; _ } ->
       Printf.sprintf "AnyK[%d]" (List.length inputs)
@@ -111,8 +113,7 @@ let node_label = function
 exception Interrupted
 
 let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
-  let rank_nodes = ref [] in
-  let nary_nodes = ref [] in
+  let rank_joins = ref [] in
   (* Cooperative cancellation: when an interrupt predicate is supplied
      (per-query deadlines in the server), every operator's [next] checks it,
      so even deep blocking stages (sort runs, hash builds pulling their
@@ -323,26 +324,33 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         in
         let child, prof = go child_ctx (child_ann ann 0) input in
         instrument plan stats (Exec.Basic_ops.limit ~stats k child) [ prof ]
-    | Plan.Nary_rank_join { inputs; scores; key; tables } ->
+    | Plan.Rank_join { inputs; scores; keys } ->
         let stats = Exec.Exec_stats.create (List.length inputs) in
         let compiled =
           List.mapi (fun i input -> go `Streaming (child_ann ann i) input) inputs
         in
-        let profs = List.map snd compiled in
+        let polling =
+          match inputs, ann with
+          | [ _; _ ], Some { Propagate.depths = Some d; _ } when d.(1) > 0.0 ->
+              Exec.Rank_join.Ratio (d.(0) /. d.(1))
+          | [ _; _ ], _ -> Exec.Rank_join.Alternate
+          | _ -> Exec.Rank_join.Adaptive
+        in
         let stream, stats =
-          Exec.Rank_join.hrjn ~stats ~polling:Exec.Rank_join.Adaptive
-            ~combine:( +. )
+          Exec.Rank_join.hrjn ~stats ~polling ~combine:( +. )
             ~inputs:
               (List.map2
-                 (fun ((op, _), score) table ->
-                   rank_input op (Some score) ~table ~column:key)
+                 (fun ((op, _), score) (table, column) ->
+                   rank_input op score ~table ~column)
                  (List.combine compiled scores)
-                 tables)
+                 keys)
             ()
         in
-        nary_nodes :=
-          { nary_label = Plan.describe plan; nary_stats = stats } :: !nary_nodes;
-        instrument plan stats (Exec.Operator.scored_to_plain stream) profs
+        rank_joins :=
+          { label = Plan.describe plan; nrjn = false; stats } :: !rank_joins;
+        instrument plan stats
+          (Exec.Operator.scored_to_plain stream)
+          (List.map snd compiled)
     | Plan.Any_k { inputs; scores; keys; _ } ->
         let stats = Exec.Exec_stats.create (List.length inputs) in
         let compiled =
@@ -461,31 +469,6 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                  ~lookup
                  lchild)
               [ lprof ]
-        | Plan.Hrjn ->
-            let lop, lprof = go `Streaming (child_ann ann 0) left
-            and rop, rprof = go `Streaming (child_ann ann 1) right in
-            let polling =
-              match ann with
-              | Some { Propagate.depths = Some d; _ }
-                when d.Depth_model.d_right > 0.0 ->
-                  Exec.Rank_join.Ratio
-                    (d.Depth_model.d_left /. d.Depth_model.d_right)
-              | _ -> Exec.Rank_join.Alternate
-            in
-            let stream, stats =
-              Exec.Rank_join.hrjn ~stats ~polling ~combine:( +. )
-                ~inputs:
-                  [
-                    rank_input lop left_score ~table:lt ~column:lc;
-                    rank_input rop right_score ~table:rt ~column:rc;
-                  ]
-                ()
-            in
-            rank_nodes :=
-              { label = Plan.describe plan; algo; stats } :: !rank_nodes;
-            instrument plan stats
-              (Exec.Operator.scored_to_plain stream)
-              [ lprof; rprof ]
         | Plan.Nrjn ->
             let lop, lprof = go `Streaming (child_ann ann 0) left
             and rop, rprof = go `Streaming (child_ann ann 1) right in
@@ -499,18 +482,23 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                 ~inner:rop
                 ~inner_score:(score_fn rschema right_score) ()
             in
-            rank_nodes :=
-              { label = Plan.describe plan; algo; stats } :: !rank_nodes;
+            rank_joins :=
+              { label = Plan.describe plan; nrjn = true; stats } :: !rank_joins;
             instrument plan stats
               (Exec.Operator.scored_to_plain stream)
               [ lprof; rprof ])
   in
   let op, profile = go `Bulk hints plan in
-  (op, List.rev !rank_nodes, List.rev !nary_nodes, profile)
+  (op, List.rev !rank_joins, profile)
 
 let run ?hints ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
-  let op, rank_nodes, nary_nodes, profile =
+  let op, rank_joins, profile =
     compile ?hints ?metrics ?interrupt ?vectorized catalog plan
+  in
+  let binary n = Exec.Exec_stats.inputs n.stats = 2 in
+  let rank_nodes, nary = List.partition binary rank_joins in
+  let nary_nodes =
+    List.map (fun n -> { nary_label = n.label; nary_stats = n.stats }) nary
   in
   let schema = op.Exec.Operator.schema in
   let score =
@@ -552,7 +540,7 @@ let open_cursor ?hints ?interrupt catalog plan =
   let plan = strip_topk plan in
   (* A cursor pulls incrementally and may never be drained: batching would
      over-read, so the whole plan compiles tuple-at-a-time. *)
-  let op, _, _, _ = compile ?hints ?interrupt ~vectorized:false catalog plan in
+  let op, _, _ = compile ?hints ?interrupt ~vectorized:false catalog plan in
   let schema = op.Exec.Operator.schema in
   let score =
     match Plan.order_of plan with

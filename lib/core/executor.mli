@@ -12,15 +12,17 @@ open Relalg
 
 type rank_node_stats = {
   label : string;  (** One-line description of the rank-join node. *)
-  algo : Plan.join_algo;
+  nrjn : bool;  (** An NRJN [Join]; otherwise a {!Plan.Rank_join}. *)
   stats : Exec.Exec_stats.t;
-      (** Input 0 = left/outer depth, input 1 = right/inner depth. *)
+      (** Per-input depths (NRJN: outer first) and buffer. *)
 }
 
 type nary_node_stats = {
   nary_label : string;
   nary_stats : Exec.Exec_stats.t;  (** Per-input depths + buffer. *)
 }
+(** A rank join over three or more inputs, as {!run_result.nary_nodes}
+    reports it. *)
 
 type profile = {
   p_plan : Plan.t;  (** The subplan rooted at this operator. *)
@@ -32,8 +34,12 @@ type run_result = {
   rows : (Tuple.t * float) list;
       (** Output tuples with their ranking score (0.0 for unranked plans). *)
   io : Storage.Io_stats.snapshot;  (** I/O charged during this run. *)
-  rank_nodes : rank_node_stats list;  (** Binary rank joins, pre-order. *)
-  nary_nodes : nary_node_stats list;  (** N-ary rank joins, pre-order. *)
+  rank_nodes : rank_node_stats list;
+      (** The rank joins over two inputs (HRJN and NRJN), in the order their
+          operators were built: inputs before the join. *)
+  nary_nodes : nary_node_stats list;
+      (** The rank joins over three or more inputs, in the same order.
+          Both lists split one registration list by arity. *)
   profile : profile option;  (** Present when a metrics registry was given. *)
   schema : Schema.t;
 }
@@ -53,13 +59,14 @@ val compile :
   ?vectorized:bool ->
   Storage.Catalog.t ->
   Plan.t ->
-  Exec.Operator.t * rank_node_stats list * nary_node_stats list * profile option
-(** Build the operator tree; rank-join statistics are filled during
-    execution. When a depth-propagation annotation is supplied (from
-    {!Propagate.run} on the same plan), binary HRJN nodes poll their inputs
-    in the estimated optimal depth ratio instead of alternating. HRJN*
-    nodes always poll the input whose threshold term is largest
-    ({!Exec.Rank_join.Adaptive}). When a metrics
+  Exec.Operator.t * rank_node_stats list * profile option
+(** Build the operator tree; the statistics of every rank-join node, in
+    build order, are filled during execution. A {!Plan.Rank_join} runs as
+    {!Exec.Rank_join.hrjn} over its inputs. Over two inputs it polls them
+    in the ratio of the depths a depth-propagation annotation predicts (when
+    one from {!Propagate.run} on the same plan is supplied), and alternates
+    otherwise. Over three or more it polls the input whose threshold term
+    is largest ({!Exec.Rank_join.Adaptive}). When a metrics
     registry is supplied, every operator is registered and I/O-scoped, and
     the matching [profile] tree is returned.
 

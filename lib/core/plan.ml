@@ -7,7 +7,6 @@ type join_algo =
   | Index_nl
   | Hash
   | Sort_merge
-  | Hrjn
   | Nrjn
 
 type t =
@@ -58,11 +57,10 @@ type t =
       right_score : Expr.t option;
     }
   | Top_k of { k : int; input : t }
-  | Nary_rank_join of {
+  | Rank_join of {
       inputs : t list;
       scores : Expr.t list;
-      key : string;
-      tables : string list;
+      keys : (string * string) list;
     }
   | Any_k of {
       inputs : t list;
@@ -102,6 +100,11 @@ let combined_score left_score right_score =
   | None, Some r -> Some r
   | None, None -> None
 
+(* The score a multi-input rank operator emits: its inputs' scores summed
+   left to right. *)
+let sum_scores scores =
+  List.fold_left (fun acc e -> Expr.Add (acc, e)) (List.hd scores) (List.tl scores)
+
 let rec order_of = function
   | Table_scan _ -> None
   | Index_scan { key; desc; _ } ->
@@ -118,7 +121,7 @@ let rec order_of = function
         score
   | Filter { input; _ } -> order_of input
   | Sort { order; _ } -> Some order
-  | Join { algo = Hrjn | Nrjn; left_score; right_score; _ } ->
+  | Join { algo = Nrjn; left_score; right_score; _ } ->
       Option.map
         (fun e -> { expr = e; direction = Interesting_orders.Desc })
         (combined_score left_score right_score)
@@ -131,15 +134,8 @@ let rec order_of = function
   | Join { algo = Hash | Index_nl; left; _ } -> order_of left
   | Join { algo = Nested_loops; _ } -> None
   | Top_k { input; _ } -> order_of input
-  | Nary_rank_join { scores; _ } | Any_k { scores; _ } ->
-      Some
-        {
-          expr =
-            List.fold_left
-              (fun acc e -> Expr.Add (acc, e))
-              (List.hd scores) (List.tl scores);
-          direction = Interesting_orders.Desc;
-        }
+  | Rank_join { scores; _ } | Any_k { scores; _ } ->
+      Some { expr = sum_scores scores; direction = Interesting_orders.Desc }
 
 let rec pipelined = function
   | Table_scan _ | Index_scan _ -> true
@@ -154,10 +150,9 @@ let rec pipelined = function
   | Sort _ -> false
   | Join { algo = Nested_loops | Index_nl | Hash; left; _ } -> pipelined left
   | Join { algo = Sort_merge; left; right; _ } -> pipelined left && pipelined right
-  | Join { algo = Hrjn; left; right; _ } -> pipelined left && pipelined right
   | Join { algo = Nrjn; left; _ } -> pipelined left
   | Top_k { input; _ } -> pipelined input
-  | Nary_rank_join { inputs; _ } -> List.for_all pipelined inputs
+  | Rank_join { inputs; _ } -> List.for_all pipelined inputs
   (* anyK materializes and indexes its inputs before the first answer *)
   | Any_k _ -> false
 
@@ -171,7 +166,7 @@ let rec relations = function
   | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       relations input
   | Join { left; right; _ } -> relations left @ relations right
-  | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } ->
+  | Rank_join { inputs; _ } | Any_k { inputs; _ } ->
       List.concat_map relations inputs
 
 let rec has_rank_join = function
@@ -180,9 +175,9 @@ let rec has_rank_join = function
       false
   | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       has_rank_join input
-  | Join { algo = Hrjn | Nrjn; _ } -> true
+  | Join { algo = Nrjn; _ } -> true
   | Join { left; right; _ } -> has_rank_join left || has_rank_join right
-  | Nary_rank_join _ | Any_k _ -> true
+  | Rank_join _ | Any_k _ -> true
 
 let rec join_count = function
   (* a remote scan's pushed subquery may itself join; locally it is a leaf *)
@@ -192,7 +187,7 @@ let rec join_count = function
   | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ } ->
       join_count input
   | Join { left; right; _ } -> 1 + join_count left + join_count right
-  | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } ->
+  | Rank_join { inputs; _ } | Any_k { inputs; _ } ->
       List.length inputs - 1 + List.fold_left (fun acc i -> acc + join_count i) 0 inputs
 
 let canonical_schema schema =
@@ -228,20 +223,19 @@ let rec schema_of catalog = function
       schema_of catalog input
   | Join { left; right; _ } ->
       Schema.concat (schema_of catalog left) (schema_of catalog right)
-  | Nary_rank_join { inputs; _ } | Any_k { inputs; _ } -> (
+  | Rank_join { inputs; _ } | Any_k { inputs; _ } -> (
       match inputs with
       | first :: rest ->
           List.fold_left
             (fun acc i -> Schema.concat acc (schema_of catalog i))
             (schema_of catalog first) rest
-      | [] -> invalid_arg "Plan.schema_of: empty N-ary join")
+      | [] -> invalid_arg "Plan.schema_of: join over no inputs")
 
 let algo_name = function
   | Nested_loops -> "NLJ"
   | Index_nl -> "INLJ"
   | Hash -> "HJ"
   | Sort_merge -> "MJ"
-  | Hrjn -> "HRJN"
   | Nrjn -> "NRJN"
 
 let rec describe = function
@@ -265,8 +259,10 @@ let rec describe = function
   | Join { algo; left; right; _ } ->
       Printf.sprintf "%s(%s,%s)" (algo_name algo) (describe left) (describe right)
   | Top_k { k; input } -> Printf.sprintf "Top%d(%s)" k (describe input)
-  | Nary_rank_join { inputs; _ } ->
-      Printf.sprintf "HRJN*(%s)" (String.concat "," (List.map describe inputs))
+  | Rank_join { inputs; _ } ->
+      Printf.sprintf "%s(%s)"
+        (if List.length inputs > 2 then "HRJN*" else "HRJN")
+        (String.concat "," (List.map describe inputs))
   | Any_k { inputs; shape; _ } ->
       Printf.sprintf "AnyK%s(%s)"
         (match shape with `Path -> "path" | `Star -> "star")
@@ -319,7 +315,7 @@ let pp fmt plan =
           cond.Logical.left_table cond.Logical.left_column
           cond.Logical.right_table cond.Logical.right_column;
         (match combined_score left_score right_score with
-        | Some e when algo = Hrjn || algo = Nrjn ->
+        | Some e when algo = Nrjn ->
             Format.fprintf fmt "  [rank: %a]" Expr.pp e
         | _ -> ());
         Format.fprintf fmt "@.";
@@ -328,20 +324,18 @@ let pp fmt plan =
     | Top_k { k; input } ->
         Format.fprintf fmt "%sTopK k=%d@." pad k;
         go (indent + 2) input
-    | Nary_rank_join { inputs; key; scores; _ } ->
-        Format.fprintf fmt "%sHRJN* on shared key %s  [rank: %a]@." pad key
-          Expr.pp
-          (List.fold_left
-             (fun acc e -> Expr.Add (acc, e))
-             (List.hd scores) (List.tl scores));
+    | Rank_join { inputs; scores; keys } ->
+        (match keys with
+        | [ (lt, lc); (rt, rc) ] ->
+            Format.fprintf fmt "%sHRJN on %s.%s = %s.%s" pad lt lc rt rc
+        | (_, key) :: _ -> Format.fprintf fmt "%sHRJN* on shared key %s" pad key
+        | [] -> Format.fprintf fmt "%sHRJN*" pad);
+        Format.fprintf fmt "  [rank: %a]@." Expr.pp (sum_scores scores);
         List.iter (go (indent + 2)) inputs
     | Any_k { inputs; scores; shape; _ } ->
         Format.fprintf fmt "%sAnyK %s enumeration  [rank: %a]@." pad
           (match shape with `Path -> "path" | `Star -> "star")
-          Expr.pp
-          (List.fold_left
-             (fun acc e -> Expr.Add (acc, e))
-             (List.hd scores) (List.tl scores));
+          Expr.pp (sum_scores scores);
         List.iter (go (indent + 2)) inputs
   in
   go 0 plan

@@ -15,8 +15,9 @@ type join_algo =
   | Index_nl  (** Probes an index on the right (single) relation. *)
   | Hash
   | Sort_merge  (** Merge step only; inputs must already be ordered. *)
-  | Hrjn
-  | Nrjn  (** Left input is the ranked outer. *)
+  | Nrjn
+      (** Nested-loops rank join: the left input is the ranked outer, the
+          right is re-scanned per outer tuple. *)
 
 type t =
   | Table_scan of { table : string }
@@ -68,20 +69,25 @@ type t =
       left : t;
       right : t;
       left_score : Expr.t option;
-          (** Rank joins: score expression of the left input (weights
+          (** NRJN: score expression of the left input (weights
               included); [None] for traditional joins. *)
       right_score : Expr.t option;
     }
   | Top_k of { k : int; input : t }
       (** Stop after [k] results from a ranked input. *)
-  | Nary_rank_join of {
-      inputs : t list;  (** Each ordered on its own score expression. *)
+  | Rank_join of {
+      inputs : t list;  (** m >= 2 inputs, each ordered on its own score. *)
       scores : Expr.t list;  (** Per-input weighted score expressions. *)
-      key : string;  (** Shared join column name. *)
-      tables : string list;  (** Relation qualifying [key] for each input. *)
+      keys : (string * string) list;
+          (** Per-input [(table, column)] join key: a result combines one
+              tuple of every input, all with the same key value. *)
     }
-      (** Flat m-way rank join on one shared key (star queries): one
-          threshold over all inputs instead of a binary pipeline. *)
+      (** HRJN over m inputs (Section 2.2): pulls its sorted inputs, buffers
+          the join results and emits one once no unseen combination can
+          beat it. One threshold over all inputs, so a star query on one
+          shared key runs as one node instead of a binary pipeline. Its
+          input depths come from {!Cost_model.rank_join_depths}. Rendered
+          [HRJN] at m = 2 and [HRJN*] above. *)
   | Any_k of {
       inputs : t list;
           (** Per-relation access plans in join-tree DFS order: input 0 is
@@ -117,7 +123,7 @@ val order_equal : order -> order -> bool
 (** Same direction and {!Relalg.Expr.equal} expressions. *)
 
 val combined_score : Expr.t option -> Expr.t option -> Expr.t option
-(** The score a rank join emits: the sum of whichever side scores exist
+(** The score an NRJN emits: the sum of whichever side scores exist
     ([None] when neither side is scored). *)
 
 val order_satisfies : have:order option -> want:order option -> bool

@@ -1,7 +1,7 @@
 type annotation = {
   node : Plan.t;
   required : float;
-  depths : Depth_model.depths option;
+  depths : float array option;
   children : annotation list;
 }
 
@@ -38,20 +38,16 @@ let rec annotate env plan required =
         depths = None;
         children = [ annotate env input child_est.Cost_model.rows ];
       }
-  | Plan.Join { algo = Plan.Hrjn; cond; left; right; _ } ->
-      let d = Cost_model.rank_join_depths env plan ~k:required ~cond ~left ~right in
+  | Plan.Rank_join { inputs; _ } ->
+      let d = Cost_model.rank_join_depths env plan ~k:required in
       {
         node = plan;
         required;
         depths = Some d;
-        children =
-          [
-            annotate env left d.Depth_model.d_left;
-            annotate env right d.Depth_model.d_right;
-          ];
+        children = List.mapi (fun i input -> annotate env input d.(i)) inputs;
       }
-  | Plan.Join { algo = Plan.Nrjn; cond; left; right; _ } ->
-      let d = Cost_model.rank_join_depths env plan ~k:required ~cond ~left ~right in
+  | Plan.Join { algo = Plan.Nrjn; left; right; _ } ->
+      let d = Cost_model.rank_join_depths env plan ~k:required in
       let right_est = Cost_model.estimate env right in
       {
         node = plan;
@@ -59,7 +55,7 @@ let rec annotate env plan required =
         depths = Some d;
         children =
           [
-            annotate env left d.Depth_model.d_left;
+            annotate env left d.(0);
             (* Inner is re-scanned in full. *)
             annotate env right right_est.Cost_model.rows;
           ];
@@ -81,23 +77,6 @@ let rec annotate env plan required =
             annotate env right r.Cost_model.rows;
           ];
       }
-  | Plan.Nary_rank_join { inputs; key; tables; _ } ->
-      let m = List.length inputs in
-      let s =
-        match tables with
-        | a :: b :: _ ->
-            Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
-              (Storage.Catalog.estimate_join_selectivity env.Cost_model.catalog
-                 ~left:(a, key) ~right:(b, key))
-        | _ -> 1.0
-      in
-      let d = Depth_model.nary_uniform_depth ~m ~k:(Float.max 1.0 required) ~s in
-      {
-        node = plan;
-        required;
-        depths = None;
-        children = List.map (fun input -> annotate env input d) inputs;
-      }
   | Plan.Any_k { inputs; _ } ->
       (* The anyK build phase materializes every input in full before the
          first answer; required depth never propagates below it. *)
@@ -118,9 +97,9 @@ let run env ~k plan = annotate env plan (float_of_int (max 1 k))
 let rank_join_annotations ann =
   let rec go acc a =
     let acc =
-      match a.node, a.depths with
-      | Plan.Join { algo = Plan.Hrjn | Plan.Nrjn; _ }, Some d ->
-          (a.node, a.required, d) :: acc
+      match a.depths with
+      | Some [| d_left; d_right |] ->
+          (a.node, a.required, { Depth_model.d_left; d_right }) :: acc
       | _ -> acc
     in
     List.fold_left go acc a.children
@@ -140,7 +119,8 @@ let pp fmt ann =
       | Plan.Sort _ -> "Sort"
       | Plan.Join { algo; _ } -> Plan.algo_name algo
       | Plan.Top_k { k; _ } -> Printf.sprintf "TopK k=%d" k
-      | Plan.Nary_rank_join { inputs; _ } ->
+      | Plan.Rank_join { inputs = [ _; _ ]; _ } -> "HRJN"
+      | Plan.Rank_join { inputs; _ } ->
           Printf.sprintf "HRJN* (%d-way)" (List.length inputs)
       | Plan.Any_k { inputs; _ } ->
           Printf.sprintf "AnyK (%d-way)" (List.length inputs)
@@ -149,9 +129,13 @@ let pp fmt ann =
           Printf.sprintf "GatherMerge (%d shards)" (List.length inputs)
     in
     (match a.depths with
-    | Some d ->
+    | Some [| d_left; d_right |] ->
         Format.fprintf fmt "%s%s  k=%.0f  dL=%.0f dR=%.0f@." pad head a.required
-          d.Depth_model.d_left d.Depth_model.d_right
+          d_left d_right
+    | Some ds ->
+        Format.fprintf fmt "%s%s  k=%.0f  %s@." pad head a.required
+          (String.concat " "
+             (List.mapi (Printf.sprintf "d%d=%.0f") (Array.to_list ds)))
     | None -> Format.fprintf fmt "%s%s  k=%.0f@." pad head a.required);
     List.iter (go (indent + 2)) a.children
   in

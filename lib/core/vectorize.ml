@@ -52,10 +52,10 @@ let rec any bulk p =
         any bulk left || any bulk right
     | Plan.Join { algo = Plan.Index_nl; left; right; _ } ->
         any bulk left || any false right
-    | Plan.Join { algo = Plan.Hrjn | Plan.Nrjn; left; right; _ } ->
+    | Plan.Join { algo = Plan.Nrjn; left; right; _ } ->
         (* Rank joins stream incrementally from their inputs. *)
         any false left || any false right
-    | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
+    | Plan.Rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
         List.exists (any false) inputs
 
 let vectorized p = any true p

@@ -4,7 +4,6 @@ module Logical = Core.Logical
 module Cost_model = Core.Cost_model
 module Memo = Core.Memo
 module Propagate = Core.Propagate
-module Depth_model = Core.Depth_model
 module Io = Core.Interesting_orders
 
 let catalog =
@@ -161,27 +160,27 @@ let schema_node catalog (f : Walk.facts) =
                       cond.Logical.right_table;
                   ]))
       | _ -> [])
-  | Plan.Nary_rank_join { inputs; scores; key; tables } ->
+  | Plan.Rank_join { inputs; scores; keys } ->
       if List.length inputs < 2 then
-        [ d rule01 path "N-ary rank join needs >= 2 inputs" ]
+        [ d rule01 path "rank join needs >= 2 inputs" ]
       else if
         List.length inputs <> List.length scores
-        || List.length inputs <> List.length tables
-      then [ d rule01 path "N-ary rank join arity mismatch" ]
+        || List.length inputs <> List.length keys
+      then [ d rule01 path "rank join arity mismatch (scores or keys)" ]
       else
         List.concat
           (List.mapi
-             (fun i (score, table) ->
+             (fun i (score, (table, column)) ->
                let schema = child_schema i in
-               let keycol = Expr.col ~relation:table key in
+               let keycol = Expr.col ~relation:table column in
                (match schema with
                | Some s when not (Expr.bound_by s keycol) ->
-                   [ d rule01 path "N-ary join key %s.%s unbound" table key ]
+                   [ d rule01 path "rank join key %s.%s unbound" table column ]
                | _ -> [])
                @ check_bound_typed ~path
-                   ~what:(Printf.sprintf "N-ary score %d" i)
+                   ~what:(Printf.sprintf "rank join score %d" i)
                    `Num schema score)
-             (List.combine scores tables))
+             (List.combine scores keys))
   | Plan.Any_k { inputs; scores; keys; _ } ->
       if List.length inputs < 2 then
         [ d rule01 path "anyK needs >= 2 inputs" ]
@@ -236,14 +235,6 @@ let order_node (f : Walk.facts) =
   let path = f.Walk.path in
   let missing_scores =
     match f.Walk.plan with
-    | Plan.Join { algo = Plan.Hrjn; left_score; right_score; _ } ->
-        (match left_score with
-        | None -> [ d rule02 path "HRJN left input lacks a score expression" ]
-        | Some _ -> [])
-        @
-        (match right_score with
-        | None -> [ d rule02 path "HRJN right input lacks a score expression" ]
-        | Some _ -> [])
     | Plan.Join { algo = Plan.Nrjn; left_score = None; _ } ->
         [ d rule02 path "NRJN outer input lacks a score expression" ]
     | _ -> []
@@ -314,12 +305,12 @@ let rec conjuncts = function
   | e -> [ e ]
 
 (* Everything the physical plan applies: filter conjuncts, binary join
-   conditions, and N-ary shared keys (which imply all pairwise equalities
-   among their member tables). *)
+   conditions, and rank-join key sets (which imply all pairwise equalities
+   among their member columns). *)
 type applied = {
   filters : Expr.t list;
   join_conds : Logical.join_pred list;
-  nary : (string * string list) list;  (* shared key, member tables *)
+  key_sets : (string * string) list list;  (* (table, column) per input *)
 }
 
 let applied_of facts =
@@ -329,8 +320,7 @@ let applied_of facts =
       | Plan.Filter { pred; _ } ->
           { acc with filters = conjuncts pred @ acc.filters }
       | Plan.Join { cond; _ } -> { acc with join_conds = cond :: acc.join_conds }
-      | Plan.Nary_rank_join { key; tables; _ } ->
-          { acc with nary = (key, tables) :: acc.nary }
+      | Plan.Rank_join { keys; _ } -> { acc with key_sets = keys :: acc.key_sets }
       | Plan.Any_k { keys; _ } ->
           (* each key binding enforces parent_key = child_key, the same
              conjunct shape a residual filter would carry *)
@@ -339,7 +329,7 @@ let applied_of facts =
           in
           { acc with filters = eqs @ acc.filters }
       | _ -> acc)
-    { filters = []; join_conds = []; nary = [] }
+    { filters = []; join_conds = []; key_sets = [] }
     facts
 
 let same_pred (a : Logical.join_pred) (b : Logical.join_pred) =
@@ -368,11 +358,9 @@ let filter_implements (j : Logical.join_pred) = function
         }
   | _ -> false
 
-let nary_implements (j : Logical.join_pred) (key, tables) =
-  String.equal j.Logical.left_column key
-  && String.equal j.Logical.right_column key
-  && List.exists (String.equal j.Logical.left_table) tables
-  && List.exists (String.equal j.Logical.right_table) tables
+let keys_implement (j : Logical.join_pred) keys =
+  List.mem (j.Logical.left_table, j.Logical.left_column) keys
+  && List.mem (j.Logical.right_table, j.Logical.right_column) keys
 
 let filter_rule ~query facts =
   let applied = applied_of facts in
@@ -406,7 +394,7 @@ let filter_rule ~query facts =
         else if
           List.exists (same_pred j) applied.join_conds
           || List.exists (filter_implements j) applied.filters
-          || List.exists (nary_implements j) applied.nary
+          || List.exists (keys_implement j) applied.key_sets
         then None
         else
           Some
@@ -424,24 +412,56 @@ let filter_rule ~query facts =
 
 let rule05 = "PL05-kprop"
 
-(* Shared by PL05 and PL06: bound checks on one rank join's depth pair. *)
-let check_depths_at ~rule ~path ~card_left ~card_right
-    (depths : Depth_model.depths) =
-  let side name dv card =
-    if bad_float dv || dv = Float.infinity then
-      [ d rule path "%s depth is not finite (%g)" name dv ]
-    else if dv < 1.0 -. tol 1.0 then
-      [ d rule path "%s depth %g is below 1" name dv ]
-    else if not (ge (Float.max 1.0 card) dv) then
-      [
-        d rule path
-          ~hint:"an operator cannot read more tuples than its input holds"
-          "%s depth %g exceeds input cardinality %g" name dv card;
-      ]
-    else []
-  in
-  side "left" depths.Depth_model.d_left card_left
-  @ side "right" depths.Depth_model.d_right card_right
+(* The inputs a rank-join node reads to the depths it is annotated with. *)
+let rank_inputs = function
+  | Plan.Rank_join { inputs; _ } -> inputs
+  | Plan.Join { algo = Plan.Nrjn; left; right; _ } -> [ left; right ]
+  | _ -> []
+
+let input_cards env plan =
+  Array.of_list
+    (List.map
+       (fun p -> (Cost_model.estimate env p).Cost_model.rows)
+       (rank_inputs plan))
+
+(* Shared by PL05 and PL06: bound checks on one rank join's per-input
+   depths. *)
+let check_depths_at ~rule ~path ~cards (depths : float array) =
+  if Array.length depths <> Array.length cards then
+    [
+      d rule path "%d depths for %d inputs" (Array.length depths)
+        (Array.length cards);
+    ]
+  else
+    List.concat
+      (List.mapi
+         (fun i dv ->
+           let card = cards.(i) in
+           if bad_float dv || dv = Float.infinity then
+             [ d rule path "input %d depth is not finite (%g)" i dv ]
+           else if dv < 1.0 -. tol 1.0 then
+             [ d rule path "input %d depth %g is below 1" i dv ]
+           else if not (ge (Float.max 1.0 card) dv) then
+             [
+               d rule path
+                 ~hint:"an operator cannot read more tuples than its input holds"
+                 "input %d depth %g exceeds input cardinality %g" i dv card;
+             ]
+           else [])
+         (Array.to_list depths))
+
+(* Shared by PL05 and PL06: no input depth shrinks from [k1] to [k2]. *)
+let check_growth ~rule ~path ~k1 ~k2 (d1 : float array) (d2 : float array) =
+  List.concat
+    (List.mapi
+       (fun i (a, b) ->
+         if ge b a then []
+         else
+           [
+             d rule path "input %d depth shrinks as k grows: %g at k=%g, %g at k=%g"
+               i a k1 b k2;
+           ])
+       (List.combine (Array.to_list d1) (Array.to_list d2)))
 
 let check_propagation env ~k (ann : Propagate.annotation) =
   let root_required = float_of_int (max 1 k) in
@@ -461,12 +481,11 @@ let check_propagation env ~k (ann : Propagate.annotation) =
          [ d rule05 path "requirement is negative (%g)" a.Propagate.required ]
        else [])
       @
-      match (a.Propagate.depths, a.Propagate.node) with
-      | Some depths, Plan.Join { left; right; _ } ->
-          let card p = (Cost_model.estimate env p).Cost_model.rows in
-          check_depths_at ~rule:rule05 ~path ~card_left:(card left)
-            ~card_right:(card right) depths
-      | _ -> []
+      match a.Propagate.depths with
+      | Some depths ->
+          check_depths_at ~rule:rule05 ~path
+            ~cards:(input_cards env a.Propagate.node) depths
+      | None -> []
     in
     here
     @ List.concat
@@ -476,8 +495,8 @@ let check_propagation env ~k (ann : Propagate.annotation) =
   in
   root @ go "prop:root" ann
 
-let rec zip_monotone path (a : Propagate.annotation) (b : Propagate.annotation)
-    =
+let rec zip_monotone ~k path (a : Propagate.annotation)
+    (b : Propagate.annotation) =
   let here =
     (if ge b.Propagate.required a.Propagate.required then []
      else
@@ -488,91 +507,55 @@ let rec zip_monotone path (a : Propagate.annotation) (b : Propagate.annotation)
        ])
     @
     match (a.Propagate.depths, b.Propagate.depths) with
-    | Some da, Some db ->
-        (if ge db.Depth_model.d_left da.Depth_model.d_left then []
-         else
-           [
-             d rule05 path "left depth shrinks as k grows: %g at k, %g at 2k"
-               da.Depth_model.d_left db.Depth_model.d_left;
-           ])
-        @
-        if ge db.Depth_model.d_right da.Depth_model.d_right then []
-        else
-          [
-            d rule05 path "right depth shrinks as k grows: %g at k, %g at 2k"
-              da.Depth_model.d_right db.Depth_model.d_right;
-          ]
+    | Some da, Some db when Array.length da = Array.length db ->
+        check_growth ~rule:rule05 ~path ~k1:(float_of_int k)
+          ~k2:(float_of_int (2 * k)) da db
     | _ -> []
   in
   here
   @ List.concat
       (List.mapi
-         (fun i (ca, cb) -> zip_monotone (Printf.sprintf "%s/%d" path i) ca cb)
+         (fun i (ca, cb) ->
+           zip_monotone ~k (Printf.sprintf "%s/%d" path i) ca cb)
          (List.combine a.Propagate.children b.Propagate.children))
 
 let propagation_rule env ~k plan =
   let k = max 1 k in
   let ann = Propagate.run env ~k plan in
   let ann2 = Propagate.run env ~k:(2 * k) plan in
-  check_propagation env ~k ann @ zip_monotone "prop:root" ann ann2
+  check_propagation env ~k ann @ zip_monotone ~k "prop:root" ann ann2
 
 (* ------------------------------------------------------------------ *)
 (* PL06-depth *)
 
 let rule06 = "PL06-depth"
 
-let check_depths ~path ~card_left ~card_right depths =
-  check_depths_at ~rule:rule06 ~path ~card_left ~card_right depths
+let check_depths ~path ~cards depths =
+  check_depths_at ~rule:rule06 ~path ~cards depths
+
+(* [f path node] at every node of [plan], pre-order, paths as [Walk]
+   names them. *)
+let rec concat_nodes f path plan =
+  f path plan
+  @ List.concat_map
+      (fun (c, seg) -> concat_nodes f (path ^ "/" ^ seg) c)
+      (Walk.children_of plan)
 
 let depth_rule env plan =
   let k1 = float_of_int (max 1 env.Cost_model.k_min) in
-  let rec go path plan =
-    let here =
-      match plan with
-      | Plan.Join { algo = Plan.Hrjn | Plan.Nrjn; cond; left; right; _ } ->
-          let card p = (Cost_model.estimate env p).Cost_model.rows in
-          let at k =
-            Cost_model.rank_join_depths env plan ~k ~cond ~left ~right
-          in
-          let d1 = at k1 and d2 = at (2.0 *. k1) in
-          check_depths ~path ~card_left:(card left) ~card_right:(card right) d1
-          @ check_depths ~path ~card_left:(card left) ~card_right:(card right)
-              d2
-          @ (if ge d2.Depth_model.d_left d1.Depth_model.d_left then []
-             else
-               [
-                 d rule06 path
-                   "left depth shrinks as k grows: %g at k=%g, %g at k=%g"
-                   d1.Depth_model.d_left k1 d2.Depth_model.d_left (2.0 *. k1);
-               ])
-          @
-          if ge d2.Depth_model.d_right d1.Depth_model.d_right then []
-          else
-            [
-              d rule06 path
-                "right depth shrinks as k grows: %g at k=%g, %g at k=%g"
-                d1.Depth_model.d_right k1 d2.Depth_model.d_right (2.0 *. k1);
-            ]
-      | _ -> []
-    in
-    here
-    @ List.concat
-        (List.map
-           (fun (c, seg) -> go (path ^ "/" ^ seg) c)
-           (match plan with
-           | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
-           | Plan.Remote_scan _ ->
-               []
-           | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ }
-             ->
-               [ (input, "input") ]
-           | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
-           | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
-               List.mapi (fun i p -> (p, Printf.sprintf "in%d" i)) inputs
-           | Plan.Gather_merge { inputs; _ } ->
-               List.mapi (fun i p -> (p, Printf.sprintf "shard%d" i)) inputs))
-  in
-  go "plan:root" plan
+  let k2 = 2.0 *. k1 in
+  concat_nodes
+    (fun path plan ->
+      match rank_inputs plan with
+      | [] -> []
+      | _ ->
+          let cards = input_cards env plan in
+          let d1 = Cost_model.rank_join_depths env plan ~k:k1 in
+          let d2 = Cost_model.rank_join_depths env plan ~k:k2 in
+          check_depths ~path ~cards d1
+          @ check_depths ~path ~cards d2
+          @ check_growth ~rule:rule06 ~path ~k1 ~k2 d1 d2)
+    "plan:root" plan
 
 (* ------------------------------------------------------------------ *)
 (* PL07-cost *)
@@ -649,7 +632,7 @@ let check_estimate ~path ?child_floor (est : Cost_model.estimate) =
 
 let cost_rule env plan =
   let est = Cost_model.estimate env in
-  let rec go path plan =
+  let node path plan =
     let e = est plan in
     let rows_leq child what =
       let ce = est child in
@@ -660,8 +643,18 @@ let cost_rule env plan =
             e.Cost_model.rows ce.Cost_model.rows;
         ]
     in
-    let here =
-      match plan with
+    let rows_leq_cross inputs =
+      let cross =
+        List.fold_left (fun acc i -> acc *. (est i).Cost_model.rows) 1.0 inputs
+      in
+      if ge (cross *. (1.0 +. 1e-9)) e.Cost_model.rows then []
+      else
+        [
+          d rule07 path "join emits %g rows, more than the cross product %g"
+            e.Cost_model.rows cross;
+        ]
+    in
+    match plan with
       | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
       | Plan.Remote_scan _ ->
           check_estimate ~path e
@@ -700,18 +693,12 @@ let cost_rule env plan =
                 (* probes replace the inner's scan cost; only the outer is
                    consumed in full *)
                 Some l.Cost_model.total_cost
-            | Plan.Hrjn | Plan.Nrjn -> None (* early-out operators *)
+            | Plan.Nrjn -> None (* an early-out operator *)
           in
-          check_estimate ~path ?child_floor:floor e
-          @
-          let cross = l.Cost_model.rows *. r.Cost_model.rows in
-          if ge (cross *. (1.0 +. 1e-9)) e.Cost_model.rows then []
-          else
-            [
-              d rule07 path "join emits %g rows, more than the cross product %g"
-                e.Cost_model.rows cross;
-            ]
-      | Plan.Nary_rank_join _ -> check_estimate ~path e
+          check_estimate ~path ?child_floor:floor e @ rows_leq_cross [ left; right ]
+      | Plan.Rank_join { inputs; _ } ->
+          (* an early-out operator: no floor *)
+          check_estimate ~path e @ rows_leq_cross inputs
       | Plan.Any_k { inputs; _ } ->
           (* the build phase consumes every input in full, so the inputs'
              serial totals are a sound floor on the anyK estimate *)
@@ -721,25 +708,8 @@ let cost_rule env plan =
               0.0 inputs
           in
           check_estimate ~path ~child_floor:floor e
-    in
-    here
-    @ List.concat
-        (List.map
-           (fun (c, seg) -> go (path ^ "/" ^ seg) c)
-           (match plan with
-           | Plan.Table_scan _ | Plan.Index_scan _ | Plan.Rank_index_scan _
-           | Plan.Remote_scan _ ->
-               []
-           | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ }
-             ->
-               [ (input, "input") ]
-           | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
-           | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
-               List.mapi (fun i p -> (p, Printf.sprintf "in%d" i)) inputs
-           | Plan.Gather_merge { inputs; _ } ->
-               List.mapi (fun i p -> (p, Printf.sprintf "shard%d" i)) inputs))
   in
-  go "plan:root" plan
+  concat_nodes node "plan:root" plan
 
 (* ------------------------------------------------------------------ *)
 (* PL08-memo *)
@@ -854,7 +824,7 @@ let memo_rule env memo =
               match spine sp.Memo.plan with
               | Plan.Join { left; right; _ } when key <> 0 ->
                   child_entry left @ child_entry right
-              | Plan.Nary_rank_join { inputs; _ } ->
+              | Plan.Rank_join { inputs; _ } when key <> 0 ->
                   List.concat_map child_entry inputs
               | _ -> []
             in
@@ -876,7 +846,7 @@ let rec count_topk = function
   | Plan.Filter { input; _ } | Plan.Sort { input; _ } -> count_topk input
   | Plan.Top_k { input; _ } -> 1 + count_topk input
   | Plan.Join { left; right; _ } -> count_topk left + count_topk right
-  | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
+  | Plan.Rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
       List.fold_left (fun acc i -> acc + count_topk i) 0 inputs
 
 let topk_rule (p : Core.Optimizer.planned) =

@@ -18,8 +18,8 @@ val schema_rule : Storage.Catalog.t -> Walk.facts -> Diag.t list
 (** Tables and indexes exist; index keys match the catalog; predicates,
     sort keys, join keys and score expressions are bound by the schema of
     the input they run over and are well-typed (predicates boolean, scores
-    numeric); Top-k limits are non-negative; N-ary joins are ≥ 2-way with
-    consistent arities. *)
+    numeric); Top-k limits are non-negative; rank joins and anyK are
+    ≥ 2-way with one score (and one key) per input. *)
 
 (** {2 PL02-order — order-property soundness} *)
 
@@ -40,7 +40,7 @@ val pipeline_rule : ?stored:bool -> Walk.facts -> Diag.t list
 val filter_rule : query:Core.Logical.t -> Walk.facts -> Diag.t list
 (** Every relation filter and join predicate of the logical query whose
     relations the plan covers is applied somewhere in the physical plan
-    (as a Filter conjunct, a join condition, or an N-ary shared key) — the
+    (as a Filter conjunct, a join condition, or a rank join's keys) — the
     INL-join dropped-filter bug class. *)
 
 (** {2 PL05-kprop — k-propagation sanity (Figure 8)} *)
@@ -57,19 +57,16 @@ val propagation_rule : Core.Cost_model.env -> k:int -> Core.Plan.t -> Diag.t lis
 
 (** {2 PL06-depth — Theorem-1/2 depth-bound sanity} *)
 
-val check_depths :
-  path:string ->
-  card_left:float ->
-  card_right:float ->
-  Core.Depth_model.depths ->
-  Diag.t list
-(** Pure checker: each depth is finite, ≥ 1 and ≤ its input cardinality
-    (with the model's [max 1] floor). *)
+val check_depths : path:string -> cards:float array -> float array -> Diag.t list
+(** Pure checker on one rank join: one depth per input ([cards] holds the
+    inputs' estimated cardinalities), each finite, ≥ 1 and ≤ its input
+    cardinality (with the model's [max 1] floor). *)
 
 val depth_rule : Core.Cost_model.env -> Core.Plan.t -> Diag.t list
-(** Driver: for every binary rank join, the depths the cost model predicts
-    at [k_min] and [2·k_min] satisfy {!check_depths} and are monotone
-    in [k]. *)
+(** For every rank-join node (HRJN over any number of inputs, and
+    NRJN), the depths {!Core.Cost_model.rank_join_depths} predicts at
+    [k_min] and [2·k_min] satisfy {!check_depths} and no input's depth
+    shrinks. *)
 
 (** {2 PL07-cost — cost estimate monotonicity} *)
 

@@ -91,16 +91,6 @@ let produced_order plan child_orders =
       if order_is (child 0) Io.Asc lkey && order_is (child 1) Io.Asc rkey then
         Some { Plan.expr = lkey; direction = Io.Asc }
       else None
-  | Plan.Join { algo = Plan.Hrjn; left_score; right_score; _ } ->
-      (* HRJN pulls both inputs in descending score order and thresholds;
-         both sides must be scored and sorted for the output claim to hold *)
-      (match (left_score, right_score) with
-      | Some l, Some r
-        when order_is (child 0) Io.Desc l && order_is (child 1) Io.Desc r ->
-          Option.map
-            (fun e -> { Plan.expr = e; direction = Io.Desc })
-            (Plan.combined_score left_score right_score)
-      | _ -> None)
   | Plan.Join { algo = Plan.Nrjn; left_score; right_score; _ } ->
       (* NRJN only needs sorted access on the outer: the inner is scanned
          per probe, so the threshold works with an unsorted right input *)
@@ -110,9 +100,10 @@ let produced_order plan child_orders =
             (fun e -> { Plan.expr = e; direction = Io.Desc })
             (Plan.combined_score left_score right_score)
       | _ -> None)
-  | Plan.Nary_rank_join { scores; inputs; _ } ->
-      (* arity mismatches are PL01's finding; here require each scored
-         input to arrive already sorted descending on its own score *)
+  | Plan.Rank_join { scores; inputs; _ } ->
+      (* HRJN pulls every input in descending score order and thresholds;
+         arity mismatches are PL01's finding, here each scored input must
+         arrive already sorted descending on its own score *)
       let all_sorted =
         List.length scores = List.length inputs
         && List.mapi (fun i s -> order_is (child i) Io.Desc s) scores
@@ -149,8 +140,8 @@ let produced_order plan child_orders =
    inputs before emitting anything: NL/INL/Hash joins drive the left
    (the right is a per-tuple probe or a build side excluded from the
    "time-to-first-row-per-driving-row" property this codebase tracks),
-   sort-merge and HRJN pull both sides incrementally, NRJN materialises the
-   right, HRJN* round-robins all inputs. *)
+   sort-merge pulls both sides incrementally, NRJN materialises the
+   right, HRJN pulls all of its inputs incrementally. *)
 
 let streaming_of plan child_streams =
   let child i = match List.nth_opt child_streams i with Some b -> b | None -> false in
@@ -168,9 +159,9 @@ let streaming_of plan child_streams =
   | Plan.Sort _ -> false
   | Plan.Join { algo = Plan.Nested_loops | Plan.Index_nl | Plan.Hash; _ } ->
       child 0
-  | Plan.Join { algo = Plan.Sort_merge | Plan.Hrjn; _ } -> child 0 && child 1
+  | Plan.Join { algo = Plan.Sort_merge; _ } -> child 0 && child 1
   | Plan.Join { algo = Plan.Nrjn; _ } -> child 0
-  | Plan.Nary_rank_join { inputs; _ } ->
+  | Plan.Rank_join { inputs; _ } ->
       List.mapi (fun i _ -> child i) inputs |> List.for_all Fun.id
   (* the build phase drains every input before the first answer *)
   | Plan.Any_k _ -> false
@@ -186,7 +177,7 @@ let children_of = function
   | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ } ->
       [ (input, "input") ]
   | Plan.Join { left; right; _ } -> [ (left, "left"); (right, "right") ]
-  | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
+  | Plan.Rank_join { inputs; _ } | Plan.Any_k { inputs; _ } ->
       List.mapi (fun i p -> (p, Printf.sprintf "in%d" i)) inputs
 
 let derive catalog plan =
@@ -228,7 +219,7 @@ let derive catalog plan =
           match children with
           | [ l; r ] -> concat_opt l.schema r.schema
           | _ -> None)
-      | Plan.Nary_rank_join _ | Plan.Any_k _ -> (
+      | Plan.Rank_join _ | Plan.Any_k _ -> (
           match children with
           | [] -> None
           | first :: rest ->

@@ -27,6 +27,10 @@ type facts = {
   children : facts list;
 }
 
+val children_of : Core.Plan.t -> (Core.Plan.t * string) list
+(** A node's inputs, each with the segment [derive] appends to the
+    node's path for it ([input], [left]/[right], [in0]..., [shard0]...). *)
+
 val derive : Storage.Catalog.t -> Core.Plan.t -> facts
 
 val table_schema : Storage.Catalog.t -> string -> Schema.t option

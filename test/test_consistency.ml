@@ -59,7 +59,7 @@ let plan_children = function
   | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Top_k { input; _ } ->
       [ input ]
   | Plan.Join { left; right; _ } -> [ left; right ]
-  | Plan.Nary_rank_join { inputs; _ } | Plan.Any_k { inputs; _ } -> inputs
+  | Plan.Rank_join { inputs; _ } | Plan.Any_k { inputs; _ } -> inputs
 
 let rec annotation_mirrors (ann : Propagate.annotation) plan =
   let children = plan_children plan in

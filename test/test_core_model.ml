@@ -230,14 +230,16 @@ let ab_cond =
   }
 
 let hrjn_plan () =
-  Plan.Join
+  Plan.Rank_join
     {
-      algo = Plan.Hrjn;
-      cond = ab_cond;
-      left = Plan.Sort { order = { Plan.expr = score_of "A"; direction = Interesting_orders.Desc }; input = scan "A" };
-      right = Plan.Sort { order = { Plan.expr = score_of "B"; direction = Interesting_orders.Desc }; input = scan "B" };
-      left_score = Some (Expr.Mul (Expr.cfloat 0.5, score_of "A"));
-      right_score = Some (Expr.Mul (Expr.cfloat 0.5, score_of "B"));
+      inputs =
+        [
+          Plan.Sort { order = { Plan.expr = score_of "A"; direction = Interesting_orders.Desc }; input = scan "A" };
+          Plan.Sort { order = { Plan.expr = score_of "B"; direction = Interesting_orders.Desc }; input = scan "B" };
+        ];
+      scores =
+        [ Expr.Mul (Expr.cfloat 0.5, score_of "A"); Expr.Mul (Expr.cfloat 0.5, score_of "B") ];
+      keys = [ ("A", "key"); ("B", "key") ];
     }
 
 let sort_plan () =
@@ -359,30 +361,21 @@ let test_propagate_hierarchy_k_grows_downward () =
       ~k:100 ()
   in
   let env = Cost_model.default_env ~k_min:100 cat query in
-  let bc_cond =
-    { Logical.left_table = "B"; left_column = "key"; right_table = "C"; right_column = "key" }
-  in
   let desc t = Plan.Sort { order = { Plan.expr = score_of t; direction = Interesting_orders.Desc }; input = scan t } in
   let child =
-    Plan.Join
+    Plan.Rank_join
       {
-        algo = Plan.Hrjn;
-        cond = bc_cond;
-        left = desc "B";
-        right = desc "C";
-        left_score = Some (score_of "B");
-        right_score = Some (score_of "C");
+        inputs = [ desc "B"; desc "C" ];
+        scores = [ score_of "B"; score_of "C" ];
+        keys = [ ("B", "key"); ("C", "key") ];
       }
   in
   let root =
-    Plan.Join
+    Plan.Rank_join
       {
-        algo = Plan.Hrjn;
-        cond = ab_cond;
-        left = desc "A";
-        right = child;
-        left_score = Some (score_of "A");
-        right_score = Some (Expr.Add (score_of "B", score_of "C"));
+        inputs = [ desc "A"; child ];
+        scores = [ score_of "A"; Expr.Add (score_of "B", score_of "C") ];
+        keys = [ ("A", "key"); ("B", "key") ];
       }
   in
   let ann = Propagate.run env ~k:100 (Plan.Top_k { k = 100; input = root }) in

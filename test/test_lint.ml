@@ -114,8 +114,19 @@ let test_mutation_pl05 () =
 (* PL06: a rank join claiming to read 50 tuples from a 10-tuple input. *)
 let test_mutation_pl06 () =
   expect_only "PL06-depth"
-    (Lint.Rules.check_depths ~path:"plan:root" ~card_left:10.0 ~card_right:10.0
-       { Depth_model.d_left = 50.0; d_right = 5.0 })
+    (Lint.Rules.check_depths ~path:"plan:root" ~cards:[| 10.0; 10.0 |]
+       [| 50.0; 5.0 |])
+
+(* PL06 over three inputs: only input 2 reads past its cardinality. *)
+let test_mutation_pl06_third_input () =
+  let diags =
+    Lint.Rules.check_depths ~path:"plan:root" ~cards:[| 10.0; 10.0; 10.0 |]
+      [| 5.0; 10.0; 50.0 |]
+  in
+  expect_only "PL06-depth" diags;
+  Alcotest.(check (list string))
+    "names input 2" [ "input 2 depth 50 exceeds input cardinality 10" ]
+    (List.map (fun (dg : Lint.Diag.t) -> dg.Lint.Diag.message) diags)
 
 (* PL07: a NaN row estimate, and separately a cost function that decreases
    as output grows. *)
@@ -332,13 +343,14 @@ let test_mutation_pl15 () =
     (Lint.Rules.vector_rule ~vectorized:false (Lint.Walk.derive cat scan));
   (* A rank join is never batch-executable: claiming so must fire. *)
   let rank_plan =
-    Plan.Join
-      { algo = Plan.Hrjn; cond = ab_cond;
-        left = Plan.Index_scan
-            { table = "A"; index = "A_score"; key = score "A"; desc = true };
-        right = Plan.Index_scan
-            { table = "B"; index = "B_score"; key = score "B"; desc = true };
-        left_score = Some (score "A"); right_score = Some (score "B") }
+    Plan.Rank_join
+      { inputs =
+          [ Plan.Index_scan
+              { table = "A"; index = "A_score"; key = score "A"; desc = true };
+            Plan.Index_scan
+              { table = "B"; index = "B_score"; key = score "B"; desc = true } ];
+        scores = [ score "A"; score "B" ];
+        keys = [ ("A", "key"); ("B", "key") ] }
   in
   expect_only "PL15-vector"
     (Lint.Rules.vector_rule ~vectorized:true (Lint.Walk.derive cat rank_plan));
@@ -435,6 +447,8 @@ let suites =
         Alcotest.test_case "PL04 dropped filter" `Quick test_mutation_pl04;
         Alcotest.test_case "PL05 NaN requirement" `Quick test_mutation_pl05;
         Alcotest.test_case "PL06 depth over cardinality" `Quick test_mutation_pl06;
+        Alcotest.test_case "PL06 third input over cardinality" `Quick
+          test_mutation_pl06_third_input;
         Alcotest.test_case "PL07 corrupt estimate" `Quick test_mutation_pl07;
         Alcotest.test_case "PL08 property-bit drift" `Quick test_mutation_pl08;
         Alcotest.test_case "PL09 tampered Top-k" `Quick test_mutation_pl09;

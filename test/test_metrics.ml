@@ -66,20 +66,11 @@ let hrjn_topk cat k =
     {
       k;
       input =
-        Core.Plan.Join
+        Core.Plan.Rank_join
           {
-            algo = Core.Plan.Hrjn;
-            cond =
-              {
-                Core.Logical.left_table = "A";
-                left_column = "key";
-                right_table = "B";
-                right_column = "key";
-              };
-            left = index_scan_desc cat "A";
-            right = index_scan_desc cat "B";
-            left_score = Some (score_of "A");
-            right_score = Some (score_of "B");
+            inputs = [ index_scan_desc cat "A"; index_scan_desc cat "B" ];
+            scores = [ score_of "A"; score_of "B" ];
+            keys = [ ("A", "key"); ("B", "key") ];
           };
     }
 
@@ -106,7 +97,7 @@ let rec find_profile pred (p : Core.Executor.profile) =
   else List.find_map (find_profile pred) p.Core.Executor.p_children
 
 let is_rank_join = function
-  | Core.Plan.Join { algo = Core.Plan.Hrjn; _ } -> true
+  | Core.Plan.Rank_join _ -> true
   | _ -> false
 
 (* The tentpole regression: the depths EXPLAIN ANALYZE observes are wired to

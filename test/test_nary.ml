@@ -462,7 +462,8 @@ let star_query ?(k = 10) () =
     ~k ()
 
 let rec plan_has_nary = function
-  | Core.Plan.Nary_rank_join _ -> true
+  | Core.Plan.Rank_join { inputs; _ } ->
+      List.length inputs > 2 || List.exists plan_has_nary inputs
   | Core.Plan.Table_scan _ | Core.Plan.Index_scan _ | Core.Plan.Rank_index_scan _
   | Core.Plan.Remote_scan _ ->
       false
@@ -584,6 +585,63 @@ let test_nary_depth_formula () =
     (Invalid_argument "Depth_model.nary_uniform_depth: m < 2") (fun () ->
       ignore (Core.Depth_model.nary_uniform_depth ~m:1 ~k:5.0 ~s:0.5))
 
+(* EXPLAIN ANALYZE predicts a depth for every input of HRJN*: each is the
+   symmetric m-way depth at the node's k, clamped to the input's rows. *)
+let test_nary_explain_predicts_every_input () =
+  let cat = star_catalog () in
+  let planned = Core.Optimizer.optimize cat (star_query ()) in
+  let env = planned.Core.Optimizer.env in
+  let inputs =
+    match planned.Core.Optimizer.plan with
+    | Core.Plan.Top_k { input = Core.Plan.Rank_join { inputs; _ }; _ }
+      when List.length inputs = 3 ->
+        inputs
+    | p -> Alcotest.failf "expected Top-k over HRJN*, got %s" (Core.Plan.describe p)
+  in
+  let s =
+    Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
+      (Storage.Catalog.estimate_join_selectivity cat ~left:("A", "key")
+         ~right:("B", "key"))
+  in
+  let d = Core.Depth_model.nary_uniform_depth ~m:3 ~k:10.0 ~s in
+  let expected =
+    List.map
+      (fun i ->
+        Float.min d (Core.Cost_model.estimate env i).Core.Cost_model.rows)
+      inputs
+  in
+  let text, _ = Core.Optimizer.execute_analyzed cat planned in
+  let lines = String.split_on_char '\n' text in
+  let rec depths_line = function
+    | l :: next :: _ when String.starts_with ~prefix:"HRJN*[3]" (String.trim l) ->
+        String.trim next
+    | _ :: rest -> depths_line rest
+    | [] -> Alcotest.failf "no HRJN*[3] node in:\n%s" text
+  in
+  let cells =
+    match String.split_on_char ':' (depths_line lines) with
+    | [ "depths"; cells ] -> String.split_on_char ',' cells
+    | _ -> Alcotest.failf "no depths line under HRJN*[3] in:\n%s" text
+  in
+  Alcotest.(check int) "one cell per input" 3 (List.length cells);
+  List.iteri
+    (fun i (cell, e) ->
+      let pred = Printf.sprintf "(predicted %.1f)" e in
+      Alcotest.(check bool)
+        (Printf.sprintf "in%d: %s has %s" i cell pred)
+        true
+        (String.ends_with ~suffix:pred (String.trim cell)))
+    (List.combine cells expected);
+  let propagation =
+    Format.asprintf "%a" Core.Propagate.pp
+      (Core.Propagate.run env ~k:10 planned.Core.Optimizer.plan)
+  in
+  Alcotest.(check bool) "depth propagation prints d2" true
+    (List.exists
+       (fun l -> String.trim l |> String.starts_with ~prefix:"HRJN* (3-way)"
+                 && List.length (String.split_on_char '=' l) = 5)
+       (String.split_on_char '\n' propagation))
+
 let optimizer_suite =
   ( "core.nary_integration",
     [
@@ -591,4 +649,6 @@ let optimizer_suite =
       Alcotest.test_case "HRJN* plan executes" `Quick test_nary_plan_executes_correctly;
       Alcotest.test_case "chain keys: no HRJN*" `Quick test_nary_not_generated_for_chain_keys;
       Alcotest.test_case "depth formula" `Quick test_nary_depth_formula;
+      Alcotest.test_case "EXPLAIN ANALYZE predicts every input" `Quick
+        test_nary_explain_predicts_every_input;
     ] )

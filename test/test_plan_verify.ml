@@ -55,17 +55,17 @@ let test_detects_unbound_filter () =
 let test_detects_unsorted_hrjn_input () =
   let cat = setup () in
   expect_rule "PL02-order" cat
-    (Plan.Join
+    (Plan.Rank_join
        {
-         algo = Plan.Hrjn;
-         cond = ab_cond;
-         left = Plan.Table_scan { table = "A" };  (* not sorted! *)
-         right =
-           Plan.Sort
-             { order = { Plan.expr = score "B"; direction = Interesting_orders.Desc };
-               input = Plan.Table_scan { table = "B" } };
-         left_score = Some (score "A");
-         right_score = Some (score "B");
+         inputs =
+           [
+             Plan.Table_scan { table = "A" };  (* not sorted! *)
+             Plan.Sort
+               { order = { Plan.expr = score "B"; direction = Interesting_orders.Desc };
+                 input = Plan.Table_scan { table = "B" } };
+           ];
+         scores = [ score "A"; score "B" ];
+         keys = [ ("A", "key"); ("B", "key") ];
        })
 
 let test_detects_missing_rank_scores () =
@@ -75,9 +75,10 @@ let test_detects_missing_rank_scores () =
       { order = { Plan.expr = score t; direction = Interesting_orders.Desc };
         input = Plan.Table_scan { table = t } }
   in
+  (* A rank join's scores are not optional; NRJN's outer score is. *)
   expect_rule "PL02-order" cat
     (Plan.Join
-       { algo = Plan.Hrjn; cond = ab_cond; left = sorted "A"; right = sorted "B";
+       { algo = Plan.Nrjn; cond = ab_cond; left = sorted "A"; right = sorted "B";
          left_score = None; right_score = Some (score "B") })
 
 let test_detects_unsorted_merge_inputs () =

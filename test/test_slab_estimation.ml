@@ -36,28 +36,26 @@ let hrjn_plan cat ~wa ~wb =
     Plan.Index_scan
       { table = t; index = ix t; key = Expr.col ~relation:t "score"; desc = true }
   in
-  Plan.Join
+  Plan.Rank_join
     {
-      algo = Plan.Hrjn;
-      cond = { Logical.left_table = "A"; left_column = "key"; right_table = "B"; right_column = "key" };
-      left = iscan "A";
-      right = iscan "B";
-      left_score = Some (Expr.Mul (Expr.cfloat wa, Expr.col ~relation:"A" "score"));
-      right_score = Some (Expr.Mul (Expr.cfloat wb, Expr.col ~relation:"B" "score"));
+      inputs = [ iscan "A"; iscan "B" ];
+      scores =
+        [
+          Expr.Mul (Expr.cfloat wa, Expr.col ~relation:"A" "score");
+          Expr.Mul (Expr.cfloat wb, Expr.col ~relation:"B" "score");
+        ];
+      keys = [ ("A", "key"); ("B", "key") ];
     }
 
 let depths_for cat ~wa ~wb ~k =
   let q = weighted_query ~wa ~wb ~k in
   let env = Cost_model.default_env ~k_min:k cat q in
-  let plan = hrjn_plan cat ~wa ~wb in
-  match plan with
-  | Plan.Join { cond; left; right; _ } ->
-      (env, plan, Cost_model.rank_join_depths env plan ~k:(float_of_int k) ~cond ~left ~right)
-  | _ -> assert false
+  let d = Cost_model.rank_join_depths env (hrjn_plan cat ~wa ~wb) ~k:(float_of_int k) in
+  (env, { Depth_model.d_left = d.(0); d_right = d.(1) })
 
 let test_symmetric_weights_symmetric_depths () =
   let cat = setup () in
-  let _, _, d = depths_for cat ~wa:0.5 ~wb:0.5 ~k:10 in
+  let _, d = depths_for cat ~wa:0.5 ~wb:0.5 ~k:10 in
   (* The empirical score ranges of the two tables differ slightly, so allow
      a small relative tolerance. *)
   Test_util.check_floats_close ~eps:1e-2 "dL = dR" d.Depth_model.d_left
@@ -67,7 +65,7 @@ let test_asymmetric_weights_asymmetric_depths () =
   (* Low weight on B means B's scores barely matter: the model should read
      deeper into B (small slab -> fine discrimination needed) than into A. *)
   let cat = setup () in
-  let _, _, d = depths_for cat ~wa:0.9 ~wb:0.1 ~k:10 in
+  let _, d = depths_for cat ~wa:0.9 ~wb:0.1 ~k:10 in
   Alcotest.(check bool)
     (Printf.sprintf "dR (%.0f) > dL (%.0f)" d.Depth_model.d_right d.Depth_model.d_left)
     true
@@ -80,18 +78,18 @@ let test_slab_formula_matches_handmade () =
   let cat = setup ~n:4000 ~domain:400 () in
   let k = 10 in
   let wa = 0.8 and wb = 0.2 in
-  let env, plan, d = depths_for cat ~wa ~wb ~k in
-  (match plan with
-  | Plan.Join { cond; _ } ->
-      let s = Cost_model.join_selectivity env cond in
-      let x = wa and y = wb in
-      (* slabs share the 1/(n-1) factor, which cancels in the formulas *)
-      let expect = Depth_model.top_k_depths_slabs ~k:(float_of_int k) ~s ~x ~y in
-      Test_util.check_floats_close ~eps:1e-2 "dL" expect.Depth_model.d_left
-        d.Depth_model.d_left;
-      Test_util.check_floats_close ~eps:1e-2 "dR" expect.Depth_model.d_right
-        d.Depth_model.d_right
-  | _ -> assert false)
+  let env, d = depths_for cat ~wa ~wb ~k in
+  let s =
+    Cost_model.join_selectivity env
+      { Logical.left_table = "A"; left_column = "key"; right_table = "B"; right_column = "key" }
+  in
+  let x = wa and y = wb in
+  (* slabs share the 1/(n-1) factor, which cancels in the formulas *)
+  let expect = Depth_model.top_k_depths_slabs ~k:(float_of_int k) ~s ~x ~y in
+  Test_util.check_floats_close ~eps:1e-2 "dL" expect.Depth_model.d_left
+    d.Depth_model.d_left;
+  Test_util.check_floats_close ~eps:1e-2 "dR" expect.Depth_model.d_right
+    d.Depth_model.d_right
 
 let test_weighted_execution_follows_asymmetry () =
   (* End to end: with hints from the slab model, the executed operator reads

@@ -205,16 +205,12 @@ let test_executor_uses_hints () =
       {
         k = 10;
         input =
-          Core.Plan.Join
+          Core.Plan.Rank_join
             {
-              algo = Core.Plan.Hrjn;
-              cond =
-                { Core.Logical.left_table = "A"; left_column = "key";
-                  right_table = "B"; right_column = "key" };
-              left = iscan "A";
-              right = iscan "B";
-              left_score = Some (Expr.col ~relation:"A" "score");
-              right_score = Some (Expr.col ~relation:"B" "score");
+              inputs = [ iscan "A"; iscan "B" ];
+              scores =
+                [ Expr.col ~relation:"A" "score"; Expr.col ~relation:"B" "score" ];
+              keys = [ ("A", "key"); ("B", "key") ];
             };
       }
   in
