@@ -22,8 +22,10 @@ fuzz: build
 bench:
 	dune exec bench/main.exe
 
-# Perf trajectory: wall time for the drain-heavy query and compact
-# serve/lint rows. Appends one JSON row per measurement to
+# Perf trajectory: wall time for the drain-heavy query, the dashboard
+# join's pull path (minor words, tuples read and us per execution at
+# k=10 and 20) and compact serve/lint rows. Appends one JSON row per
+# measurement to
 # BENCH_RANKOPT.json (commit the rows you want to keep; every row records
 # `cores`).
 bench-perf: build
@@ -78,7 +80,9 @@ bench-nary: build
 	dune exec bench/main.exe -- nary
 
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
-# `make ci` stays clean-tree. plan-smoke exits 1 when a three-way prepare
+# `make ci` stays clean-tree. perf-smoke exits 1 when a dashboard join
+# execution allocates more than twice its recorded minor words or reads
+# a different number of tuples; plan-smoke exits 1 when a three-way prepare
 # allocates more than twice its recorded minor words or when its plan
 # digest or memo generated/retained counts differ from the pinned ones;
 # nary-smoke exits 1

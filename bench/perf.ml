@@ -1,14 +1,16 @@
 (* Perf baselines on disk.
 
    Measures wall time for the fig1-style drain query (join + sort + top-k
-   over everything) and records compact serve/lint wall times. Each
+   over everything), the dashboard join's pull path (minor words, tuples
+   read and time per execution) and compact serve/lint wall times. Each
    measurement appends one JSON row (one object per line) to
    BENCH_RANKOPT.json so successive changes accumulate a perf trajectory.
 
    Smoke mode (`make bench-smoke`, the `perf-smoke` experiment) runs a
    reduced-size subset in a few seconds and prints the rows without
-   appending — CI runs it and must leave the working tree clean. Every row
-   records [Domain.recommended_domain_count ()] as `cores`. *)
+   appending — CI runs it and must leave the working tree clean. It exits
+   1 when the pull path's counted quantities move (see [pull_pinned]).
+   Every row records [Domain.recommended_domain_count ()] as `cores`. *)
 
 let bench_file = "BENCH_RANKOPT.json"
 
@@ -65,6 +67,92 @@ let drain_rows ~smoke () =
       n k (cores ()) dt;
   ]
 
+(* The dashboard join's pull path: perfbench's dashboard data (5 000 rows
+   per table, key domain 200, data seeds 101/102, 512 frames, so every
+   page stays cached) and its first join template, HRJN(B[ix↓],A[ix↓]) at
+   k = 10 and 20, executed as the server runs an EXECUTE: open a cursor on
+   the prepared plan, fetch k rows, close it. Minor words and tuples read
+   per execution are deterministic for a build; the time is reported
+   only. *)
+let pull_sql k =
+  Printf.sprintf
+    "SELECT A.id, B.id FROM A, B WHERE A.key = B.key ORDER BY 0.5*A.score + \
+     0.5*B.score DESC LIMIT %d"
+    k
+
+(* Per k: minor words and tuples read per execution, as measured once the
+   pull path stopped making per-tuple garbage (it allocated 13 615 and
+   23 859 words before). perf-smoke fails when an execution allocates
+   more than twice the words or reads a different number of tuples. *)
+let pull_pinned = [ (10, 5751, 296); (20, 10175, 508) ]
+
+let pull_rows ~smoke () =
+  Bench_util.section "perf: dashboard join pull path";
+  let cat = Storage.Catalog.create ~pool_frames:512 () in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Workload.Generator.load_scored_table cat
+           (Rkutil.Prng.create (101 + i))
+           ~name ~n:5000 ~key_domain:200 ()))
+    [ "A"; "B" ];
+  let io = Storage.Catalog.io cat in
+  let runs = if smoke then 50 else 2000 in
+  let failed = ref false in
+  let rows =
+    List.map
+      (fun (k, pinned_words, pinned_tuples) ->
+        let prepared =
+          match
+            Result.bind (Sqlfront.Sql.template_of_sql (pull_sql k)) (fun tpl ->
+                Result.bind (Sqlfront.Sql.instantiate tpl ())
+                  (Sqlfront.Sql.prepare_ast cat))
+          with
+          | Ok p -> p
+          | Error e -> failwith e
+        in
+        let exec () =
+          let cur = Sqlfront.Sql.open_cursor cat prepared in
+          ignore (Sys.opaque_identity (Sqlfront.Sql.cursor_fetch cur k));
+          Sqlfront.Sql.cursor_close cur
+        in
+        exec ();
+        let before = Storage.Io_stats.snapshot io in
+        exec ();
+        let tuples =
+          (Storage.Io_stats.diff (Storage.Io_stats.snapshot io) before)
+            .Storage.Io_stats.tuples_read
+        in
+        let w0 = Gc.minor_words () in
+        let dt, () = wall (fun () -> for _ = 1 to runs do exec () done) in
+        let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+        let us = dt *. 1e6 /. float_of_int runs in
+        Bench_util.row
+          "k=%-3d %8.0f minor words  %5d tuples read  %7.1f us  (%s)\n" k words
+          tuples us
+          (Core.Plan.describe prepared.Sqlfront.Sql.planned.Core.Optimizer.plan);
+        if smoke then begin
+          if words > float_of_int (2 * pinned_words) then begin
+            Printf.printf
+              "perf-smoke: k=%d join allocates %.0f minor words, over twice \
+               the recorded %d\n"
+              k words pinned_words;
+            failed := true
+          end;
+          if tuples <> pinned_tuples then begin
+            Printf.printf "perf-smoke: k=%d join reads %d tuples, recorded %d\n"
+              k tuples pinned_tuples;
+            failed := true
+          end
+        end;
+        Printf.sprintf
+          "{\"bench\":\"pull\",\"n\":5000,\"domain\":200,\"k\":%d,\"runs\":%d,\
+           \"cores\":%d,\"minor_words\":%.0f,\"tuples_read\":%d,\"us\":%.1f}"
+          k runs (cores ()) words tuples us)
+      pull_pinned
+  in
+  (rows, !failed)
+
 (* Compact serve/lint rows: wall time of a fixed statement burst through
    the service (reusing the serve bench's load generator) and of a fixed
    planlint sweep — enough signal for a trajectory without the full
@@ -106,10 +194,12 @@ let lint_row ~smoke () =
 let run ?(smoke = false) () =
   (* [let] fixes the order: the operands of [@] evaluate right to left. *)
   let drain = drain_rows ~smoke () in
+  let pull, pull_failed = pull_rows ~smoke () in
   let serve = serve_row ~smoke () in
   let lint = lint_row ~smoke () in
-  let rows = drain @ serve @ lint in
+  let rows = drain @ pull @ serve @ lint in
   Bench_util.section
     (if smoke then "perf rows (smoke: not appended)"
      else "perf rows appended to " ^ bench_file);
-  emit ~append:(not smoke) rows
+  emit ~append:(not smoke) rows;
+  if pull_failed then exit 1

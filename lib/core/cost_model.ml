@@ -199,6 +199,11 @@ let depth_fn env ~inputs ~ests ~scores ~s =
         let d = Depth_model.nary_uniform_depth ~m ~k:(Float.max 1.0 k) ~s in
         Array.map (fun r -> Float.min d r) rows
 
+(* NRJN's outer depth, costed and propagated alike: the closed form, since
+   the inner is re-scanned in full whatever its score slabs are. *)
+let nrjn_depths env ~left ~right ~l ~r ~s =
+  depth_fn env ~inputs:[ left; right ] ~ests:[ l; r ] ~scores:[] ~s
+
 let frac rows x = if rows <= 0.0 then 1.0 else Rkutil.Mathx.clamp ~lo:0.0 ~hi:1.0 (x /. rows)
 
 (* [node child env plan]: the estimate of [plan]'s root operator, each of
@@ -531,10 +536,9 @@ and estimate_join child env algo cond left right =
         k_dependent = l.k_dependent || r.k_dependent;
       }
   | Plan.Nrjn ->
-      (* Outer depth from the model, on the closed form (no slab
-         refinement); the inner input is fully re-scanned for every outer
-         tuple. *)
-      let depths = depth_fn env ~inputs:[ left; right ] ~ests:[ l; r ] ~scores:[] ~s in
+      (* Outer depth from the model; the inner input is fully re-scanned
+         for every outer tuple. *)
+      let depths = nrjn_depths env ~left ~right ~l ~r ~s in
       let cost_at x =
         let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
         let outer = (depths x).(0) in
@@ -554,13 +558,9 @@ let rank_join_depths env plan ~k =
       depth_fn env ~inputs
         ~ests:(List.map (estimate env) inputs)
         ~scores ~s:(rank_join_selectivity env keys) k
-  | Plan.Join { algo = Plan.Nrjn; cond; left; right; left_score; right_score } ->
-      let scores =
-        match left_score, right_score with Some l, Some r -> [ l; r ] | _ -> []
-      in
-      depth_fn env ~inputs:[ left; right ]
-        ~ests:[ estimate env left; estimate env right ]
-        ~scores
+  | Plan.Join { algo = Plan.Nrjn; cond; left; right; _ } ->
+      nrjn_depths env ~left ~right ~l:(estimate env left)
+        ~r:(estimate env right)
         ~s:(Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond))
         k
   | _ -> invalid_arg "Cost_model.rank_join_depths: not a rank join"

@@ -63,10 +63,11 @@ val rank_join_depths : env -> Plan.t -> k:float -> float array
     inputs to produce its top [k], each clamped to the input's estimated
     rows. [plan] is a {!Plan.Rank_join} (one depth per input) or an NRJN
     [Join] (outer depth first). Two inputs take the binary model of
-    Section 4 (the histogram-slab form for two single ranked base
-    relations, else the [depth_mode] closed form); m >= 3 inputs take the
-    symmetric {!Depth_model.nary_uniform_depth}. The estimate of a rank
-    join costs its inputs at these same depths. *)
+    Section 4 (for HRJN the histogram-slab form for two single ranked base
+    relations, else the [depth_mode] closed form; NRJN always takes the
+    closed form); m >= 3 inputs take the symmetric
+    {!Depth_model.nary_uniform_depth}. The estimate of a rank join costs
+    its inputs at these same depths. *)
 
 val any_k_depths_for :
   env -> k:float -> cond:Logical.join_pred -> left:Plan.t -> right:Plan.t

@@ -35,20 +35,19 @@ let find_index catalog table name =
   | Some ix -> ix
   | None -> invalid_arg ("Executor: unknown index " ^ name)
 
-let key_extractor schema ~table ~column =
-  let f = Expr.compile schema (Expr.col ~relation:table column) in
-  f
-
 let score_fn schema = function
   | Some e -> Expr.compile_float schema e
   | None -> fun _ -> 0.0
 
+(* One rank-join input. Per pulled tuple it allocates only the scored
+   entry: the key is a cell read, and a score over Float cells takes
+   [compile_float]'s float path. *)
 let rank_input op score ~table ~column =
   let schema = op.Exec.Operator.schema in
   {
     Exec.Rank_join.stream =
       Exec.Operator.with_score (Expr.compile_float schema score) op;
-    key = key_extractor schema ~table ~column;
+    key = Expr.compile schema (Expr.col ~relation:table column);
   }
 
 let sort_budget catalog =

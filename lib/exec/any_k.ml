@@ -136,6 +136,30 @@ let empty_node () =
     link = Ints.create ();
   }
 
+(* A group tail's heap, laid out backwards from the group's end slot [hi]:
+   heap position k sits in member slot hi - 1 - k. Top-level, so ordering a
+   tail builds no closures. *)
+let[@inline] tail_key nd hi k =
+  Floats.get nd.best (Ints.get nd.members (hi - 1 - k))
+
+let swap nd hi a b =
+  let x = Ints.get nd.members (hi - 1 - a) in
+  Ints.set nd.members (hi - 1 - a) (Ints.get nd.members (hi - 1 - b));
+  Ints.set nd.members (hi - 1 - b) x
+
+let rec sift nd hi k len =
+  let l = (2 * k) + 1 in
+  if l < len then begin
+    let c =
+      if l + 1 < len && tail_key nd hi (l + 1) > tail_key nd hi l then l + 1
+      else l
+    in
+    if tail_key nd hi c > tail_key nd hi k then begin
+      swap nd hi k c;
+      sift nd hi c len
+    end
+  end
+
 type cand = {
   total : float;  (* exact total score of this fully resolved answer *)
   pos : int array;  (* per node: the chosen survivor *)
@@ -193,6 +217,7 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     let nd = empty_node () in
     let kids = children.(i) in
     let joined = Array.make (Array.length kids) 0 in
+    (* Key to group: a group id is its key's dense position. *)
     let tbl = Join_key.Tbl.create 64 in
     let group_of = Ints.create () in
     (* Per group: its member count (later its first slot in [start]) and
@@ -211,13 +236,11 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
         let _, _, ck = keys.(i - 1) in
         let k = ck tu in
         if not (Join_key.joins k) then -1
-        else
-          match Join_key.Tbl.find tbl k with
-          | g -> g
-          | exception Not_found ->
-              let g = new_group () in
-              Join_key.Tbl.add tbl k g;
-              g
+        else begin
+          let g = Join_key.Tbl.find_or_add tbl k () in
+          if g = Col.length nd.start then ignore (new_group () : int);
+          g
+        end
     in
     (* [acc] plus the best completion of every child subtree for [tu], whose
        joined groups are left in [joined]; NaN when [tu] dangles. *)
@@ -227,14 +250,14 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
         let c = kids.(j) in
         let _, pk, _ = keys.(c - 1) in
         let k = pk tu in
-        match
-          if Join_key.joins k then Join_key.Tbl.find tables.(c) k
-          else raise Not_found
-        with
-        | g ->
-            joined.(j) <- g;
-            resolve_kids tu (acc +. Floats.get nodes.(c).head_best g) (j + 1)
-        | exception Not_found -> nan
+        let g =
+          if Join_key.joins k then Join_key.Tbl.position tables.(c) k else -1
+        in
+        if g < 0 then nan
+        else begin
+          joined.(j) <- g;
+          resolve_kids tu (acc +. Floats.get nodes.(c).head_best g) (j + 1)
+        end
     in
     let op = inputs.(i).i_op and score = inputs.(i).i_score in
     op.Operator.open_ ();
@@ -311,7 +334,9 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     drained := 0;
     groups := 0;
     sorted := 0;
-    let tables = Array.init m (fun _ -> Join_key.Tbl.create 1) in
+    let tables : unit Join_key.Tbl.t array =
+      Array.init m (fun _ -> Join_key.Tbl.create 1)
+    in
     for i = m - 1 downto 0 do
       build_node tables i
     done
@@ -323,36 +348,19 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
      heap. *)
   let order_until nd g j =
     let lo = Ints.get nd.start g and hi = Ints.get nd.start (g + 1) in
-    let slot k = hi - 1 - k in
-    let key k = Floats.get nd.best (Ints.get nd.members (slot k)) in
-    let swap a b =
-      let x = Ints.get nd.members (slot a) in
-      Ints.set nd.members (slot a) (Ints.get nd.members (slot b));
-      Ints.set nd.members (slot b) x
-    in
-    let rec sift k len =
-      let l = (2 * k) + 1 in
-      if l < len then begin
-        let c = if l + 1 < len && key (l + 1) > key l then l + 1 else l in
-        if key c > key k then begin
-          swap k c;
-          sift c len
-        end
-      end
-    in
     if Ints.get nd.ready g = 0 then begin
       let len = hi - lo - 1 in
       for k = (len / 2) - 1 downto 0 do
         poll k;
-        sift k len
+        sift nd hi k len
       done;
       Ints.set nd.ready g 1;
       incr sorted
     end;
     while Ints.get nd.ready g <= j do
       let len = hi - lo - Ints.get nd.ready g in
-      swap 0 (len - 1);
-      sift 0 (len - 1);
+      swap nd hi 0 (len - 1);
+      sift nd hi 0 (len - 1);
       Ints.set nd.ready g (Ints.get nd.ready g + 1)
     done
   in
@@ -401,9 +409,20 @@ let enumerate_counted ?stats ?(tick = fun () -> ()) ~schema ~inputs
     done;
     note_buffer ()
   in
+  (* The answer's parts concatenated in input order, one blit each. *)
   let answer c =
-    let parts = Array.init m (fun u -> Tuples.get nodes.(u).tup c.pos.(u)) in
-    Array.concat (Array.to_list parts)
+    let len = ref 0 in
+    for u = 0 to m - 1 do
+      len := !len + Array.length (Tuples.get nodes.(u).tup c.pos.(u))
+    done;
+    let out = Array.make !len Value.Null in
+    let off = ref 0 in
+    for u = 0 to m - 1 do
+      let part = Tuples.get nodes.(u).tup c.pos.(u) in
+      Array.blit part 0 out !off (Array.length part);
+      off := !off + Array.length part
+    done;
+    out
   in
   let stream =
     {

@@ -6,11 +6,11 @@ let filter ?stats pred (op : Operator.t) : Operator.t =
   let rec next () =
     match op.next () with
     | None -> None
-    | Some tu ->
+    | Some tu as r ->
         Exec_stats.bump_depth stats 0;
         if f tu then begin
           Exec_stats.bump_emitted stats;
-          Some tu
+          r
         end
         else next ()
   in
@@ -54,11 +54,11 @@ let limit ?stats n (op : Operator.t) : Operator.t =
         if !seen >= n then None
         else
           match op.next () with
-          | Some tu ->
+          | Some _ as r ->
               Exec_stats.bump_depth stats 0;
               Exec_stats.bump_emitted stats;
               incr seen;
-              Some tu
+              r
           | None -> None);
   }
 
@@ -75,8 +75,8 @@ let scored_limit n (s : Operator.scored) : Operator.scored =
         if !seen >= n then None
         else
           match s.s_next () with
-          | Some e ->
+          | Some _ as r ->
               incr seen;
-              Some e
+              r
           | None -> None);
   }

@@ -91,51 +91,16 @@ let float_view t c =
 
 (* -- Vectorized expression kernels -------------------------------------- *)
 
-(* Static plan of a numeric expression over float-view columns. Constant
-   subtrees are folded at plan time in the Value domain (replicating
-   [Expr]'s [numeric2], so Int/Int constant arithmetic stays exact); a
-   remaining constant operand is lifted to float, which is exact because its
-   runtime partner is always a Float — the scalar interpreter would take the
-   same float branch. *)
-type num =
-  | Kf of float
-  | Col of int
-  | Neg of num
-  | Add of num * num
-  | Sub of num * num
-  | Mul of num * num
-  | Div of num * num
-
+(* Numeric plans come from [Expr.plan_num], the planner [Expr.compile_float]
+   shares, so the kernels and the row path agree on which trees take the
+   float path. A comparison of two constants folds here in the Value
+   domain. *)
 type pred =
   | Pk of bool
-  | Pcmp of Expr.cmp * num * num
+  | Pcmp of Expr.cmp * Expr.num * Expr.num
   | Pand of pred * pred
   | Por of pred * pred
   | Pnot of pred
-
-(* Replicas of the scalar interpreter's constant arithmetic (Exprs are
-   pure, so folding at plan time is observationally identical). Only ever
-   applied to non-null Int/Float constants. *)
-let numeric2 op a b =
-  match (a, b) with
-  | Value.Int x, Value.Int y -> (
-      match op with
-      | `Add -> Value.Int (x + y)
-      | `Sub -> Value.Int (x - y)
-      | `Mul -> Value.Int (x * y)
-      | `Div -> Value.Float (float_of_int x /. float_of_int y))
-  | _ ->
-      let x = Value.to_float a and y = Value.to_float b in
-      Value.Float
-        (match op with
-        | `Add -> x +. y
-        | `Sub -> x -. y
-        | `Mul -> x *. y
-        | `Div -> x /. y)
-
-let neg_value = function
-  | Value.Int x -> Value.Int (-x)
-  | v -> Value.Float (-.Value.to_float v)
 
 let cmp_const op a b =
   let c = Value.compare a b in
@@ -147,50 +112,13 @@ let cmp_const op a b =
   | Expr.Gt -> c > 0
   | Expr.Ge -> c >= 0
 
-let lift = function
-  | `C v -> Kf (Value.to_float v)
-  | `N n -> n
-
-let rec plan_num schema (e : Expr.t) :
-    [ `C of Value.t | `N of num ] option =
-  match e with
-  | Expr.Const ((Value.Int _ | Value.Float _) as v) -> Some (`C v)
-  | Expr.Const _ -> None
-  | Expr.Col r -> (
-      match Schema.index_of schema ?relation:r.Expr.relation r.Expr.name with
-      | Some i -> Some (`N (Col i))
-      | None -> None)
-  | Expr.Neg e -> (
-      match plan_num schema e with
-      | Some (`C v) -> Some (`C (neg_value v))
-      | Some (`N n) -> Some (`N (Neg n))
-      | None -> None)
-  | Expr.Add (a, b) -> plan_bin schema `Add a b
-  | Expr.Sub (a, b) -> plan_bin schema `Sub a b
-  | Expr.Mul (a, b) -> plan_bin schema `Mul a b
-  | Expr.Div (a, b) -> plan_bin schema `Div a b
-  | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ -> None
-
-and plan_bin schema op a b =
-  match (plan_num schema a, plan_num schema b) with
-  | Some (`C x), Some (`C y) -> Some (`C (numeric2 op x y))
-  | Some x, Some y ->
-      let l = lift x and r = lift y in
-      Some
-        (`N
-          (match op with
-          | `Add -> Add (l, r)
-          | `Sub -> Sub (l, r)
-          | `Mul -> Mul (l, r)
-          | `Div -> Div (l, r)))
-  | _ -> None
-
 let rec plan_pred schema (e : Expr.t) : pred option =
   match e with
   | Expr.Cmp (op, a, b) -> (
-      match (plan_num schema a, plan_num schema b) with
+      match (Expr.plan_num schema a, Expr.plan_num schema b) with
       | Some (`C x), Some (`C y) -> Some (Pk (cmp_const op x y))
-      | Some x, Some y -> Some (Pcmp (op, lift x, lift y))
+      | Some x, Some y ->
+          Some (Pcmp (op, Expr.num_operand x, Expr.num_operand y))
       | _ -> None)
   | Expr.And (a, b) -> (
       match (plan_pred schema a, plan_pred schema b) with
@@ -204,16 +132,9 @@ let rec plan_pred schema (e : Expr.t) : pred option =
       Option.map (fun p -> Pnot p) (plan_pred schema e)
   | _ -> None
 
-let rec num_cols acc = function
-  | Kf _ -> acc
-  | Col c -> c :: acc
-  | Neg a -> num_cols acc a
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
-      num_cols (num_cols acc a) b
-
 let rec pred_cols acc = function
   | Pk _ -> acc
-  | Pcmp (_, a, b) -> num_cols (num_cols acc a) b
+  | Pcmp (_, a, b) -> Expr.num_cols (Expr.num_cols acc a) b
   | Pand (a, b) | Por (a, b) -> pred_cols (pred_cols acc a) b
   | Pnot a -> pred_cols acc a
 
@@ -248,12 +169,12 @@ let ev2 len op a b =
       V r
 
 let rec eval_num t = function
-  | Kf f -> S f
-  | Col c -> (
+  | Expr.Nk f -> S f
+  | Expr.Ncol c -> (
       match t.views.(c) with
       | Some (Floats a) -> V a
       | _ -> invalid_arg "Batch.eval_num: missing float view")
-  | Neg a -> (
+  | Expr.Nneg a -> (
       match eval_num t a with
       | S x -> S (-.x)
       | V x ->
@@ -262,10 +183,10 @@ let rec eval_num t = function
             r.(i) <- -.x.(i)
           done;
           V r)
-  | Add (a, b) -> ev2 t.len ( +. ) (eval_num t a) (eval_num t b)
-  | Sub (a, b) -> ev2 t.len ( -. ) (eval_num t a) (eval_num t b)
-  | Mul (a, b) -> ev2 t.len ( *. ) (eval_num t a) (eval_num t b)
-  | Div (a, b) -> ev2 t.len ( /. ) (eval_num t a) (eval_num t b)
+  | Expr.Nadd (a, b) -> ev2 t.len ( +. ) (eval_num t a) (eval_num t b)
+  | Expr.Nsub (a, b) -> ev2 t.len ( -. ) (eval_num t a) (eval_num t b)
+  | Expr.Nmul (a, b) -> ev2 t.len ( *. ) (eval_num t a) (eval_num t b)
+  | Expr.Ndiv (a, b) -> ev2 t.len ( /. ) (eval_num t a) (eval_num t b)
 
 type bv = Bs of bool | Bv of bool array
 
@@ -374,9 +295,9 @@ let pred_kernel schema expr : t -> unit =
 
 let score_kernel schema expr : t -> float array =
   let scalar = Expr.compile_float schema expr in
-  let fast = plan_num schema expr in
+  let fast = Expr.plan_num schema expr in
   let cols =
-    match fast with Some (`N n) -> num_cols [] n | _ -> []
+    match fast with Some (`N n) -> Expr.num_cols [] n | _ -> []
   in
   fun b ->
     let out = Array.make b.n 0.0 in

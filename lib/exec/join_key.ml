@@ -25,6 +25,10 @@ let hash v =
   let x = (x lxor (x lsr 27)) * 0x14d0_49bb_1331_11eb in
   (x lxor (x lsr 31)) land max_int
 
+(* [Value.equal], with the Int/Int case a probe meets most inlined. *)
+let[@inline] key_equal a b =
+  match a, b with Value.Int x, Value.Int y -> Int.equal x y | _ -> Value.equal a b
+
 module Tbl = struct
   (* Open addressing with linear probing over [slots], one int per slot:
      -1 when empty, else the high 31 bits of the key's hash (the low bits
@@ -111,12 +115,25 @@ module Tbl = struct
     if v < 0 then if found >= 0 then found else -2 - i
     else
       let j = v land pos_mask in
-      let found = if v lsr pos_bits = g && Value.equal t.keys.(j) k then j else found in
+      let found = if v lsr pos_bits = g && key_equal t.keys.(j) k then j else found in
       locate t k g ((i + 1) land t.mask) found
 
-  let find t k =
+  let position t k =
     let h = hash k in
     let j = locate t k (tag h) (h land t.mask) (-1) in
+    if j < 0 then -1 else j
+
+  let find_or_add t k v =
+    let h = hash k in
+    let j = locate t k (tag h) (h land t.mask) (-1) in
+    if j >= 0 then j
+    else begin
+      push t (-2 - j) h k v;
+      t.size - 1
+    end
+
+  let find t k =
+    let j = position t k in
     if j < 0 then raise Not_found else t.data.(j)
 
   let find_opt t k = match find t k with v -> Some v | exception Not_found -> None

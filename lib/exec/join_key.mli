@@ -48,6 +48,16 @@ module Tbl : sig
   val find : 'a t -> Value.t -> 'a
   (** @raise Not_found when no binding's key equals the key. *)
 
+  val position : 'a t -> Value.t -> int
+  (** The dense position of the binding {!find} would return, or -1 when
+      no binding's key equals the key. Positions count bindings in the
+      order they were made, from 0. *)
+
+  val find_or_add : 'a t -> Value.t -> 'a -> int
+  (** [find_or_add t k v] is [position t k] when that is a binding, else
+      the position of a new binding of [k] to [v] (then [length t - 1]),
+      in a single probe. *)
+
   val find_opt : 'a t -> Value.t -> 'a option
 
   val map_inplace : ('a -> 'a) -> 'a t -> unit

@@ -90,7 +90,9 @@ let with_score score op =
   {
     s_schema = op.schema;
     s_open = op.open_;
-    s_next = (fun () -> Option.map (fun tu -> (tu, score tu)) (op.next ()));
+    s_next =
+      (fun () ->
+        match op.next () with Some tu -> Some (tu, score tu) | None -> None);
     s_close = op.close;
   }
 
@@ -98,7 +100,8 @@ let scored_to_plain s =
   {
     schema = s.s_schema;
     open_ = s.s_open;
-    next = (fun () -> Option.map fst (s.s_next ()));
+    next =
+      (fun () -> match s.s_next () with Some (tu, _) -> Some tu | None -> None);
     close = s.s_close;
   }
 

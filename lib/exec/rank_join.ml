@@ -28,6 +28,12 @@ let join_parts parts =
   done;
   !joined
 
+(* Adaptive polling's order on threshold terms: a NaN term is the largest. *)
+let[@inline] above (a : float) b = (not (Float.is_nan b)) && (Float.is_nan a || a > b)
+
+(* Stands in for an input's first and latest entries until it produces. *)
+let no_entry = ([||], nan)
+
 let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
   let inputs = Array.of_list inputs in
   let m = Array.length inputs in
@@ -47,7 +53,9 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
     Array.init m (fun _ -> Join_key.Tbl.create 64)
   in
   let queue = result_heap () in
-  let top = Array.make m nan and last = Array.make m nan in
+  (* Each input's first and latest entries. Their scores are already boxed,
+     so folding them through [combine] boxes only its results. *)
+  let top = Array.make m no_entry and last = Array.make m no_entry in
   let started = Array.make m false and finished = Array.make m false in
   let n_started = ref 0 and n_finished = ref 0 in
   (* [bound i] per input, kept current from the moment every input has
@@ -64,8 +72,8 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
   let reset () =
     Array.iter Join_key.Tbl.clear hashes;
     Rkutil.Heap.clear queue;
-    Array.fill top 0 m nan;
-    Array.fill last 0 m nan;
+    Array.fill top 0 m no_entry;
+    Array.fill last 0 m no_entry;
     Array.fill started 0 m false;
     Array.fill finished 0 m false;
     Array.fill bounds 0 m nan;
@@ -76,25 +84,28 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
     Exec_stats.reset stats
   in
   (* f(top_1 .. last_i .. top_m), folded left in input order. *)
-  let bound i =
-    let acc = ref (if i = 0 then last.(0) else top.(0)) in
-    for j = 1 to m - 1 do
-      acc := combine !acc (if j = i then last.(j) else top.(j))
-    done;
-    !acc
+  let rec fold i j acc =
+    if j = m then acc
+    else fold i (j + 1) (combine acc (snd (if j = i then last.(j) else top.(j))))
   in
-  (* Upper bound on the score of any join result not yet in the queue: it
-     must use an unseen tuple of some live input i. Before every input has
-     produced a tuple the bound is +inf — or -inf once an input is
-     exhausted without producing anything (no result can ever exist). *)
-  let threshold () =
-    if !n_started < m then if !n_finished > 0 then neg_infinity else infinity
+  let bound i = fold i 1 (snd (if i = 0 then last.(0) else top.(0))) in
+  (* Whether a queued result scoring [s] reaches the threshold: the upper
+     bound on the score of any join result not yet in the queue, the
+     largest term of a live input i, since such a result must use an unseen
+     tuple of some live input. Before every input has produced a tuple the
+     threshold is +inf — or -inf once an input is exhausted without
+     producing anything (no result can ever exist). [s] must reach every
+     live term, and a NaN term is reached by nothing, exactly as [s] against
+     their [Float.max]; no threshold float is boxed. *)
+  let reaches s =
+    if !n_started < m then
+      s >= if !n_finished > 0 then neg_infinity else infinity
     else begin
-      let t = ref neg_infinity in
+      let ok = ref (s >= neg_infinity) in
       for i = 0 to m - 1 do
-        if not finished.(i) then t := Float.max !t bounds.(i)
+        if (not finished.(i)) && not (s >= bounds.(i)) then ok := false
       done;
-      !t
+      !ok
     end
   in
   (* Queue every result pinning input [i] to its fresh entry: the product
@@ -120,15 +131,15 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
         finished.(i) <- true;
         incr n_finished;
         if Join_key.Tbl.length hashes.(i) = 0 then blocked := true
-    | Some ((tu, score) as entry) ->
+    | Some ((tu, _) as entry) ->
         Exec_stats.bump_depth stats i;
         let first = not started.(i) in
         if first then begin
-          top.(i) <- score;
+          top.(i) <- entry;
           started.(i) <- true;
           incr n_started
         end;
-        last.(i) <- score;
+        last.(i) <- entry;
         if !n_started = m then
           if first then
             (* the tops just became known: every term moves *)
@@ -176,7 +187,6 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
            threshold, so pulling it lowers the threshold fastest. A NaN
            term counts as the largest: it holds the threshold at NaN until
            its input moves on. *)
-        let above a b = (not (Float.is_nan b)) && (Float.is_nan a || a > b) in
         let j = first_unstarted () in
         if j >= 0 then j
         else begin
@@ -202,19 +212,20 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
         end
   in
   let rec next () =
-    let t = threshold () in
     let stop = !n_finished = m || !blocked in
-    match Rkutil.Heap.peek queue with
-    | Some (_, s) when s >= t || stop ->
-        let r = Rkutil.Heap.pop_exn queue in
-        Exec_stats.bump_emitted stats;
-        Some r
-    | _ ->
-        if stop then None
-        else begin
-          ingest (pick ());
-          next ()
-        end
+    if
+      Rkutil.Heap.length queue > 0
+      && (stop || reaches (snd (Rkutil.Heap.top_exn queue)))
+    then begin
+      let r = Rkutil.Heap.pop_exn queue in
+      Exec_stats.bump_emitted stats;
+      Some r
+    end
+    else if stop then None
+    else begin
+      ingest (pick ());
+      next ()
+    end
   in
   let stream =
     {

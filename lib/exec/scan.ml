@@ -15,9 +15,9 @@ let heap ?stats (info : Catalog.table_info) : Operator.t =
     next =
       (fun () ->
         match !cursor () with
-        | Some tu ->
+        | Some _ as r ->
             Exec_stats.bump_emitted stats;
-            Some tu
+            r
         | None -> None);
     close = (fun () -> cursor := fun () -> None);
   }
@@ -42,7 +42,7 @@ let index_with ?stats ~direction catalog (ix : Catalog.index_info) : Operator.t 
         match !cursor () with
         | Some payload ->
             Exec_stats.bump_emitted stats;
-            Some (Catalog.index_payload_to_tuple catalog ix payload)
+            Some (Catalog.index_payload_to_tuple info ix payload)
         | None -> None);
     close = (fun () -> cursor := fun () -> None);
   }
@@ -76,7 +76,7 @@ let rank_window ?stats ?(dense = false) catalog (ix : Catalog.index_info) ~lo
         in
         window :=
           select ix.ix_btree ~lo ~hi
-            ~resolve:(Catalog.index_payload_to_tuple catalog ix)
+            ~resolve:(Catalog.index_payload_to_tuple info ix)
             ~tie_cmp);
     next =
       (fun () ->

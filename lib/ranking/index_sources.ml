@@ -13,7 +13,7 @@ let of_index ?(weight = 1.0) catalog ~score_index ~id_column =
     match next () with
     | None -> ()
     | Some payload ->
-        let tu = Catalog.index_payload_to_tuple catalog score_index payload in
+        let tu = Catalog.index_payload_to_tuple info score_index payload in
         entries :=
           (Value.to_int (Tuple.get tu id_idx), weight *. scoref tu) :: !entries;
         drain ()

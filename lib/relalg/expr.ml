@@ -125,9 +125,99 @@ let eval_bool schema expr tuple = truthy (eval schema expr tuple)
 
 let eval_float schema expr tuple = Value.to_float (eval schema expr tuple)
 
+(* -- Numeric plans ------------------------------------------------------ *)
+
+(* Static plan of a numeric expression over column positions. Constant
+   subtrees are folded at plan time in the Value domain, through
+   [numeric2] itself, so Int/Int constant arithmetic stays exact; a
+   remaining constant operand is lifted to float, which is exact whenever
+   its runtime partner is a Float — [numeric2] would take the same float
+   branch. *)
+type num =
+  | Nk of float
+  | Ncol of int
+  | Nneg of num
+  | Nadd of num * num
+  | Nsub of num * num
+  | Nmul of num * num
+  | Ndiv of num * num
+
+let neg_value = function
+  | Value.Int x -> Value.Int (Stdlib.( - ) 0 x)
+  | v -> Value.Float (-.Value.to_float v)
+
+let num_operand = function `C v -> Nk (Value.to_float v) | `N n -> n
+
+let rec plan_num schema e : [ `C of Value.t | `N of num ] option =
+  match e with
+  | Const ((Value.Int _ | Value.Float _) as v) -> Some (`C v)
+  | Const _ -> None
+  | Col r -> (
+      match Schema.index_of schema ?relation:r.relation r.name with
+      | Some i -> Some (`N (Ncol i))
+      | None -> None)
+  | Neg e -> (
+      match plan_num schema e with
+      | Some (`C v) -> Some (`C (neg_value v))
+      | Some (`N n) -> Some (`N (Nneg n))
+      | None -> None)
+  | Add (a, b) -> plan_bin schema `Add a b
+  | Sub (a, b) -> plan_bin schema `Sub a b
+  | Mul (a, b) -> plan_bin schema `Mul a b
+  | Div (a, b) -> plan_bin schema `Div a b
+  | Cmp _ | And _ | Or _ | Not _ -> None
+
+and plan_bin schema op a b =
+  match plan_num schema a, plan_num schema b with
+  | Some (`C x), Some (`C y) -> Some (`C (numeric2 op x y))
+  | Some x, Some y ->
+      let l = num_operand x and r = num_operand y in
+      Some
+        (`N
+          (match op with
+          | `Add -> Nadd (l, r)
+          | `Sub -> Nsub (l, r)
+          | `Mul -> Nmul (l, r)
+          | `Div -> Ndiv (l, r)))
+  | _ -> None
+
+let rec num_cols acc = function
+  | Nk _ -> acc
+  | Ncol c -> c :: acc
+  | Nneg a -> num_cols acc a
+  | Nadd (a, b) | Nsub (a, b) | Nmul (a, b) | Ndiv (a, b) ->
+      num_cols (num_cols acc a) b
+
+exception Not_float
+
+(* [n] over a row whose referenced cells are all [Float], else
+   [Not_float]. Every node applies the float operation [numeric2] applies
+   to two Floats, so the result is bit-identical to the [Value] path. A
+   leaf returns the float its cell or constant already boxes, so only
+   arithmetic nodes allocate, one float each. *)
+let rec eval_num n (t : Tuple.t) =
+  match n with
+  | Nk f -> f
+  | Ncol i -> (
+      match t.(i) with Value.Float f -> f | _ -> raise_notrace Not_float)
+  | Nneg a -> -.eval_num a t
+  | Nadd (a, b) -> eval_num a t +. eval_num b t
+  | Nsub (a, b) -> eval_num a t -. eval_num b t
+  | Nmul (a, b) -> eval_num a t *. eval_num b t
+  | Ndiv (a, b) -> eval_num a t /. eval_num b t
+
+(* Numeric trees take the float path while their cells are all [Float] and
+   fall back to the [Value] interpreter row by row otherwise (an Int, Null
+   or other cell); other shapes always use the interpreter. *)
 let compile_float schema expr =
   let f = compile schema expr in
-  fun t -> Value.to_float (f t)
+  match plan_num schema expr with
+  | Some (`C v) ->
+      let x = Value.to_float v in
+      fun _ -> x
+  | Some (`N n) -> (
+      fun t -> try eval_num n t with Not_float -> Value.to_float (f t))
+  | None -> fun t -> Value.to_float (f t)
 
 let compile_bool schema expr =
   let f = compile schema expr in

@@ -55,6 +55,11 @@ val compile : Schema.t -> t -> Tuple.t -> Value.t
     does no schema lookups. Semantics identical to {!eval}. *)
 
 val compile_float : Schema.t -> t -> Tuple.t -> float
+(** [compile] read as a float. A numeric tree (constants, columns, [Neg]
+    and the four arithmetic operators) is evaluated in floats whenever its
+    referenced cells are all [Float], bit-identical to the [Value] path and
+    allocating one float per arithmetic node; any other row or shape takes
+    the [Value] path. *)
 
 val compile_bool : Schema.t -> t -> Tuple.t -> bool
 
@@ -66,6 +71,35 @@ val relations : t -> string list
 
 val bound_by : Schema.t -> t -> bool
 (** Every column reference resolves (unambiguously) in the schema. *)
+
+(** {2 Numeric plans}
+
+    The one planner of numeric expressions, shared by {!compile_float}'s
+    float path and the vectorized score and predicate kernels. *)
+
+type num =
+  | Nk of float
+  | Ncol of int  (** a column position *)
+  | Nneg of num
+  | Nadd of num * num
+  | Nsub of num * num
+  | Nmul of num * num
+  | Ndiv of num * num
+
+val plan_num : Schema.t -> t -> [ `C of Value.t | `N of num ] option
+(** [`C v] when the expression folds to the Int or Float constant [v] (the
+    same value evaluation gives); [`N n] when it is a numeric tree over
+    bound columns whose float evaluation over all-[Float] cells is
+    bit-identical to {!eval}'s, read as a float; [None] for anything else
+    (Null or non-numeric constants, comparisons, connectives, unbound
+    columns). *)
+
+val num_operand : [ `C of Value.t | `N of num ] -> num
+(** A planned operand as a float plan: a constant lifted to [Nk]. Exact
+    when the operand's partner is a float tree. *)
+
+val num_cols : int list -> num -> int list
+(** The column positions the plan reads, prepended to the list. *)
 
 (** {2 Linear (weighted-sum) canonical form} *)
 

@@ -39,10 +39,16 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Per constructor rather than through polymorphic [=]: join-key tables
+   call this once per tuple they gather. *)
 let identical a b =
   match a, b with
   | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> a = b
+  | Int x, Int y -> Int.equal x y
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | Null, Null -> true
+  | _ -> false
 
 let hash = function
   | Null -> 17

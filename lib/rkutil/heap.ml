@@ -59,21 +59,19 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some (get h 0)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = get h 0 in
-    h.size <- h.size - 1;
-    if h.size > 0 then h.data.(0) <- h.data.(h.size);
-    h.data.(h.size) <- None;
-    if h.size > 0 then sift_down h 0;
-    Some top
-  end
+let top_exn h =
+  if h.size = 0 then invalid_arg "Heap.top_exn: empty heap" else get h 0
 
 let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
+  if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let top = get h 0 in
+  h.size <- h.size - 1;
+  if h.size > 0 then h.data.(0) <- h.data.(h.size);
+  h.data.(h.size) <- None;
+  if h.size > 0 then sift_down h 0;
+  top
+
+let pop h = if h.size = 0 then None else Some (pop_exn h)
 
 let clear h =
   Array.fill h.data 0 h.size None;

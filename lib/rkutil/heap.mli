@@ -20,6 +20,10 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Top element without removing it. *)
 
+val top_exn : 'a t -> 'a
+(** [peek] without the option, for loops that test {!length} first.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the top element. *)
 

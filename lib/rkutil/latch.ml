@@ -46,9 +46,18 @@ let unlock t =
   Mutex.unlock t.l_m;
   on_release t Exclusive
 
+(* Releases on every unwind, as [Fun.protect] would, without building its
+   [finally] closure on each call. *)
 let protect t f =
   lock t;
-  Fun.protect ~finally:(fun () -> unlock t) f
+  match f () with
+  | x ->
+      unlock t;
+      x
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unlock t;
+      Printexc.raise_with_backtrace e bt
 
 let wait c t =
   (* Condition.wait atomically releases the mutex, so for the sanitizer

@@ -183,9 +183,6 @@ let tables t = Hashtbl.fold (fun _ info acc -> info :: acc) t.tables []
 let rid_tuple (rid : Heap_file.rid) =
   [| Value.Int rid.Heap_file.page_id; Value.Int rid.Heap_file.slot |]
 
-let rid_of_tuple tu =
-  { Heap_file.page_id = Value.to_int tu.(0); slot = Value.to_int tu.(1) }
-
 let create_index t ?(clustered = true) ~name ~table:tname ~key () =
   let info = table t tname in
   if List.exists (fun ix -> String.equal ix.ix_name name) info.tb_indexes then
@@ -478,15 +475,15 @@ let check t tname =
       first
         ((cardinality :: List.map index info.tb_indexes) @ List.map column columns)
 
-let index_payload_to_tuple t ix payload =
+let index_payload_to_tuple info ix payload =
   if ix.ix_clustered then payload
-  else begin
-    let info = table t ix.ix_table in
-    Heap_file.fetch info.tb_heap (rid_of_tuple payload)
-  end
+  else
+    Heap_file.fetch info.tb_heap ~page_id:(Value.to_int payload.(0))
+      ~slot:(Value.to_int payload.(1))
 
 let index_lookup t ix key =
-  List.map (index_payload_to_tuple t ix) (Btree.lookup ix.ix_btree key)
+  let info = table t ix.ix_table in
+  List.map (index_payload_to_tuple info ix) (Btree.lookup ix.ix_btree key)
 
 let indexes_on t tname =
   match find_table t tname with None -> [] | Some info -> info.tb_indexes

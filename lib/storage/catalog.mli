@@ -79,9 +79,11 @@ val index_lookup : t -> index_info -> Value.t -> Tuple.t list
 (** Point probe through an index; unclustered indexes fetch the base tuples
     through the buffer pool (charging heap I/O). *)
 
-val index_payload_to_tuple : t -> index_info -> Tuple.t -> Tuple.t
-(** Resolve one index payload: identity for clustered indexes, heap fetch
-    for unclustered ones. *)
+val index_payload_to_tuple : table_info -> index_info -> Tuple.t -> Tuple.t
+(** Resolve one index payload of the table's index: identity for clustered
+    indexes, heap fetch for unclustered ones. The caller passes the table
+    it already holds, so resolving a payload neither looks the table up
+    nor allocates beyond the fetch. *)
 
 val insert_into : t -> table:string -> Tuple.t list -> unit
 (** Append tuples to a table, maintaining all of its indexes (clustered

@@ -46,10 +46,10 @@ let append t tu =
 
 let load t tuples = List.iter (fun tu -> ignore (append t tu)) tuples
 
-let fetch t rid =
-  let page = Buffer_pool.get t.pool rid.page_id in
+let fetch t ~page_id ~slot =
+  let page = Buffer_pool.get t.pool page_id in
   Io_stats.add_tuples_read (Buffer_pool.stats t.pool) 1;
-  Page.get page rid.slot
+  Page.get page slot
 
 let delete t rid =
   let page = Buffer_pool.get t.pool rid.page_id in

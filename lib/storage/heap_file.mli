@@ -17,9 +17,11 @@ val append : t -> Tuple.t -> rid
 
 val load : t -> Tuple.t list -> unit
 
-val fetch : t -> rid -> Tuple.t
-(** Fetch by rid through the pool (charges I/O on a pool miss).
-    @raise Invalid_argument for a deleted rid. *)
+val fetch : t -> page_id:int -> slot:int -> Tuple.t
+(** Fetch the row at a rid's two fields through the pool (charges I/O on a
+    pool miss). Takes the fields rather than a [rid], so an index cursor
+    resolving one payload per tuple builds no record.
+    @raise Invalid_argument for a deleted slot. *)
 
 val delete : t -> rid -> bool
 (** Tombstone the tuple at [rid]; [false] when already deleted. Slots are

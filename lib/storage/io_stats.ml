@@ -50,10 +50,19 @@ let sink t = t.sink
 
 let set_sink t s = t.sink <- s
 
+(* Runs around every pull of an operator under EXPLAIN ANALYZE or a trace,
+   so it restores the sink without building a [Fun.protect] closure. *)
 let with_sink t s f =
   let prev = t.sink in
   t.sink <- Some s;
-  Fun.protect ~finally:(fun () -> t.sink <- prev) f
+  match f () with
+  | x ->
+      t.sink <- prev;
+      x
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.sink <- prev;
+      Printexc.raise_with_backtrace e bt
 
 let snapshot (t : t) =
   {
@@ -93,7 +102,11 @@ let add_index_node_read = mirrored (fun t -> add 1 t.index_node_reads)
 
 let add_index_probe = mirrored (fun t -> add 1 t.index_probes)
 
-let add_tuples_read (t : t) n = mirrored (fun t -> add n t.tuples_read) t
+(* Runs once per tuple a scan or fetch reads: written out so no closure
+   over [n] is built per call. *)
+let add_tuples_read (t : t) n =
+  add n t.tuples_read;
+  match t.sink with None -> () | Some u -> add n u.tuples_read
 
 let pp fmt s =
   Format.fprintf fmt

@@ -387,6 +387,47 @@ let test_propagate_hierarchy_k_grows_downward () =
       Alcotest.(check bool) "child k > top k" true (child_k > top_k)
   | other -> Alcotest.failf "expected 2 rank nodes, got %d" (List.length other)
 
+(* NRJN is costed on the closed-form outer depth. The depth Propagate
+   gives it, which EXPLAIN ANALYZE prints and planlint checks, must be that
+   same depth, also where both sides are single scored base relations and
+   the histogram-slab form would differ (asymmetric weights). *)
+let test_nrjn_propagated_depth_is_costed () =
+  let _, _, env = setup ~k:10 () in
+  let left =
+    Plan.Sort
+      {
+        order = { Plan.expr = score_of "A"; direction = Interesting_orders.Desc };
+        input = scan "A";
+      }
+  and right = scan "B" in
+  let plan =
+    Plan.Join
+      {
+        algo = Plan.Nrjn;
+        cond = ab_cond;
+        left;
+        right;
+        left_score = Some (Expr.Mul (Expr.cfloat 0.9, score_of "A"));
+        right_score = Some (Expr.Mul (Expr.cfloat 0.1, score_of "B"));
+      }
+  in
+  let d =
+    match (Propagate.run env ~k:10 plan).Propagate.depths with
+    | Some d -> d.(0)
+    | None -> Alcotest.fail "NRJN node without depths"
+  in
+  let est = Cost_model.estimate env plan in
+  let l = Cost_model.estimate env left and r = Cost_model.estimate env right in
+  (* The NRJN estimate at x = 10: the outer's prefix to depth d, one inner
+     scan per outer tuple, and 0.002 CPU per probed pair and result. *)
+  let costed =
+    l.Cost_model.cost_at d
+    +. (d *. r.Cost_model.total_cost)
+    +. (0.002 *. ((d *. r.Cost_model.rows) +. 10.0))
+  in
+  Test_util.check_floats_close ~eps:1e-12 "cost at k from the propagated depth"
+    costed (est.Cost_model.cost_at 10.0)
+
 let suites =
   [
     ( "core.score_dist",
@@ -417,6 +458,8 @@ let suites =
     ( "core.cost_model",
       [
         Alcotest.test_case "join cardinality" `Quick test_join_cardinality_estimate;
+        Alcotest.test_case "NRJN propagated depth is costed" `Quick
+          test_nrjn_propagated_depth_is_costed;
         Alcotest.test_case "scan pages" `Quick test_scan_cost_scales_with_pages;
         Alcotest.test_case "sort plan k-independent" `Quick test_sort_plan_cost_k_independent;
         Alcotest.test_case "rank plan grows with k" `Quick test_rank_plan_cost_grows_with_k;

@@ -305,6 +305,115 @@ let test_top_n_reports_stats () =
   Alcotest.(check int) "emitted = |output|" (List.length out)
     (Exec_stats.emitted stats)
 
+(* -- Allocation budgets of the pull path ------------------------------- *)
+
+(* Minor words are deterministic for a single-domain run of one build, so
+   each budget below is a hard bound: at most half of what the path
+   allocated before it stopped making per-tuple garbage (that figure is
+   noted beside each budget). The data is the dashboard shape, 2 000 rows
+   per table over a key domain of 200, and every page stays in the pool. *)
+let pull_catalog () =
+  let cat = Storage.Catalog.create ~pool_frames:512 () in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Workload.Generator.load_scored_table cat
+           (Rkutil.Prng.create (101 + i))
+           ~name ~n:2000 ~key_domain:200 ()))
+    [ "A"; "B" ];
+  cat
+
+(* The minor words [f ()] allocates and the units of work it reports,
+   after one warm-up call (pages faulted into the pool, tables grown). *)
+let measure f =
+  ignore (f () : int);
+  let w0 = Gc.minor_words () in
+  let units = f () in
+  (Gc.minor_words () -. w0, units)
+
+let words_per f =
+  let words, units = measure f in
+  words /. float_of_int units
+
+let drain (op : Operator.t) =
+  op.open_ ();
+  let rec loop n = match op.next () with Some _ -> loop (n + 1) | None -> n in
+  let n = loop 0 in
+  op.close ();
+  n
+
+let check_budget what ~budget words =
+  if words > budget then
+    Alcotest.failf "%s: %.2f minor words per tuple or call, budget %.2f" what
+      words budget
+
+let score_index cat t =
+  Option.get
+    (Storage.Catalog.find_index_on_expr cat ~table:t
+       (Expr.col ~relation:t "score"))
+
+let test_heap_scan_words () =
+  let cat = pull_catalog () in
+  let op = Scan.heap (Storage.Catalog.table cat "A") in
+  (* 8.55 words per tuple before: the tuples-read closure and a second
+     option *)
+  check_budget "heap scan" ~budget:4.0 (words_per (fun () -> drain op))
+
+let test_index_scan_words () =
+  let cat = pull_catalog () in
+  let op = Scan.index_desc cat (score_index cat "A") in
+  (* 40.4 words per tuple before: the table lookup, the rid record, the
+     pool latch's closures, LRU links and the tuples-read closures *)
+  check_budget "unclustered index scan" ~budget:8.0
+    (words_per (fun () -> drain op))
+
+let test_compile_float_words () =
+  let cat = pull_catalog () in
+  let info = Storage.Catalog.table cat "A" in
+  let rows = Array.of_list (Storage.Heap_file.to_list info.tb_heap) in
+  let f =
+    Expr.compile_float info.tb_schema
+      Expr.(cfloat 0.5 * col ~relation:"A" "score")
+  in
+  let run f () =
+    Array.iter (fun tu -> ignore (Sys.opaque_identity (f tu))) rows;
+    Array.length rows
+  in
+  (* The loop's own words, measured with a closure that allocates nothing
+     (it returns a static float). *)
+  let harness, _ = measure (run (fun _ -> 0.5)) in
+  let words, calls = measure (run f) in
+  (* 4 words per call before: the product's Value.Float cell and its box;
+     the float path allocates only the result box *)
+  check_budget "compile_float" ~budget:2.0
+    ((words -. harness) /. float_of_int calls)
+
+(* One dashboard join execution, HRJN(B[ix↓],A[ix↓]) under a top-10, per
+   input tuple it pulls. *)
+let test_hrjn_words () =
+  let cat = pull_catalog () in
+  let input t =
+    let info = Storage.Catalog.table cat t in
+    let schema = info.tb_schema in
+    {
+      Rank_join.stream =
+        Operator.with_score
+          (Expr.compile_float schema Expr.(cfloat 0.5 * col ~relation:t "score"))
+          (Scan.index_desc cat (score_index cat t));
+      key = Expr.compile schema (Expr.col ~relation:t "key");
+    }
+  in
+  let stream, stats =
+    Rank_join.hrjn ~combine:( +. ) ~inputs:[ input "B"; input "A" ] ()
+  in
+  let top = Basic_ops.limit 10 (Operator.scored_to_plain stream) in
+  let run () =
+    Alcotest.(check int) "ten rows" 10 (drain top);
+    Exec_stats.total_in stats
+  in
+  (* 79.3 words per pulled tuple before, queued results included *)
+  check_budget "2-input HRJN" ~budget:32.0 (words_per run)
+
 let suites =
   [
     ( "exec.scan",
@@ -312,6 +421,14 @@ let suites =
         Alcotest.test_case "heap roundtrip" `Quick test_heap_scan_roundtrip;
         Alcotest.test_case "restartable" `Quick test_scan_restartable;
         Alcotest.test_case "index desc sorted" `Quick test_index_scan_sorted;
+      ] );
+    ( "exec.pull_words",
+      [
+        Alcotest.test_case "heap scan" `Quick test_heap_scan_words;
+        Alcotest.test_case "unclustered index scan" `Quick test_index_scan_words;
+        Alcotest.test_case "compile_float over floats" `Quick
+          test_compile_float_words;
+        Alcotest.test_case "2-input HRJN execution" `Quick test_hrjn_words;
       ] );
     ( "exec.basic_ops",
       [

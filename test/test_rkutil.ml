@@ -244,6 +244,19 @@ let test_pool_zero_domains () =
     (Rkutil.Task_pool.submit pool (fun () -> ()));
   Rkutil.Task_pool.shutdown pool
 
+(* LK06: an exception raised inside [protect] must leave the latch free.
+   A second acquisition from this thread would raise [Sys_error] (OCaml 5
+   mutexes check errors) if the first were still held; one from another
+   domain would block forever. *)
+let test_latch_protect_releases_on_exception () =
+  let l = Rkutil.Latch.create ~name:"test.latch" ~rank:1 () in
+  Alcotest.check_raises "exception passes through" Exit (fun () ->
+      Rkutil.Latch.protect l (fun () -> raise Exit));
+  Alcotest.(check int) "latch free for this thread" 7
+    (Rkutil.Latch.protect l (fun () -> 7));
+  let other = Domain.spawn (fun () -> Rkutil.Latch.protect l (fun () -> 8)) in
+  Alcotest.(check int) "latch free for another domain" 8 (Domain.join other)
+
 let suites =
   [
     ( "rkutil.prng",
@@ -266,6 +279,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_heap_drain_sorted;
         QCheck_alcotest.to_alcotest prop_heap_length;
         QCheck_alcotest.to_alcotest prop_heap_max_order;
+      ] );
+    ( "rkutil.latch",
+      [
+        Alcotest.test_case "protect releases on exception" `Quick
+          test_latch_protect_releases_on_exception;
       ] );
     ( "rkutil.mathx",
       [

@@ -86,7 +86,9 @@ let test_heap_file_fetch_by_rid () =
       Alcotest.(check bool)
         (Printf.sprintf "fetch %d" i)
         true
-        (Tuple.equal (tu i 0.0) (Heap_file.fetch hf rid)))
+        (Tuple.equal (tu i 0.0)
+           (Heap_file.fetch hf ~page_id:rid.Heap_file.page_id
+              ~slot:rid.Heap_file.slot)))
     rids
 
 let test_heap_file_scan_charges_io () =
