@@ -171,15 +171,20 @@ let fig4 () =
   let plan = Core.Plan.Top_k { k = 100; input = plan_p cat } in
   let ann = Core.Propagate.run env ~k:100 plan in
   print_string (Format.asprintf "%a" Core.Propagate.pp ann);
-  (* Execute and report the actual depths for comparison. *)
-  let result = Core.Executor.run ~hints:ann cat plan in
-  row "\nMeasured depths after execution:\n";
-  List.iter
-    (fun rn ->
-      row "  %-40s dL=%d dR=%d\n" rn.Core.Executor.label
-        (Exec.Exec_stats.left_depth rn.Core.Executor.stats)
-        (Exec.Exec_stats.right_depth rn.Core.Executor.stats))
+  (* Execute and report the actual depths next to the propagated ones: both
+     lists are in plan pre-order. *)
+  let result = Core.Executor.run cat plan in
+  row "\nMeasured depths after execution (error against the propagated depth):\n";
+  List.iter2
+    (fun rn (_, _, d) ->
+      let dl = Exec.Exec_stats.left_depth rn.Core.Executor.stats
+      and dr = Exec.Exec_stats.right_depth rn.Core.Executor.stats in
+      row "  %-40s dL=%d (%.1f%%) dR=%d (%.1f%%)\n" rn.Core.Executor.label dl
+        (pct_error ~actual:(float_of_int dl) ~estimate:d.Core.Depth_model.d_left)
+        dr
+        (pct_error ~actual:(float_of_int dr) ~estimate:d.Core.Depth_model.d_right))
     result.Core.Executor.rank_nodes
+    (Core.Propagate.rank_join_annotations ann)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: effect of k on the rank-join plan cost; crossover k*. *)
@@ -223,14 +228,15 @@ type depth_obs = {
   child_actual : float * float;
   child_anyk : float * float;
   child_topk : float * float;
+  child_worst : float * float;
   child_buffer_actual : int;
   child_buffer_bound_measured : float;
   child_buffer_bound_estimated : float;
 }
 
-let observe_plan_p ?(depth_mode = `Worst) cat ~k =
+let observe_plan_p cat ~k =
   let query = topk_query ~k [ "A"; "B"; "C" ] in
-  let env = Core.Cost_model.default_env ~depth_mode ~k_min:k cat query in
+  let env = Core.Cost_model.default_env ~k_min:k cat query in
   let p = plan_p cat in
   let plan = Core.Plan.Top_k { k; input = p } in
   (* Estimates: top-k depths via Propagate (which recursively assigns k),
@@ -256,23 +262,27 @@ let observe_plan_p ?(depth_mode = `Worst) cat ~k =
           right )
     | _ -> failwith "not a binary rank join"
   in
+  let pair (d : Core.Depth_model.depths) =
+    (d.Core.Depth_model.d_left, d.Core.Depth_model.d_right)
+  in
   let anyk node req =
     let cond, left, right = binary node in
-    let d = Core.Cost_model.any_k_depths_for env ~k:req ~cond ~left ~right in
-    (d.Core.Depth_model.d_left, d.Core.Depth_model.d_right)
+    pair (Core.Cost_model.any_k_depths_for env ~k:req ~cond ~left ~right)
+  in
+  let worst node req =
+    let cond, left, right = binary node in
+    pair (Core.Cost_model.worst_case_depths_for env ~k:req ~cond ~left ~right)
   in
   let s =
     let cond, _, _ = binary top_node in
     Core.Cost_model.join_selectivity env cond
   in
-  (* Execute and measure; the operator polls in the model's estimated depth
-     ratio, as the optimizer-integrated executor does. *)
-  let result = Core.Executor.run ~hints:ann cat plan in
-  let child_stats, top_stats =
+  (* Execute and measure: the nodes come in plan pre-order, as the
+     annotations do. *)
+  let result = Core.Executor.run cat plan in
+  let top_stats, child_stats =
     match result.Core.Executor.rank_nodes with
-    | [ a; b ] ->
-        (* compile pushes the deeper node first *)
-        (a.Core.Executor.stats, b.Core.Executor.stats)
+    | [ a; b ] -> (a.Core.Executor.stats, b.Core.Executor.stats)
     | _ -> failwith "expected two rank nodes in execution"
   in
   let child_dl = float_of_int (Exec.Exec_stats.left_depth child_stats) in
@@ -284,10 +294,11 @@ let observe_plan_p ?(depth_mode = `Worst) cat ~k =
       ( float_of_int (Exec.Exec_stats.left_depth top_stats),
         float_of_int (Exec.Exec_stats.right_depth top_stats) );
     top_anyk = anyk top_node top_req;
-    top_topk = (top_d.Core.Depth_model.d_left, top_d.Core.Depth_model.d_right);
+    top_topk = pair top_d;
     child_actual = (child_dl, child_dr);
     child_anyk = anyk child_node child_req;
-    child_topk = (child_d.Core.Depth_model.d_left, child_d.Core.Depth_model.d_right);
+    child_topk = pair child_d;
+    child_worst = worst child_node child_req;
     child_buffer_actual = (Exec.Exec_stats.buffer_max child_stats);
     child_buffer_bound_measured = child_dl *. child_dr *. s;
     child_buffer_bound_estimated =
@@ -322,8 +333,9 @@ let fig13 () =
     "(b) child rank-join operator: d5, d6" obs
     (fun o -> (o.child_actual, o.child_anyk, o.child_topk));
   row
-    "\nExpected shape: Any-k estimate is a lower bound; measured depth lies\n\
-     between Any-k and Top-k estimates; error bounded (~30%%).\n"
+    "\nExpected shape: Any-k estimate is a lower bound; the Top-k estimate is\n\
+     where threshold polling stops, so measured depths track it; error\n\
+     bounded (paper: ~30%%).\n"
 
 let fig14 () =
   section
@@ -378,54 +390,73 @@ let fig15 () =
 (* Ablations: design choices DESIGN.md calls out, and the filter/restart
    baseline from the paper's related work. *)
 
+(* A descending score-index stream over table [t], and a rank-join input
+   over a stream that joins on [t].key. *)
+let scored_desc cat t =
+  let ix = Option.get (Storage.Catalog.find_index_on_expr cat ~table:t (score_of t)) in
+  Exec.Scan.index_desc_scored cat ix
+
+let rank_input stream t =
+  let idx =
+    Relalg.Schema.index_of_exn stream.Exec.Operator.s_schema ~relation:t "key"
+  in
+  { Exec.Rank_join.stream; key = (fun tu -> Relalg.Tuple.get tu idx) }
+
+(* Plan P built from the operators directly, so its two rank joins can
+   poll round-robin: the reference the engine's threshold rule is measured
+   against. Returns the (top, child) stats. *)
+let plan_p_alternate cat ~k =
+  let hrjn inputs =
+    Exec.Rank_join.hrjn ~polling:Exec.Rank_join.Alternate ~combine:( +. ) ~inputs ()
+  in
+  let child, child_stats =
+    hrjn [ rank_input (scored_desc cat "A") "A"; rank_input (scored_desc cat "B") "B" ]
+  in
+  let top, top_stats = hrjn [ rank_input child "B"; rank_input (scored_desc cat "C") "C" ] in
+  ignore (Exec.Operator.scored_take top k);
+  (top_stats, child_stats)
+
 let ablate_polling () =
   section
     "Ablation - HRJN polling strategy (Plan P, k = 50, n = 10000, s = 1e-3)\n\
      total input tuples consumed under each strategy";
   let cat = three_table_catalog ~n:10000 ~domain:1000 ~seed:91 () in
   let k = 50 in
-  let query = topk_query ~k [ "A"; "B"; "C" ] in
-  let env = Core.Cost_model.default_env ~k_min:k cat query in
-  let p = plan_p cat in
-  let plan = Core.Plan.Top_k { k; input = p } in
-  let ann = Core.Propagate.run env ~k plan in
+  let plan = Core.Plan.Top_k { k; input = plan_p cat } in
   row "%-28s %12s %12s %14s\n" "strategy" "top dL+dR" "child dL+dR" "grand total";
   let total stats =
     (Exec.Exec_stats.left_depth stats) + (Exec.Exec_stats.right_depth stats)
   in
-  let report name result =
-    match result.Core.Executor.rank_nodes with
-    | [ child; top ] ->
-        let t = total top.Core.Executor.stats
-        and c = total child.Core.Executor.stats in
-        row "%-28s %12d %12d %14d\n" name t c (t + c)
-    | _ -> row "%-28s (unexpected plan shape)\n" name
+  let report name (top, child) =
+    let t = total top and c = total child in
+    row "%-28s %12d %12d %14d\n" name t c (t + c)
   in
-  (* Alternate / adaptive via a bare run (no hints); ratio via hints. *)
-  report "alternate (no hints)" (Core.Executor.run cat plan);
-  report "model-ratio (hints)" (Core.Executor.run ~hints:ann cat plan);
+  report "alternate (reference)" (plan_p_alternate cat ~k);
+  (match (Core.Executor.run cat plan).Core.Executor.rank_nodes with
+  | [ top; child ] ->
+      report "threshold (executor)"
+        (top.Core.Executor.stats, child.Core.Executor.stats)
+  | _ -> row "%-28s (unexpected plan shape)\n" "threshold (executor)");
   row
-    "\nFinding: ratio polling steers the top operator onto the model's\n\
-     asymmetric trajectory (making depths predictable within Fig. 13's error\n\
-     band) at the cost of slightly more total consumption than alternation.\n"
+    "\nFinding: polling the input whose threshold term is largest reads fewer\n\
+     tuples than round-robin at both operators, and the depth model predicts\n\
+     where it stops (fig13).\n"
 
 let ablate_depth_mode () =
   section
-    "Ablation - depth model closed form: average-case vs worst-case vs actual\n\
-     (child rank-join of Plan P, n = 10000, s = 1e-3)";
+    "Ablation - depth model: threshold-polling stop vs the worst-case bound\n\
+     (Eqs. 2-5) vs actual (child rank-join of Plan P, n = 10000, s = 1e-3)";
   let cat = three_table_catalog ~n:10000 ~domain:1000 ~seed:92 () in
-  row "%8s  %10s  %12s  %12s\n" "k" "actual" "average est." "worst est.";
+  row "%8s  %10s  %14s  %12s\n" "k" "actual" "threshold est." "worst bound";
   List.iter
     (fun k ->
-      let worst = observe_plan_p ~depth_mode:`Worst cat ~k in
-      let avg = observe_plan_p ~depth_mode:`Average cat ~k in
-      let actual = fst worst.child_actual in
-      row "%8d  %10.0f  %12.0f  %12.0f\n" k actual (fst avg.child_topk)
-        (fst worst.child_topk))
+      let o = observe_plan_p cat ~k in
+      row "%8d  %10.0f  %14.0f  %12.0f\n" k (fst o.child_actual)
+        (fst o.child_topk) (fst o.child_worst))
     [ 5; 20; 50; 200 ];
   row
-    "\nExpected: the worst-case form tracks the measured depth (the operator\n\
-     stops on a certification bound); the average-case form undershoots.\n"
+    "\nExpected: the threshold-polling stop tracks the measured depth; the\n\
+     worst-case form bounds it from above.\n"
 
 let ablate_rank_awareness () =
   section
@@ -489,25 +520,11 @@ let ablate_nary () =
     "Ablation - flat N-ary HRJN vs binary HRJN pipeline\n\
      (3 inputs joined on a shared key, n = 10000, s = 1e-3)";
   let cat = three_table_catalog ~n:10000 ~domain:1000 ~seed:95 () in
-  let scored t =
-    let ix =
-      Option.get
-        (Storage.Catalog.find_index_on_expr cat ~table:t (score_of t))
-    in
-    Exec.Scan.index_desc_scored cat ix
-  in
-  let key_of t =
-    let info = Storage.Catalog.table cat t in
-    let idx =
-      Relalg.Schema.index_of_exn info.Storage.Catalog.tb_schema ~relation:t "key"
-    in
-    fun tu -> Relalg.Tuple.get tu idx
-  in
   (* Per-input depths of the flat operator at top-k, each input's scores
      scaled by its weight. *)
   let flat ?polling ~weights k =
     let weighted w t =
-      let s = scored t in
+      let s = scored_desc cat t in
       { s with Exec.Operator.s_next =
           (fun () ->
             Option.map (fun (tu, x) -> (tu, w *. x)) (s.Exec.Operator.s_next ())) }
@@ -516,7 +533,7 @@ let ablate_nary () =
       Exec.Rank_join.hrjn ?polling ~combine:( +. )
         ~inputs:
           (List.map2
-             (fun w t -> { Exec.Rank_join.stream = weighted w t; key = key_of t })
+             (fun w t -> rank_input (weighted w t) t)
              weights [ "A"; "B"; "C" ])
         ()
     in
@@ -525,16 +542,16 @@ let ablate_nary () =
   in
   let total = Array.fold_left ( + ) 0 in
   let ks = [ 5; 20; 50; 200 ] in
-  row "%8s  %16s  %16s  %16s\n" "k" "nary total depth" "threshold rule"
+  row "%8s  %16s  %16s  %16s\n" "k" "round-robin" "threshold rule"
     "pipeline total";
   List.iter
     (fun k ->
       let ones = [ 1.0; 1.0; 1.0 ] in
-      let nary_total = total (flat ~weights:ones k) in
+      let nary_total = total (flat ~polling:Exec.Rank_join.Alternate ~weights:ones k) in
       let threshold_total =
         total (flat ~polling:Exec.Rank_join.Adaptive ~weights:ones k)
       in
-      (* Binary pipeline via the executor (alternate polling). *)
+      (* Binary pipeline via the executor (threshold polling). *)
       let plan = Core.Plan.Top_k { k; input = plan_p cat } in
       let result = Core.Executor.run cat plan in
       let pipe_total =
@@ -555,11 +572,12 @@ let ablate_nary () =
   List.iter
     (fun k ->
       row "%8d  %22s  %22s\n" k
-        (show (flat ~weights:skewed k))
+        (show (flat ~polling:Exec.Rank_join.Alternate ~weights:skewed k))
         (show (flat ~polling:Exec.Rank_join.Adaptive ~weights:skewed k)))
     ks;
   row
-    "\nExpected: the flat operator consumes fewer base tuples overall (no\n\
+    "\nExpected: the flat operator consumes fewer base tuples than the\n\
+     threshold-polled pipeline once k is past the smallest values (no\n\
      intermediate-k inflation through the pipeline), at the price of larger\n\
      in-flight combination state. Polling the input whose threshold term is\n\
      largest reads the flattest input as deep as round-robin does and stops\n\
@@ -585,8 +603,7 @@ let ablate_slabs () =
       in
       let d = Core.Cost_model.rank_join_depths env plan ~k:10.0 in
       let topk = Core.Plan.Top_k { k = 10; input = plan } in
-      let ann = Core.Propagate.run env ~k:10 topk in
-      let result = Core.Executor.run ~hints:ann cat topk in
+      let result = Core.Executor.run cat topk in
       match result.Core.Executor.rank_nodes with
       | [ rn ] ->
           row "%6.1f / %5.1f  %10.0f %10.0f  %12d %12d\n" wa wb
@@ -613,11 +630,11 @@ let profile () =
   let plan = Core.Plan.Top_k { k = 25; input = plan_p cat } in
   let ann = Core.Propagate.run env ~k:25 plan in
   let metrics = Exec.Metrics.create (Storage.Catalog.io cat) in
-  let result = Core.Executor.run ~hints:ann ~metrics cat plan in
+  let result = Core.Executor.run ~metrics cat plan in
   row "rows returned: %d\n" (List.length result.Core.Executor.rows);
   List.iter
     (fun node -> row "BENCH %s\n" (Exec.Metrics.node_to_json node))
     (Exec.Metrics.nodes metrics);
   (match result.Core.Executor.profile with
-  | Some p -> row "\nAnnotated tree:\n%s" (Core.Analyze.render ~env ~hints:ann p)
+  | Some p -> row "\nAnnotated tree:\n%s" (Core.Analyze.render ~env ~propagation:ann p)
   | None -> ())

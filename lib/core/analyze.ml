@@ -44,7 +44,7 @@ let pp_depths fmt (observed : int array) (predicted : float array option) =
   in
   Format.fprintf fmt "depths: %s" (String.concat ", " cells)
 
-let render ?env ?hints (profile : Executor.profile) =
+let render ?env ?propagation (profile : Executor.profile) =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
   let rec go indent ann (p : Executor.profile) =
@@ -93,6 +93,6 @@ let render ?env ?hints (profile : Executor.profile) =
       (fun i child -> go (indent + 2) (child_ann ann i) child)
       p.Executor.p_children
   in
-  go 0 hints profile;
+  go 0 propagation profile;
   Format.pp_print_flush fmt ();
   Buffer.contents buf

@@ -10,10 +10,10 @@
 
 val render :
   ?env:Cost_model.env ->
-  ?hints:Propagate.annotation ->
+  ?propagation:Propagate.annotation ->
   Executor.profile ->
   string
-(** [hints] must come from [Propagate.run] on the same plan that produced
+(** [propagation] must come from [Propagate.run] on the same plan that produced
     the profile (the trees are matched positionally). Without [env] the
-    estimated-cost column is omitted; without [hints], predicted depths
+    estimated-cost column is omitted; without [propagation], predicted depths
     are. *)

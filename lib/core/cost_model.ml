@@ -4,11 +4,9 @@ type env = {
   catalog : Storage.Catalog.t;
   query : Logical.t;
   k_min : int;
-  depth_mode : [ `Average | `Worst ];
 }
 
-let default_env ?(k_min = 1) ?(depth_mode = `Worst) catalog query =
-  { catalog; query; k_min = max 1 k_min; depth_mode }
+let default_env ?(k_min = 1) catalog query = { catalog; query; k_min = max 1 k_min }
 
 (* I/O-unit cost of processing one tuple. *)
 let cpu_factor = 0.002
@@ -97,21 +95,6 @@ let ranked_fan env plan =
          | exception Not_found -> false)
        names)
 
-(* The depth-model parameters of a binary rank join, as a function of k:
-   selectivity, fans and n do not depend on k, so they are computed once
-   and a cost function evaluated at many k only fills in k. *)
-let depth_params env ~s ~left ~right ~left_rows ~right_rows =
-  let fan p = max 1 (ranked_fan env p) in
-  let n =
-    let names = Plan.relations left @ Plan.relations right in
-    let logs = List.map (fun m -> log (Float.max 1.0 (base_cardinality env m))) names in
-    Float.max 1.0
-      (exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (max 1 (List.length logs))))
-  in
-  let left = { Depth_model.fan = fan left; card = Float.max 1.0 left_rows } in
-  let right = { Depth_model.fan = fan right; card = Float.max 1.0 right_rows } in
-  fun k -> { Depth_model.k = Float.max 1.0 k; s; n; left; right }
-
 (* Mean score-decrement slab of a side's (weighted, linear) score
    expression, from column statistics: the "x"/"y" of the any-k formulas.
    [None] when the expression is not linear over columns with stats. *)
@@ -154,53 +137,42 @@ let rank_join_selectivity env keys =
 
 (* The depths a rank join over [inputs] (estimated [ests], joined with
    selectivity [s]) reads from each input to produce its top k, as a
-   function of k: one depth per input, each clamped to its input. Two
-   inputs take the binary model (Theorems 1-2): the slab form when both
-   are single ranked base relations whose [scores] give histogram slabs,
-   else the [depth_mode] closed form. [scores = []] skips the slab
-   refinement. More inputs take the symmetric {!Depth_model.nary_uniform_depth}. *)
+   function of k: {!Depth_model.threshold_depths}, each depth clamped to
+   its input. Two single ranked base relations whose [scores] give
+   histogram slabs x_i count 1/x_i tuples per unit of score; every other
+   input counts its estimated rows over a unit score range per ranked base
+   relation. [scores = []] skips the slabs. *)
 let depth_fn env ~inputs ~ests ~scores ~s =
-  match inputs, ests with
-  | [ left; right ], [ l; r ] ->
-      let slabs =
-        (* Histogram-derived slabs refine the uniform assumption for 2-way
-           joins of base ranked inputs (e.g. asymmetric score weights). *)
-        match scores with
-        | [ left_score; right_score ]
-          when ranked_fan env left = 1 && ranked_fan env right = 1 -> (
-            match
-              ( side_slab env left_score ~rows:l.rows,
-                side_slab env right_score ~rows:r.rows )
-            with
-            | Some x, Some y -> Some (x, y)
-            | _ -> None)
-        | _ -> None
-      in
-      let params =
-        depth_params env ~s ~left ~right ~left_rows:l.rows ~right_rows:r.rows
-      in
-      fun k ->
-        let p = params k in
-        let d =
-          match slabs with
-          | Some (x, y) ->
-              Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
-          | None -> (
-              match env.depth_mode with
-              | `Average -> Depth_model.average_case_depths p
-              | `Worst -> Depth_model.worst_case_depths p)
-        in
-        let d = Depth_model.clamped p d in
-        [| d.Depth_model.d_left; d.Depth_model.d_right |]
-  | _ ->
-      let m = List.length inputs in
-      let rows = Array.of_list (List.map (fun e -> e.rows) ests) in
-      fun k ->
-        let d = Depth_model.nary_uniform_depth ~m ~k:(Float.max 1.0 k) ~s in
-        Array.map (fun r -> Float.min d r) rows
+  let rows = List.map (fun e -> Float.max 1.0 e.rows) ests in
+  let slabs =
+    match inputs, scores, rows with
+    | [ left; right ], [ left_score; right_score ], [ l; r ]
+      when ranked_fan env left = 1 && ranked_fan env right = 1 -> (
+        match side_slab env left_score ~rows:l, side_slab env right_score ~rows:r with
+        | Some x, Some y ->
+            Some
+              [|
+                { Depth_model.density = 1.0 /. x; fan = 1; card = l };
+                { Depth_model.density = 1.0 /. y; fan = 1; card = r };
+              |]
+        | _ -> None)
+    | _ -> None
+  in
+  let model =
+    match slabs with
+    | Some m -> m
+    | None ->
+        Array.of_list
+          (List.map2
+             (fun input card ->
+               { Depth_model.density = card; fan = max 1 (ranked_fan env input); card })
+             inputs rows)
+  in
+  fun k -> Depth_model.threshold_depths ~k:(Float.max 1.0 k) ~s model
 
-(* NRJN's outer depth, costed and propagated alike: the closed form, since
-   the inner is re-scanned in full whatever its score slabs are. *)
+(* NRJN's outer depth, costed and propagated alike: NRJN stops on the same
+   count of results within the threshold, and its inner is re-scanned in
+   full whatever its score slabs are, so the depths skip the slabs. *)
 let nrjn_depths env ~left ~right ~l ~r ~s =
   depth_fn env ~inputs:[ left; right ] ~ests:[ l; r ] ~scores:[] ~s
 
@@ -565,16 +537,45 @@ let rank_join_depths env plan ~k =
         k
   | _ -> invalid_arg "Cost_model.rank_join_depths: not a rank join"
 
+(* The binary model's parameters at one k, for the depth forms reported
+   alongside the threshold depths: n is the geometric mean of the base
+   cardinalities under the join. *)
+let binary_params env ~k ~cond ~left ~right =
+  let side p =
+    {
+      Depth_model.fan = max 1 (ranked_fan env p);
+      card = Float.max 1.0 (estimate env p).rows;
+    }
+  in
+  let n =
+    let logs =
+      List.map
+        (fun m -> log (Float.max 1.0 (base_cardinality env m)))
+        (Plan.relations left @ Plan.relations right)
+    in
+    Float.max 1.0
+      (exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (max 1 (List.length logs))))
+  in
+  {
+    Depth_model.k = Float.max 1.0 k;
+    s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond);
+    n;
+    left = side left;
+    right = side right;
+  }
+
 let any_k_depths_for env ~k ~cond ~left ~right =
-  let l = estimate env left and r = estimate env right in
-  let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
-  let p = depth_params env ~s ~left ~right ~left_rows:l.rows ~right_rows:r.rows k in
+  let p = binary_params env ~k ~cond ~left ~right in
   (* Use the slab formulation with equal slabs scaled by n/card: for the
      model's uniform-[0,n] convention the slab is n/card per input. *)
   let x = p.Depth_model.n /. p.Depth_model.left.Depth_model.card in
   let y = p.Depth_model.n /. p.Depth_model.right.Depth_model.card in
   let c_l, c_r = Depth_model.any_k_depths ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y in
   Depth_model.clamped p { Depth_model.d_left = c_l; d_right = c_r }
+
+let worst_case_depths_for env ~k ~cond ~left ~right =
+  let p = binary_params env ~k ~cond ~left ~right in
+  Depth_model.clamped p (Depth_model.worst_case_depths p)
 
 let k_star env ~rank_plan ~sort_plan =
   let rank = estimate env rank_plan in

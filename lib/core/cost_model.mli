@@ -17,18 +17,9 @@ type env = {
   catalog : Storage.Catalog.t;
   query : Logical.t;
   k_min : int;  (** The k of the query: minimum any subplan will be asked. *)
-  depth_mode : [ `Average | `Worst ];
-      (** Which closed form to use; default [`Worst] — the operator's
-          threshold-based stopping tracks the certification (worst-case)
-          bound, cf. EXPERIMENTS.md. *)
 }
 
-val default_env :
-  ?k_min:int ->
-  ?depth_mode:[ `Average | `Worst ] ->
-  Storage.Catalog.t ->
-  Logical.t ->
-  env
+val default_env : ?k_min:int -> Storage.Catalog.t -> Logical.t -> env
 
 type estimate = {
   rows : float;  (** Estimated full output cardinality. *)
@@ -62,18 +53,26 @@ val rank_join_depths : env -> Plan.t -> k:float -> float array
 (** The depths the model predicts a rank-join node reads from each of its
     inputs to produce its top [k], each clamped to the input's estimated
     rows. [plan] is a {!Plan.Rank_join} (one depth per input) or an NRJN
-    [Join] (outer depth first). Two inputs take the binary model of
-    Section 4 (for HRJN the histogram-slab form for two single ranked base
-    relations, else the [depth_mode] closed form; NRJN always takes the
-    closed form); m >= 3 inputs take the symmetric
-    {!Depth_model.nary_uniform_depth}. The estimate of a rank join costs
-    its inputs at these same depths. *)
+    [Join] (outer depth first). Every arity takes
+    {!Depth_model.threshold_depths}, the stop of threshold polling: an
+    HRJN over two single ranked base relations with histogram score slabs
+    counts each input's tuples per unit of score from its slab; every
+    other input (and NRJN's outer) counts its estimated rows over a unit
+    score range per ranked base relation. The estimate of a rank join
+    costs its inputs at these same depths. *)
 
 val any_k_depths_for :
   env -> k:float -> cond:Logical.join_pred -> left:Plan.t -> right:Plan.t
   -> Depth_model.depths
 (** The "Any-k" lower-bound estimate (step 1 only), reported alongside the
     top-k estimate in Figures 13-14. *)
+
+val worst_case_depths_for :
+  env -> k:float -> cond:Logical.join_pred -> left:Plan.t -> right:Plan.t
+  -> Depth_model.depths
+(** The worst-case bound of Equations 2-5 over the same parameters,
+    clamped to the inputs: the certification bound reported beside the
+    threshold depths in the depth-model ablation. *)
 
 val k_star : env -> rank_plan:Plan.t -> sort_plan:Plan.t -> float option
 (** The crossover k* at which the (k-dependent) rank plan's cost equals the

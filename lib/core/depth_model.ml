@@ -24,20 +24,6 @@ let any_k_depths ~k ~s ~x ~y =
   let c_r = sqrt (x *. k /. (y *. s)) in
   (c_l, c_r)
 
-let top_k_depths_slabs ~k ~s ~x ~y =
-  let c_l, c_r = any_k_depths ~k ~s ~x ~y in
-  { d_left = c_l +. (y /. x *. c_r); d_right = c_r +. (x /. y *. c_l) }
-
-let uniform_depth ~k ~s =
-  check_ks k s;
-  2.0 *. sqrt (k /. s)
-
-let nary_uniform_depth ~m ~k ~s =
-  check_ks k s;
-  if m < 2 then invalid_arg "Depth_model.nary_uniform_depth: m < 2";
-  let mf = float_of_int m in
-  mf *. exp ((log k -. ((mf -. 1.0) *. log s)) /. mf)
-
 let check_params p =
   check_ks p.k p.s;
   if p.n < 1.0 then invalid_arg "Depth_model: n < 1";
@@ -75,31 +61,35 @@ let worst_case_depths p =
   let d_right = exp (log_cr +. (r *. log1p (l /. r))) in
   { d_left; d_right }
 
-(* dL^(l+r) = ((l+r)!)^l k^l n^(r-l) / ( (l!)^(l+r) s^l ), and symmetrically
-   for dR. *)
-let average_case_depths p =
-  check_params p;
-  let l = float_of_int p.left.fan and r = float_of_int p.right.fan in
+type input = {
+  density : float;
+  fan : int;
+  card : float;
+}
+
+(* log delta = (log k + log F! - (m-1) log s - sum log c_i) / F, then
+   log d_i = log c_i + f_i log delta - log f_i!. *)
+let threshold_depths ~k ~s inputs =
+  check_ks k s;
+  let m = Array.length inputs in
+  if m < 2 then invalid_arg "Depth_model.threshold_depths: fewer than 2 inputs";
+  Array.iter
+    (fun i ->
+      if i.fan < 1 then invalid_arg "Depth_model: fan < 1";
+      if not (i.density > 0.0) then invalid_arg "Depth_model: density <= 0")
+    inputs;
   let logfact = Rkutil.Mathx.log_factorial in
-  let log_joint = logfact (p.left.fan + p.right.fan) in
-  let log_k = log p.k and log_n = log p.n and log_s = log p.s in
-  let log_dl =
-    ((l *. log_joint)
-    +. (l *. log_k)
-    +. ((r -. l) *. log_n)
-    -. ((l +. r) *. logfact p.left.fan)
-    -. (l *. log_s))
-    /. (l +. r)
+  let f = Array.fold_left (fun acc i -> acc + i.fan) 0 inputs in
+  let log_c = Array.fold_left (fun acc i -> acc +. log i.density) 0.0 inputs in
+  let log_delta =
+    (log k +. logfact f -. (float_of_int (m - 1) *. log s) -. log_c)
+    /. float_of_int f
   in
-  let log_dr =
-    ((r *. log_joint)
-    +. (r *. log_k)
-    +. ((l -. r) *. log_n)
-    -. ((l +. r) *. logfact p.right.fan)
-    -. (r *. log_s))
-    /. (l +. r)
-  in
-  { d_left = exp log_dl; d_right = exp log_dr }
+  Array.map
+    (fun i ->
+      let d = exp (log i.density +. (float_of_int i.fan *. log_delta) -. logfact i.fan) in
+      Rkutil.Mathx.clamp ~lo:1.0 ~hi:(Float.max 1.0 i.card) d)
+    inputs
 
 let clamped p d =
   let clamp card v = Rkutil.Mathx.clamp ~lo:1.0 ~hi:(Float.max 1.0 card) v in

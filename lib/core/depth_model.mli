@@ -11,9 +11,12 @@
       slabs).
     + Choose [cL, cR] to minimise [dL, dR].
 
-    Closed forms are provided for uniform base scores (slab form), for the
-    worst case over sum-of-uniform (u{_j}) inputs (Equations 2-5), and for
-    the average case. All are computed in log space. *)
+    The engine's rank joins poll the input whose threshold term is largest,
+    which evens out the score decrements of their inputs; {!threshold_depths}
+    is the depth at which that operator stops, and the one depth the cost
+    model, propagation and EXPLAIN ANALYZE use. The worst case over
+    sum-of-uniform inputs (Equations 2-5) is kept as the certification
+    bound. Everything is computed in log space. *)
 
 type side = {
   fan : int;  (** Number of base ranked relations feeding this input (l or r). *)
@@ -35,25 +38,33 @@ val any_k_depths : k:float -> s:float -> x:float -> y:float -> float * float
     where [x]/[y] are the mean score decrements per rank position of the
     left/right input. These minimise [δ = x·cL + y·cR] under [s·cL·cR ≥ k]. *)
 
-val top_k_depths_slabs : k:float -> s:float -> x:float -> y:float -> depths
-(** Steps 2+3 in slab form: [dL = cL + (y/x)·cR], [dR = cR + (x/y)·cL]. For
-    equal slabs both collapse to [2·sqrt(k/s)]. *)
+type input = {
+  density : float;
+      (** [c]: the input holds [c·t^fan / fan!] tuples within score
+          decrement [t] of its top. *)
+  fan : int;  (** [f ≥ 1]: the number of uniform scores summed per tuple. *)
+  card : float;  (** The input's cardinality: its depth is clamped to it. *)
+}
 
-val uniform_depth : k:float -> s:float -> float
-(** The symmetric special case [2·sqrt(k/s)]. *)
+val threshold_depths : k:float -> s:float -> input array -> float array
+(** The equal-decrement stop of an m-input rank join (m ≥ 2) whose inputs
+    join with pairwise selectivity [s]. With [F = Σ fan_i], the join results
+    within combined decrement [δ] number [s^(m-1)·∏c_i·δ^F / F!]; the
+    operator stops at the [δ] where that count is [k], having read
+    [d_i = c_i·δ^fan_i / fan_i!] from input [i], clamped to
+    [\[1, card_i\]].
 
-val nary_uniform_depth : m:int -> k:float -> s:float -> float
-(** Symmetric per-input depth for a flat m-way rank join on one shared key
-    with pairwise selectivity [s]: any-k needs [s^(m-1)·c^m ≥ k] and the
-    Theorem-2 slack multiplies by m, giving
-    [d = m·(k / s^(m-1))^(1/m)]. Reduces to [2·sqrt(k/s)] at m = 2. *)
+    The cost model feeds it [c_i = 1/x_i] and [fan_i = 1] for two single
+    ranked base relations with mean score slabs [x_i] (then [d_i·x_i] is
+    the same for both inputs), and otherwise [c_i = card_i] over unit
+    score ranges, which is the average-case form of Section 4.3 with each
+    input's cardinality in place of [n]: [sqrt(2k/s)] at m = 2 with fan 1,
+    [(m!·k / s^(m-1))^(1/m)] over m symmetric inputs. *)
 
 val worst_case_depths : params -> depths
 (** Equations 2-5: strict upper bounds for a join of a u{_l}-distributed
-    input with a u{_r}-distributed input. *)
-
-val average_case_depths : params -> depths
-(** The average-case closed form (end of Section 4.3). *)
+    input with a u{_r}-distributed input — the certification bound
+    [ablate-depthmode] reports beside the threshold depths. *)
 
 val clamped : params -> depths -> depths
 (** Clamp each depth into [\[1, side.card\]] — an operator can never read

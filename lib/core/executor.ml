@@ -111,8 +111,13 @@ let node_label = function
 
 exception Interrupted
 
-let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
+let compile ?metrics ?interrupt ?(vectorized = true) catalog plan =
   let rank_joins = ref [] in
+  (* A rank-join node registers before its inputs compile, so the list is
+     in plan pre-order, the order of [Propagate.rank_join_annotations]. *)
+  let register plan ~nrjn stats =
+    rank_joins := { label = Plan.describe plan; nrjn; stats } :: !rank_joins
+  in
   (* Cooperative cancellation: when an interrupt predicate is supplied
      (per-query deadlines in the server), every operator's [next] checks it,
      so even deep blocking stages (sort runs, hash builds pulling their
@@ -127,13 +132,6 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
           Exec.Operator.next =
             (fun () -> if should_stop () then raise Interrupted else next ());
         }
-  in
-  (* [ann] mirrors the plan subtree currently being compiled, when hints were
-     provided for the whole plan. *)
-  let child_ann ann i =
-    match ann with
-    | None -> None
-    | Some a -> List.nth_opt a.Propagate.children i
   in
   (* Register the node's stats record in the metrics registry (when one was
      supplied) and wrap the operator so the I/O it causes is attributed to
@@ -183,14 +181,14 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
               p_children = List.filter_map Fun.id child_profiles;
             } )
   in
-  (* [go ctx ann plan]: [ctx] says whether the parent drains this subplan
+  (* [go ctx plan]: [ctx] says whether the parent drains this subplan
      completely ([`Bulk] — sorts, hash-join sides, the root drain) or pulls
      it incrementally ([`Streaming] — rank joins, top-k heaps over ranked
      inputs, cursors). Vectorized spines only engage in bulk contexts:
      batching a stream an early-out consumer may abandon would over-read.
      The context rules here are mirrored by [Vectorize.vectorized]
      (planlint PL15 cross-checks the stored property bit against it). *)
-  let rec go ctx ann plan : Exec.Operator.t * profile option =
+  let rec go ctx plan : Exec.Operator.t * profile option =
     match plan with
     (* Fused vectorized top-k sink: Top_k over Sort over a vector spine
        becomes one bounded-heap drain — same rows, order, and stats totals
@@ -201,8 +199,7 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         let sort_stats = Exec.Exec_stats.create 1 in
         let topk_stats = Exec.Exec_stats.create 1 in
         let desc = order.Plan.direction = Interesting_orders.Desc in
-        let sort_ann = child_ann ann 0 in
-        let v, vprof = govec (child_ann sort_ann 0) sp in
+        let v, vprof = govec sp in
         let op =
           guard
             (Exec.Vector.fused_top_k ~sort_stats ~topk_stats
@@ -236,11 +233,11 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                     ];
                 } ))
     | _ when vectorized && ctx = `Bulk && Vectorize.spine_ok plan ->
-        let v, prof = govec ann plan in
+        let v, prof = govec plan in
         (guard (Exec.Vector.to_operator v), prof)
-    | _ -> go_serial ctx ann plan
+    | _ -> go_serial ctx plan
   (* The vector spine compiler: only the [Vectorize.spine_ok] shapes. *)
-  and govec ann plan : Exec.Vector.t * profile option =
+  and govec plan : Exec.Vector.t * profile option =
     match plan with
     | Plan.Table_scan { table } ->
         let stats = Exec.Exec_stats.create 0 in
@@ -250,14 +247,14 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         vinstrument plan stats v []
     | Plan.Filter { pred; input } ->
         let stats = Exec.Exec_stats.create 1 in
-        let child, prof = govec (child_ann ann 0) input in
+        let child, prof = govec input in
         vinstrument plan stats (Exec.Vector.filter ~stats pred child) [ prof ]
     | Plan.Join { algo = Plan.Hash; cond; left; right; _ } ->
         let stats = Exec.Exec_stats.create 2 in
         let lt = cond.Logical.left_table and lc = cond.Logical.left_column in
         let rt = cond.Logical.right_table and rc = cond.Logical.right_column in
-        let lchild, lprof = govec (child_ann ann 0) left in
-        let rchild, rprof = go `Bulk (child_ann ann 1) right in
+        let lchild, lprof = govec left in
+        let rchild, rprof = go `Bulk right in
         vinstrument plan stats
           (Exec.Vector.hash_join ~stats
              ~left_key:(Expr.col ~relation:lt lc)
@@ -265,7 +262,7 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
              (sort_budget catalog) lchild rchild)
           [ lprof; rprof ]
     | _ -> invalid_arg "Executor: plan is not a vector spine"
-  and go_serial ctx ann plan : Exec.Operator.t * profile option =
+  and go_serial ctx plan : Exec.Operator.t * profile option =
     match plan with
     | Plan.Table_scan { table } ->
         let stats = Exec.Exec_stats.create 0 in
@@ -301,13 +298,13 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         invalid_arg "Executor: distributed plan requires a shard coordinator"
     | Plan.Filter { pred; input } ->
         let stats = Exec.Exec_stats.create 1 in
-        let child, prof = go ctx (child_ann ann 0) input in
+        let child, prof = go ctx input in
         instrument plan stats (Exec.Basic_ops.filter ~stats pred child) [ prof ]
     | Plan.Sort { order; input } ->
         let stats = Exec.Exec_stats.create 1 in
         let desc = order.Plan.direction = Interesting_orders.Desc in
         (* A sort drains its input at open: always a bulk context below. *)
-        let child, prof = go `Bulk (child_ann ann 0) input in
+        let child, prof = go `Bulk input in
         let op =
           Exec.Sort.by_expr ~stats (sort_budget catalog) ~desc order.Plan.expr
             child
@@ -321,22 +318,14 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         let child_ctx =
           match input with Plan.Sort _ -> ctx | _ -> `Streaming
         in
-        let child, prof = go child_ctx (child_ann ann 0) input in
+        let child, prof = go child_ctx input in
         instrument plan stats (Exec.Basic_ops.limit ~stats k child) [ prof ]
     | Plan.Rank_join { inputs; scores; keys } ->
         let stats = Exec.Exec_stats.create (List.length inputs) in
-        let compiled =
-          List.mapi (fun i input -> go `Streaming (child_ann ann i) input) inputs
-        in
-        let polling =
-          match inputs, ann with
-          | [ _; _ ], Some { Propagate.depths = Some d; _ } when d.(1) > 0.0 ->
-              Exec.Rank_join.Ratio (d.(0) /. d.(1))
-          | [ _; _ ], _ -> Exec.Rank_join.Alternate
-          | _ -> Exec.Rank_join.Adaptive
-        in
+        register plan ~nrjn:false stats;
+        let compiled = List.map (go `Streaming) inputs in
         let stream, stats =
-          Exec.Rank_join.hrjn ~stats ~polling ~combine:( +. )
+          Exec.Rank_join.hrjn ~stats ~combine:( +. )
             ~inputs:
               (List.map2
                  (fun ((op, _), score) (table, column) ->
@@ -345,15 +334,13 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                  keys)
             ()
         in
-        rank_joins :=
-          { label = Plan.describe plan; nrjn = false; stats } :: !rank_joins;
         instrument plan stats
           (Exec.Operator.scored_to_plain stream)
           (List.map snd compiled)
     | Plan.Any_k { inputs; scores; keys; _ } ->
         let stats = Exec.Exec_stats.create (List.length inputs) in
         let compiled =
-          List.mapi (fun i input -> go `Streaming (child_ann ann i) input) inputs
+          List.map (go `Streaming) inputs
         in
         let profs = List.map snd compiled in
         let schemas =
@@ -401,8 +388,8 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
         let pred = Expr.(col ~relation:lt lc = col ~relation:rt rc) in
         match algo with
         | Plan.Nested_loops ->
-            let lchild, lprof = go ctx (child_ann ann 0) left in
-            let rchild, rprof = go `Bulk (child_ann ann 1) right in
+            let lchild, lprof = go ctx left in
+            let rchild, rprof = go `Bulk right in
             instrument plan stats
               (Exec.Join.nested_loops ~stats ~pred lchild rchild)
               [ lprof; rprof ]
@@ -412,8 +399,8 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                Both sides are fully drained, so both compile in a bulk
                context (a spine-shaped left arrives batched through the
                boundary adapter). *)
-            let lchild, lprof = go `Bulk (child_ann ann 0) left in
-            let rchild, rprof = go `Bulk (child_ann ann 1) right in
+            let lchild, lprof = go `Bulk left in
+            let rchild, rprof = go `Bulk right in
             instrument plan stats
               (Exec.Join.grace_hash ~stats
                  ~left_key:(Expr.col ~relation:lt lc)
@@ -421,8 +408,8 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                  (sort_budget catalog) lchild rchild)
               [ lprof; rprof ]
         | Plan.Sort_merge ->
-            let lchild, lprof = go ctx (child_ann ann 0) left in
-            let rchild, rprof = go ctx (child_ann ann 1) right in
+            let lchild, lprof = go ctx left in
+            let rchild, rprof = go ctx right in
             instrument plan stats
               (Exec.Join.merge_only ~stats
                  ~left_key:(Expr.col ~relation:lt lc)
@@ -460,7 +447,7 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                       (fun tu -> List.for_all (fun p -> p tu) keep)
                       (Exec.Scan.index_probe catalog ix key)
             in
-            let lchild, lprof = go ctx (child_ann ann 0) left in
+            let lchild, lprof = go ctx left in
             instrument plan stats
               (Exec.Join.index_nested_loops ~stats
                  ~left_key:(Expr.col ~relation:lt lc)
@@ -469,8 +456,9 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                  lchild)
               [ lprof ]
         | Plan.Nrjn ->
-            let lop, lprof = go `Streaming (child_ann ann 0) left
-            and rop, rprof = go `Streaming (child_ann ann 1) right in
+            register plan ~nrjn:true stats;
+            let lop, lprof = go `Streaming left in
+            let rop, rprof = go `Streaming right in
             let lschema = lop.Exec.Operator.schema
             and rschema = rop.Exec.Operator.schema in
             let outer =
@@ -481,18 +469,16 @@ let compile ?hints ?metrics ?interrupt ?(vectorized = true) catalog plan =
                 ~inner:rop
                 ~inner_score:(score_fn rschema right_score) ()
             in
-            rank_joins :=
-              { label = Plan.describe plan; nrjn = true; stats } :: !rank_joins;
             instrument plan stats
               (Exec.Operator.scored_to_plain stream)
               [ lprof; rprof ])
   in
-  let op, profile = go `Bulk hints plan in
+  let op, profile = go `Bulk plan in
   (op, List.rev !rank_joins, profile)
 
-let run ?hints ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
+let run ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
   let op, rank_joins, profile =
-    compile ?hints ?metrics ?interrupt ?vectorized catalog plan
+    compile ?metrics ?interrupt ?vectorized catalog plan
   in
   let binary n = Exec.Exec_stats.inputs n.stats = 2 in
   let rank_nodes, nary = List.partition binary rank_joins in
@@ -535,11 +521,11 @@ let rec strip_topk = function
   | Plan.Top_k { input; _ } -> strip_topk input
   | p -> p
 
-let open_cursor ?hints ?interrupt catalog plan =
+let open_cursor ?interrupt catalog plan =
   let plan = strip_topk plan in
   (* A cursor pulls incrementally and may never be drained: batching would
      over-read, so the whole plan compiles tuple-at-a-time. *)
-  let op, _, _ = compile ?hints ?interrupt ~vectorized:false catalog plan in
+  let op, _, _ = compile ?interrupt ~vectorized:false catalog plan in
   let schema = op.Exec.Operator.schema in
   let score =
     match Plan.order_of plan with

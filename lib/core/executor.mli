@@ -35,8 +35,9 @@ type run_result = {
       (** Output tuples with their ranking score (0.0 for unranked plans). *)
   io : Storage.Io_stats.snapshot;  (** I/O charged during this run. *)
   rank_nodes : rank_node_stats list;
-      (** The rank joins over two inputs (HRJN and NRJN), in the order their
-          operators were built: inputs before the join. *)
+      (** The rank joins over two inputs (HRJN and NRJN), in plan pre-order:
+          a join before the joins inside its inputs, the order of
+          {!Propagate.rank_join_annotations}. *)
   nary_nodes : nary_node_stats list;
       (** The rank joins over three or more inputs, in the same order.
           Both lists split one registration list by arity. *)
@@ -53,7 +54,6 @@ exception Interrupted
     the cooperative cancellation used for per-query deadlines. *)
 
 val compile :
-  ?hints:Propagate.annotation ->
   ?metrics:Exec.Metrics.t ->
   ?interrupt:(unit -> bool) ->
   ?vectorized:bool ->
@@ -61,12 +61,10 @@ val compile :
   Plan.t ->
   Exec.Operator.t * rank_node_stats list * profile option
 (** Build the operator tree; the statistics of every rank-join node, in
-    build order, are filled during execution. A {!Plan.Rank_join} runs as
-    {!Exec.Rank_join.hrjn} over its inputs. Over two inputs it polls them
-    in the ratio of the depths a depth-propagation annotation predicts (when
-    one from {!Propagate.run} on the same plan is supplied), and alternates
-    otherwise. Over three or more it polls the input whose threshold term
-    is largest ({!Exec.Rank_join.Adaptive}). When a metrics
+    plan pre-order, are filled during execution. A {!Plan.Rank_join} runs
+    as {!Exec.Rank_join.hrjn} over its inputs at every arity, polling the
+    input whose threshold term is largest ({!Exec.Rank_join.Adaptive}), so
+    a plan polls the same way however it is run. When a metrics
     registry is supplied, every operator is registered and I/O-scoped, and
     the matching [profile] tree is returned.
 
@@ -81,7 +79,6 @@ val compile :
     differential harness compares against. *)
 
 val run :
-  ?hints:Propagate.annotation ->
   ?metrics:Exec.Metrics.t ->
   ?interrupt:(unit -> bool) ->
   ?vectorized:bool ->
@@ -119,7 +116,6 @@ val canonical_perm : Schema.t -> int array
 val canonical_compare : int array -> Tuple.t -> Tuple.t -> int
 
 val open_cursor :
-  ?hints:Propagate.annotation ->
   ?interrupt:(unit -> bool) ->
   Storage.Catalog.t ->
   Plan.t ->

@@ -257,28 +257,28 @@ let rebind_k planned k =
       let env = { planned.env with Cost_model.query; k_min = k } in
       { planned with query; plan; env; est = Cost_model.estimate env plan }
 
-let propagation planned =
-  match planned.query.Logical.k with
-  | Some k when Plan.has_rank_join planned.plan ->
-      Some (Propagate.run planned.env ~k planned.plan)
-  | _ -> None
-
 let execute ?interrupt ?vectorized ?fetch_limit catalog planned =
-  Executor.run ?hints:(propagation planned) ?interrupt ?vectorized ?fetch_limit
-    catalog planned.plan
+  Executor.run ?interrupt ?vectorized ?fetch_limit catalog planned.plan
 
 let execute_analyzed ?vectorized ?fetch_limit catalog planned =
-  let hints = propagation planned in
+  (* The depth model's prediction, printed beside each rank join's
+     observed depths. *)
+  let propagation =
+    match planned.query.Logical.k with
+    | Some k when Plan.has_rank_join planned.plan ->
+        Some (Propagate.run planned.env ~k planned.plan)
+    | _ -> None
+  in
   let metrics = Exec.Metrics.create (Storage.Catalog.io catalog) in
   let result =
-    Executor.run ?hints ~metrics ?vectorized ?fetch_limit catalog planned.plan
+    Executor.run ~metrics ?vectorized ?fetch_limit catalog planned.plan
   in
   let profile =
     match result.Executor.profile with
     | Some p -> p
     | None -> assert false (* metrics were supplied *)
   in
-  (Analyze.render ~env:planned.env ?hints profile, result)
+  (Analyze.render ~env:planned.env ?propagation profile, result)
 
 let explain_analyze ?vectorized ?fetch_limit catalog planned =
   let tree, result = execute_analyzed ?vectorized ?fetch_limit catalog planned in

@@ -5,7 +5,7 @@ type input = {
   key : Tuple.t -> Value.t;
 }
 
-type polling = Alternate | Adaptive | Ratio of float
+type polling = Adaptive | Alternate
 
 (* Max-heap on combined score: invert the comparison. *)
 let result_heap () =
@@ -34,14 +34,10 @@ let[@inline] above (a : float) b = (not (Float.is_nan b)) && (Float.is_nan a || 
 (* Stands in for an input's first and latest entries until it produces. *)
 let no_entry = ([||], nan)
 
-let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
+let hrjn ?stats ?(polling = Adaptive) ~combine ~inputs () =
   let inputs = Array.of_list inputs in
   let m = Array.length inputs in
   if m < 2 then invalid_arg "Rank_join.hrjn: need at least 2 inputs";
-  (match polling with
-  | Ratio _ when m <> 2 ->
-      invalid_arg "Rank_join.hrjn: Ratio polling needs 2 inputs"
-  | _ -> ());
   let schema =
     Array.fold_left
       (fun acc inp -> Schema.concat acc inp.stream.Operator.s_schema)
@@ -196,19 +192,6 @@ let hrjn ?stats ?(polling = Alternate) ~combine ~inputs () =
             then best := j
           done;
           !best
-        end
-    | Ratio target ->
-        if finished.(0) then 1
-        else if finished.(1) then 0
-        else begin
-          let j = first_unstarted () in
-          if j >= 0 then j
-          else
-            let current =
-              float_of_int (Exec_stats.left_depth stats)
-              /. float_of_int (max 1 (Exec_stats.right_depth stats))
-            in
-            if current <= target then 0 else 1
         end
   in
   let rec next () =

@@ -19,21 +19,19 @@ type input = {
 }
 
 type polling =
-  | Alternate
-      (** Round-robin over the live inputs. *)
   | Adaptive
-      (** Poll the first live input that has produced nothing yet; after
-          that, the live input whose threshold term (see {!hrjn}) is
-          largest, since that term is the threshold and pulling its input
-          is what lowers it. A NaN term counts as the largest; ties go to
-          the lowest index. An input whose scores fall steeply stops early
-          while the flattest input is read as deep as round-robin reads
-          it. *)
-  | Ratio of float
-      (** Two inputs only: keep [depth 0 / depth 1] near the given target —
-          used by the optimizer to steer the operator toward the
-          depth-model's optimal (possibly asymmetric) consumption, cf.
-          Section 4.3. *)
+      (** The engine's rule, and the default. Poll the first live input
+          that has produced nothing yet; after that, the live input whose
+          threshold term (see {!hrjn}) is largest, since that term is the
+          threshold and pulling its input is what lowers it. A NaN term
+          counts as the largest; ties go to the lowest index. An input
+          whose scores fall steeply stops early while the flattest input
+          is read as deep as round-robin reads it; on uniform scores the
+          inputs' score decrements even out, the stop
+          [Core.Depth_model.threshold_depths] models. *)
+  | Alternate
+      (** Round-robin over the live inputs: the reference the polling
+          ablation and tests compare against. *)
 
 val hrjn :
   ?stats:Exec_stats.t ->
@@ -54,8 +52,7 @@ val hrjn :
     probed.
     When [stats] is supplied (e.g. a metrics-registry record) the operator
     reports into it and returns it; it must have been created for m inputs.
-    @raise Invalid_argument for fewer than 2 inputs, or [Ratio] polling
-    with m ≠ 2. *)
+    @raise Invalid_argument for fewer than 2 inputs. *)
 
 val nrjn :
   ?stats:Exec_stats.t ->

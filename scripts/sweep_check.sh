@@ -21,11 +21,11 @@ check() {
     fail=1
   fi
 }
-check 4190 fuzz --seed 0 --cases 400
-check 4190 fuzz --vector --seed 0 --cases 400
+check 4188 fuzz --seed 0 --cases 400
+check 4188 fuzz --vector --seed 0 --cases 400
 check 2596 fuzz --enum --seed 0 --cases 200
 check 150 fuzz --shard 4 --seed 0 --cases 50
 check 600 fuzz --rank --seed 0 --cases 200
-check 254 fuzz --server --seed 0 --cases 50
-check 48637 lint --fuzz-seed 0 --fuzz-cases 300
+check 253 fuzz --server --seed 0 --cases 50
+check 48661 lint --fuzz-seed 0 --fuzz-cases 300
 exit $fail

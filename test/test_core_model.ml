@@ -79,22 +79,37 @@ let test_any_k_minimizes_delta () =
       Alcotest.(check bool) "perturbation not better" true (delta (c_l *. f) >= d0 -. 1e-9))
     [ 0.5; 0.9; 1.1; 2.0 ]
 
+(* The threshold-polling depths over inputs of [card] tuples each with the
+   given fans, over unit score ranges. *)
+let threshold ?(k = 10.0) ?(s = 0.01) fans cards =
+  Depth_model.threshold_depths ~k ~s
+    (Array.map2
+       (fun fan card -> { Depth_model.density = card; fan; card })
+       fans cards)
+
+(* Slab inputs: single base relations whose scores fall by [x] per rank. *)
+let slab_inputs ?(card = 1e9) slabs =
+  Array.map (fun x -> { Depth_model.density = 1.0 /. x; fan = 1; card }) slabs
+
 let test_top_k_slab_depths () =
-  (* Equal slabs: dL = dR = 2 sqrt(k/s). *)
-  let k = 25.0 and s = 0.01 in
-  let d = Depth_model.top_k_depths_slabs ~k ~s ~x:1.0 ~y:1.0 in
-  let expected = 2.0 *. sqrt (k /. s) in
-  Test_util.check_floats_close ~eps:1e-9 "dL" expected d.Depth_model.d_left;
-  Test_util.check_floats_close ~eps:1e-9 "dR" expected d.Depth_model.d_right;
-  Test_util.check_floats_close ~eps:1e-9 "uniform_depth agrees" expected
-    (Depth_model.uniform_depth ~k ~s)
+  (* Slab mode: both inputs stop at the same score decrement d_i * x_i. *)
+  List.iter
+    (fun (k, s, x, y) ->
+      let d = Depth_model.threshold_depths ~k ~s (slab_inputs [| x; y |]) in
+      Test_util.check_floats_close ~eps:1e-9
+        (Printf.sprintf "k=%g x=%g y=%g: dL x = dR y" k x y)
+        (d.(0) *. x) (d.(1) *. y);
+      (* ... the decrement within which k results lie: s dL dR / 2 = k. *)
+      Test_util.check_floats_close ~eps:1e-9 "k results within delta" k
+        (s *. d.(0) *. d.(1) /. 2.0))
+    [ (25.0, 0.01, 1.0, 1.0); (10.0, 0.05, 0.8, 1.7); (100.0, 0.001, 0.3, 0.7) ]
 
 let test_top_k_dominates_any_k () =
   let k = 10.0 and s = 0.05 and x = 0.8 and y = 1.7 in
   let c_l, c_r = Depth_model.any_k_depths ~k ~s ~x ~y in
-  let d = Depth_model.top_k_depths_slabs ~k ~s ~x ~y in
-  Alcotest.(check bool) "dL >= cL" true (d.Depth_model.d_left >= c_l);
-  Alcotest.(check bool) "dR >= cR" true (d.Depth_model.d_right >= c_r)
+  let d = Depth_model.threshold_depths ~k ~s (slab_inputs [| x; y |]) in
+  Alcotest.(check bool) "dL >= cL" true (d.(0) >= c_l);
+  Alcotest.(check bool) "dR >= cR" true (d.(1) >= c_r)
 
 let params ?(k = 10.0) ?(s = 0.01) ?(n = 1000.0) ?(l = 1) ?(r = 1) () =
   {
@@ -109,55 +124,93 @@ let test_worst_case_reduces_to_uniform () =
   (* l = r = 1 must give 2 sqrt(k/s) exactly (Eqs. 2-5 specialised). *)
   let p = params ~k:40.0 ~s:0.004 () in
   let d = Depth_model.worst_case_depths p in
-  let expected = Depth_model.uniform_depth ~k:40.0 ~s:0.004 in
+  let expected = 2.0 *. sqrt (40.0 /. 0.004) in
   Test_util.check_floats_close ~eps:1e-9 "dL" expected d.Depth_model.d_left;
   Test_util.check_floats_close ~eps:1e-9 "dR" expected d.Depth_model.d_right
 
 let test_average_case_reduces_to_sqrt2ks () =
-  (* l = r = 1 average case: sqrt(2k/s). *)
-  let p = params ~k:40.0 ~s:0.004 () in
-  let d = Depth_model.average_case_depths p in
-  let expected = sqrt (2.0 *. 40.0 /. 0.004) in
-  Test_util.check_floats_close ~eps:1e-9 "dL" expected d.Depth_model.d_left;
-  Test_util.check_floats_close ~eps:1e-9 "dR" expected d.Depth_model.d_right
+  (* m = 2, fan 1, card = n: sqrt(2k/s), whatever n is. *)
+  List.iter
+    (fun n ->
+      let d = threshold ~k:40.0 ~s:0.004 [| 1; 1 |] [| n; n |] in
+      let expected = sqrt (2.0 *. 40.0 /. 0.004) in
+      Test_util.check_floats_close ~eps:1e-9 "dL" expected d.(0);
+      Test_util.check_floats_close ~eps:1e-9 "dR" expected d.(1))
+    [ 1e5; 1e7 ]
+
+(* With every card = n the form is the average case of Section 4.3:
+   dL^(l+r) = ((l+r)!)^l k^l n^(r-l) / ((l!)^(l+r) s^l). Expected values
+   computed from that closed form (k = 20, s = 0.01, n = 500). *)
+let average_case_expected =
+  [
+    (1, 1, 63.245553203367585, 63.245553203367585);
+    (2, 1, 33.01927248894625, 181.71205928321385);
+    (1, 2, 181.71205928321385, 33.01927248894625);
+    (2, 2, 109.54451150103309, 109.54451150103309);
+    (3, 2, 81.317027297795747, 245.95094858493647);
+  ]
+
+let test_equals_average_case () =
+  List.iter
+    (fun (l, r, e_l, e_r) ->
+      let d = threshold ~k:20.0 ~s:0.01 [| l; r |] [| 500.0; 500.0 |] in
+      Test_util.check_floats_close ~eps:1e-6
+        (Printf.sprintf "l=%d r=%d dL" l r) e_l d.(0);
+      Test_util.check_floats_close ~eps:1e-6
+        (Printf.sprintf "l=%d r=%d dR" l r) e_r d.(1))
+    average_case_expected
+
+let test_symmetric_m_way () =
+  List.iter
+    (fun m ->
+      let k = 10.0 and s = 0.01 in
+      let d = threshold ~k ~s (Array.make m 1) (Array.make m 1e12) in
+      let mf = float_of_int m in
+      let expected =
+        (exp (Rkutil.Mathx.log_factorial m) *. k /. (s ** (mf -. 1.0))) ** (1.0 /. mf)
+      in
+      Array.iteri
+        (fun i di ->
+          Test_util.check_floats_close ~eps:1e-9
+            (Printf.sprintf "m=%d d%d" m i) expected di)
+        d)
+    [ 2; 3; 4 ]
 
 let test_average_below_worst () =
   List.iter
     (fun (l, r) ->
       let p = params ~k:20.0 ~s:0.01 ~n:500.0 ~l ~r () in
       let w = Depth_model.worst_case_depths p in
-      let a = Depth_model.average_case_depths p in
+      let a = threshold ~k:20.0 ~s:0.01 [| l; r |] [| 500.0; 500.0 |] in
       Alcotest.(check bool)
         (Printf.sprintf "l=%d r=%d dL" l r)
         true
-        (a.Depth_model.d_left <= w.Depth_model.d_left +. 1e-6);
+        (a.(0) <= w.Depth_model.d_left +. 1e-6);
       Alcotest.(check bool)
         (Printf.sprintf "l=%d r=%d dR" l r)
         true
-        (a.Depth_model.d_right <= w.Depth_model.d_right +. 1e-6))
+        (a.(1) <= w.Depth_model.d_right +. 1e-6))
     [ (1, 1); (2, 1); (1, 2); (2, 2); (3, 2) ]
 
 let test_depths_monotone_in_k () =
   let prev = ref 0.0 in
   List.iter
     (fun k ->
-      let d = Depth_model.average_case_depths (params ~k ~l:2 ~r:1 ()) in
-      Alcotest.(check bool) "monotone" true (d.Depth_model.d_left >= !prev);
-      prev := d.Depth_model.d_left)
+      let d = threshold ~k [| 2; 1 |] [| 1e6; 1e3 |] in
+      Alcotest.(check bool) "monotone" true (d.(0) >= !prev);
+      prev := d.(0))
     [ 1.0; 5.0; 25.0; 125.0 ]
 
 let test_depths_decrease_with_selectivity () =
-  let d1 = Depth_model.average_case_depths (params ~s:0.001 ()) in
-  let d2 = Depth_model.average_case_depths (params ~s:0.1 ()) in
-  Alcotest.(check bool) "higher selectivity, shallower" true
-    (d2.Depth_model.d_left < d1.Depth_model.d_left)
+  let d1 = threshold ~s:0.001 [| 1; 1 |] [| 1e3; 1e3 |] in
+  let d2 = threshold ~s:0.1 [| 1; 1 |] [| 1e3; 1e3 |] in
+  Alcotest.(check bool) "higher selectivity, shallower" true (d2.(0) < d1.(0))
 
 let test_clamping () =
-  let p = params ~k:1e9 ~s:1e-9 ~n:100.0 () in
-  let d = Depth_model.clamped p (Depth_model.average_case_depths p) in
-  Alcotest.(check bool) "clamped to card" true
-    (d.Depth_model.d_left <= p.Depth_model.left.Depth_model.card +. 1e-9);
-  Alcotest.(check bool) "at least 1" true (d.Depth_model.d_left >= 1.0)
+  let d = threshold ~k:1e9 ~s:1e-9 [| 1; 1 |] [| 100.0; 100.0 |] in
+  Alcotest.(check bool) "clamped to card" true (d.(0) <= 100.0 +. 1e-9);
+  let d = threshold ~k:1.0 ~s:1.0 [| 1; 1 |] [| 1e-3; 1e-3 |] in
+  Alcotest.(check bool) "at least 1" true (d.(0) >= 1.0)
 
 let test_buffer_bound () =
   let d = { Depth_model.d_left = 100.0; d_right = 200.0 } in
@@ -165,11 +218,17 @@ let test_buffer_bound () =
     (Depth_model.buffer_upper_bound d ~s:0.01)
 
 let test_depth_validation () =
+  let valid = [| 1; 1 |] and cards = [| 10.0; 10.0 |] in
   Alcotest.check_raises "bad k" (Invalid_argument "Depth_model: k < 1") (fun () ->
-      ignore (Depth_model.uniform_depth ~k:0.5 ~s:0.5));
+      ignore (threshold ~k:0.5 ~s:0.5 valid cards));
   Alcotest.check_raises "bad s"
     (Invalid_argument "Depth_model: selectivity outside (0,1]") (fun () ->
-      ignore (Depth_model.uniform_depth ~k:5.0 ~s:0.0))
+      ignore (threshold ~k:5.0 ~s:0.0 valid cards));
+  Alcotest.check_raises "one input"
+    (Invalid_argument "Depth_model.threshold_depths: fewer than 2 inputs")
+    (fun () -> ignore (threshold [| 1 |] [| 10.0 |]));
+  Alcotest.check_raises "fan 0" (Invalid_argument "Depth_model: fan < 1")
+    (fun () -> ignore (threshold [| 0; 1 |] cards))
 
 let prop_theorem1_holds =
   QCheck.Test.make ~name:"depth model: s*cL*cR >= k always" ~count:300
@@ -428,6 +487,104 @@ let test_nrjn_propagated_depth_is_costed () =
   Test_util.check_floats_close ~eps:1e-12 "cost at k from the propagated depth"
     costed (est.Cost_model.cost_at 10.0)
 
+(* Plan P of Figure 11 over the Figure 13 catalog: HRJN(HRJN(A,B),C), every
+   input a descending score-index scan; n = 10 000 per table, s = 1/1000. *)
+let plan_p_setup () =
+  let cat = Storage.Catalog.create ~pool_frames:64 () in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Workload.Generator.load_scored_table cat
+           (Rkutil.Prng.create (51 + (31 * i)))
+           ~name ~n:10_000 ~key_domain:1000 ()))
+    [ "A"; "B"; "C" ];
+  let desc t =
+    match Storage.Catalog.find_index_on_expr cat ~table:t (score_of t) with
+    | Some ix ->
+        Plan.Index_scan
+          { table = t; index = ix.Storage.Catalog.ix_name; key = score_of t; desc = true }
+    | None -> Alcotest.failf "no score index on %s" t
+  in
+  let child =
+    Plan.Rank_join
+      {
+        inputs = [ desc "A"; desc "B" ];
+        scores = [ score_of "A"; score_of "B" ];
+        keys = [ ("A", "key"); ("B", "key") ];
+      }
+  in
+  let plan_p =
+    Plan.Rank_join
+      {
+        inputs = [ child; desc "C" ];
+        scores = [ Expr.Add (score_of "A", score_of "B"); score_of "C" ];
+        keys = [ ("B", "key"); ("C", "key") ];
+      }
+  in
+  let query k =
+    Logical.make
+      ~relations:
+        (List.map (fun t -> Logical.base ~score:(score_of t) t) [ "A"; "B"; "C" ])
+      ~joins:
+        [
+          Logical.equijoin ("A", "key") ("B", "key");
+          Logical.equijoin ("B", "key") ("C", "key");
+        ]
+      ~k ()
+  in
+  (cat, plan_p, query)
+
+(* Propagated and measured depths of Plan P at k, paired node by node: the
+   executor lists its rank joins in the annotations' pre-order. *)
+let plan_p_depths cat plan_p query k =
+  let plan = Plan.Top_k { k; input = plan_p } in
+  let env = Cost_model.default_env ~k_min:k cat (query k) in
+  let ann = Propagate.rank_join_annotations (Propagate.run env ~k plan) in
+  let run = Executor.run cat plan in
+  Alcotest.(check (list string)) "node labels in pre-order"
+    (List.map (fun (node, _, _) -> Plan.describe node) ann)
+    (List.map (fun rn -> rn.Executor.label) run.Executor.rank_nodes);
+  List.map2
+    (fun (_, _, d) rn ->
+      ( rn.Executor.label,
+        [| d.Depth_model.d_left; d.Depth_model.d_right |],
+        Exec.Exec_stats.depths rn.Executor.stats ))
+    ann run.Executor.rank_nodes
+
+let test_plan_p_nodes_pair_up () =
+  let cat, plan_p, query = plan_p_setup () in
+  let child_plan =
+    match plan_p with
+    | Plan.Rank_join { inputs = c :: _; _ } -> c
+    | _ -> assert false
+  in
+  match plan_p_depths cat plan_p query 10 with
+  | [ (top, _, _); (child, _, _) ] ->
+      Alcotest.(check string) "top first" (Plan.describe plan_p) top;
+      Alcotest.(check string) "child second" (Plan.describe child_plan) child
+  | l -> Alcotest.failf "expected 2 rank joins, got %d" (List.length l)
+
+(* Figure 13: the depth model predicts where threshold polling stops. Every
+   measured depth of both operators lies within 15% of the propagated one. *)
+let test_fig13_depths_within_15pct () =
+  let cat, plan_p, query = plan_p_setup () in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (label, predicted, measured) ->
+          Array.iteri
+            (fun i m ->
+              let err =
+                Float.abs (predicted.(i) -. float_of_int m) /. float_of_int m
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "k=%d %s in%d: measured %d, predicted %.0f (%.1f%%)"
+                   k label i m predicted.(i) (100.0 *. err))
+                true (err <= 0.15))
+            measured)
+        (plan_p_depths cat plan_p query k))
+    [ 10; 100 ]
+
 let suites =
   [
     ( "core.score_dist",
@@ -446,6 +603,9 @@ let suites =
         Alcotest.test_case "top-k >= any-k" `Quick test_top_k_dominates_any_k;
         Alcotest.test_case "worst case l=r=1" `Quick test_worst_case_reduces_to_uniform;
         Alcotest.test_case "average case l=r=1" `Quick test_average_case_reduces_to_sqrt2ks;
+        Alcotest.test_case "equals average case at card = n" `Quick
+          test_equals_average_case;
+        Alcotest.test_case "symmetric m-way" `Quick test_symmetric_m_way;
         Alcotest.test_case "average <= worst" `Quick test_average_below_worst;
         Alcotest.test_case "monotone in k" `Quick test_depths_monotone_in_k;
         Alcotest.test_case "selectivity effect" `Quick test_depths_decrease_with_selectivity;
@@ -470,5 +630,8 @@ let suites =
       [
         Alcotest.test_case "root k" `Quick test_propagate_assigns_root_k;
         Alcotest.test_case "hierarchy k grows" `Quick test_propagate_hierarchy_k_grows_downward;
+        Alcotest.test_case "Plan P nodes pair up" `Quick test_plan_p_nodes_pair_up;
+        Alcotest.test_case "Fig. 13 depths within 15%" `Quick
+          test_fig13_depths_within_15pct;
       ] );
   ]

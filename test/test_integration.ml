@@ -124,8 +124,11 @@ let test_uniform_depth_monte_carlo () =
   let n = 400 and domain = 20 and k = 5 in
   let s = 1.0 /. float_of_int domain in
   let depth =
+    let side = { Core.Depth_model.fan = 1; card = float_of_int n } in
     Rkutil.Mathx.ceil_to_int
-      (Core.Depth_model.uniform_depth ~k:(float_of_int k) ~s)
+      (Core.Depth_model.worst_case_depths
+         { Core.Depth_model.k = float_of_int k; s; n = float_of_int n; left = side; right = side })
+        .Core.Depth_model.d_left
   in
   let failures = ref 0 in
   let trials = 20 in

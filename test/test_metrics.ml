@@ -89,7 +89,7 @@ let analyzed_run () =
   let env = Core.Cost_model.default_env ~k_min:k cat (topk_query k) in
   let ann = Core.Propagate.run env ~k plan in
   let metrics = Exec.Metrics.create (Storage.Catalog.io cat) in
-  let result = Core.Executor.run ~hints:ann ~metrics cat plan in
+  let result = Core.Executor.run ~metrics cat plan in
   (env, ann, metrics, result)
 
 let rec find_profile pred (p : Core.Executor.profile) =
@@ -131,7 +131,7 @@ let test_analyze_depths_equal_exec_stats () =
 let test_analyze_rendering () =
   let env, ann, _metrics, result = analyzed_run () in
   let profile = Option.get result.Core.Executor.profile in
-  let text = Core.Analyze.render ~env ~hints:ann profile in
+  let text = Core.Analyze.render ~env ~propagation:ann profile in
   let rn = List.hd result.Core.Executor.rank_nodes in
   let dl = Exec.Exec_stats.left_depth rn.Core.Executor.stats in
   let dr = Exec.Exec_stats.right_depth rn.Core.Executor.stats in

@@ -104,7 +104,7 @@ let test_nary_empty_input () =
   Alcotest.(check int) "no results" 0 (List.length results)
 
 (* One empty input makes the whole join empty: the operator must learn this
-   after at most one round-robin pass, not drain the live inputs. *)
+   after polling each input once, not drain the live inputs. *)
 let test_nary_empty_input_depth () =
   let rels = make_relations ~m:2 ~n:150 () in
   let empty = Relation.create (Test_util.scored_schema "Z") [] in
@@ -123,14 +123,6 @@ let test_nary_rejects_single_input () =
     (Invalid_argument "Rank_join.hrjn: need at least 2 inputs")
     (fun () ->
       ignore (Rank_join.hrjn ~combine:( +. ) ~inputs:(List.map nary_input rels) ()))
-
-let test_ratio_needs_two_inputs () =
-  let rels = make_relations ~m:3 () in
-  Alcotest.check_raises "ratio over 3 inputs"
-    (Invalid_argument "Rank_join.hrjn: Ratio polling needs 2 inputs") (fun () ->
-      ignore
-        (Rank_join.hrjn ~polling:(Rank_join.Ratio 1.0) ~combine:( +. )
-           ~inputs:(List.map nary_input rels) ()))
 
 let test_adaptive_matches_oracle () =
   let rels = make_relations ~m:3 ~n:80 ~domain:5 ~seed:53 () in
@@ -424,7 +416,6 @@ let suites =
         Alcotest.test_case "empty input depth" `Quick test_nary_empty_input_depth;
         Alcotest.test_case "arity check" `Quick test_nary_rejects_single_input;
         Alcotest.test_case "flat vs pipeline depths" `Quick test_nary_flat_vs_pipeline_depths;
-        Alcotest.test_case "ratio needs two inputs" `Quick test_ratio_needs_two_inputs;
         Alcotest.test_case "adaptive 3-way oracle" `Quick test_adaptive_matches_oracle;
         Alcotest.test_case "exact threshold" `Quick test_exact_threshold;
         QCheck_alcotest.to_alcotest prop_nary_equals_oracle;
@@ -574,19 +565,24 @@ let test_nary_not_generated_for_chain_keys () =
        (Core.Memo.plans result.Core.Enumerator.memo full))
 
 let test_nary_depth_formula () =
-  Test_util.check_floats_close ~eps:1e-9 "m=2 reduces to 2sqrt(k/s)"
-    (Core.Depth_model.uniform_depth ~k:50.0 ~s:0.01)
-    (Core.Depth_model.nary_uniform_depth ~m:2 ~k:50.0 ~s:0.01);
-  let d3 = Core.Depth_model.nary_uniform_depth ~m:3 ~k:10.0 ~s:0.01 in
-  Test_util.check_floats_close ~eps:1e-9 "m=3 closed form"
-    (3.0 *. ((10.0 /. (0.01 ** 2.0)) ** (1.0 /. 3.0)))
-    d3;
+  let depths m ~k ~s =
+    Core.Depth_model.threshold_depths ~k ~s
+      (Array.make m { Core.Depth_model.density = 1e9; fan = 1; card = 1e9 })
+  in
+  Test_util.check_floats_close ~eps:1e-9 "m=2 reduces to sqrt(2k/s)"
+    (sqrt (2.0 *. 50.0 /. 0.01))
+    (depths 2 ~k:50.0 ~s:0.01).(1);
+  Array.iter
+    (Test_util.check_floats_close ~eps:1e-9 "m=3 closed form"
+       ((6.0 *. 10.0 /. (0.01 ** 2.0)) ** (1.0 /. 3.0)))
+    (depths 3 ~k:10.0 ~s:0.01);
   Alcotest.check_raises "m=1 rejected"
-    (Invalid_argument "Depth_model.nary_uniform_depth: m < 2") (fun () ->
-      ignore (Core.Depth_model.nary_uniform_depth ~m:1 ~k:5.0 ~s:0.5))
+    (Invalid_argument "Depth_model.threshold_depths: fewer than 2 inputs")
+    (fun () -> ignore (depths 1 ~k:5.0 ~s:0.5))
 
-(* EXPLAIN ANALYZE predicts a depth for every input of HRJN*: each is the
-   symmetric m-way depth at the node's k, clamped to the input's rows. *)
+(* EXPLAIN ANALYZE predicts a depth for every input of HRJN*: the
+   threshold-polling stop at the node's k over inputs of their estimated
+   rows, each clamped to its input. *)
 let test_nary_explain_predicts_every_input () =
   let cat = star_catalog () in
   let planned = Core.Optimizer.optimize cat (star_query ()) in
@@ -603,12 +599,15 @@ let test_nary_explain_predicts_every_input () =
       (Storage.Catalog.estimate_join_selectivity cat ~left:("A", "key")
          ~right:("B", "key"))
   in
-  let d = Core.Depth_model.nary_uniform_depth ~m:3 ~k:10.0 ~s in
   let expected =
-    List.map
-      (fun i ->
-        Float.min d (Core.Cost_model.estimate env i).Core.Cost_model.rows)
-      inputs
+    Array.to_list
+      (Core.Depth_model.threshold_depths ~k:10.0 ~s
+         (Array.of_list
+            (List.map
+               (fun i ->
+                 let rows = (Core.Cost_model.estimate env i).Core.Cost_model.rows in
+                 { Core.Depth_model.density = rows; fan = 1; card = rows })
+               inputs)))
   in
   let text, _ = Core.Optimizer.execute_analyzed cat planned in
   let lines = String.split_on_char '\n' text in

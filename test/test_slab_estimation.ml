@@ -1,6 +1,6 @@
 (* Tests for the histogram-slab refinement of the depth model: asymmetric
-   score weights must produce asymmetric depth estimates that steer the
-   operator into reading deeper on the low-weight side. *)
+   score weights must produce asymmetric depth estimates, as threshold
+   polling reads deeper on the low-weight side. *)
 
 open Relalg
 open Core
@@ -73,8 +73,9 @@ let test_asymmetric_weights_asymmetric_depths () =
 
 let test_slab_formula_matches_handmade () =
   (* With uniform scores on [0,1], slabs are wa/(n-1) and wb/(n-1); the
-     closed form cL = sqrt(y k/(x s)) should match the model output before
-     clamping (here well inside bounds). *)
+     equal-decrement stop dL = sqrt(2 k y/(x s)), dR = sqrt(2 k x/(y s))
+     should match the model output before clamping (here well inside
+     bounds). *)
   let cat = setup ~n:4000 ~domain:400 () in
   let k = 10 in
   let wa = 0.8 and wb = 0.2 in
@@ -85,15 +86,17 @@ let test_slab_formula_matches_handmade () =
   in
   let x = wa and y = wb in
   (* slabs share the 1/(n-1) factor, which cancels in the formulas *)
-  let expect = Depth_model.top_k_depths_slabs ~k:(float_of_int k) ~s ~x ~y in
-  Test_util.check_floats_close ~eps:1e-2 "dL" expect.Depth_model.d_left
+  let k = float_of_int k in
+  Test_util.check_floats_close ~eps:1e-2 "dL"
+    (sqrt (2.0 *. k *. y /. (x *. s)))
     d.Depth_model.d_left;
-  Test_util.check_floats_close ~eps:1e-2 "dR" expect.Depth_model.d_right
+  Test_util.check_floats_close ~eps:1e-2 "dR"
+    (sqrt (2.0 *. k *. x /. (y *. s)))
     d.Depth_model.d_right
 
 let test_weighted_execution_follows_asymmetry () =
-  (* End to end: with hints from the slab model, the executed operator reads
-     deeper on the low-weight side, and results stay correct. *)
+  (* End to end: threshold polling reads deeper on the low-weight side, as
+     the slab model predicts, and results stay correct. *)
   let cat = setup ~n:3000 ~domain:300 () in
   let k = 10 in
   let q = weighted_query ~wa:0.9 ~wb:0.1 ~k in

@@ -298,6 +298,70 @@ let test_sql_explain () =
       Alcotest.(check bool) "mentions a plan" true
         (String.length text > 0 && (contains text "HRJN" || contains text "Sort"))
 
+(* One prepared binary rank join polls the same way whichever path runs
+   it: an EXECUTE (cursor open, fetch k, close) reads exactly the tuples a
+   QUERY (Optimizer.execute) reads pulling as many rows from the plan. The
+   cursor pulls one row past the k-th to close its tie group, so the QUERY
+   it matches is the same plan at k + 1. Dashboard data: 5 000 rows per
+   table, key domain 200; the dashboard join's weights, and skewed ones
+   (where a rule steered by predicted depths polls differently from
+   round-robin). *)
+let test_execute_reads_as_query () =
+  let cat = Storage.Catalog.create ~pool_frames:512 () in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Workload.Generator.load_scored_table cat
+           (Rkutil.Prng.create (101 + i))
+           ~name ~n:5000 ~key_domain:200 ()))
+    [ "A"; "B" ];
+  let io = Storage.Catalog.io cat in
+  let tuples_read f =
+    let before = Storage.Io_stats.snapshot io in
+    f ();
+    (Storage.Io_stats.diff (Storage.Io_stats.snapshot io) before)
+      .Storage.Io_stats.tuples_read
+  in
+  let k = 10 in
+  List.iter
+    (fun (wa, wb) ->
+      let prepared =
+        match
+          Result.bind
+            (Sqlfront.Sql.template_of_sql
+               (Printf.sprintf
+                  "SELECT A.id, B.id FROM A, B WHERE A.key = B.key ORDER BY \
+                   %g*A.score + %g*B.score DESC LIMIT ?"
+                  wa wb))
+            (fun tpl ->
+              Result.bind
+                (Sqlfront.Sql.instantiate tpl ~k ())
+                (Sqlfront.Sql.prepare_ast cat))
+        with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "prepare failed: %s" e
+      in
+      (match prepared.Sqlfront.Sql.planned.Core.Optimizer.plan with
+      | Core.Plan.Top_k { input = Core.Plan.Rank_join { inputs = [ _; _ ]; _ }; _ } -> ()
+      | p -> Alcotest.failf "expected a binary rank join, got %s" (Core.Plan.describe p));
+      let execute =
+        tuples_read (fun () ->
+            let cur = Sqlfront.Sql.open_cursor cat prepared in
+            Alcotest.(check int) "k rows fetched" k
+              (List.length (fst (Sqlfront.Sql.cursor_fetch cur k)));
+            Sqlfront.Sql.cursor_close cur)
+      in
+      let query =
+        tuples_read (fun () ->
+            ignore
+              (Core.Optimizer.execute cat
+                 (Sqlfront.Sql.rebind_k prepared (k + 1)).Sqlfront.Sql.planned))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "weights %g/%g: EXECUTE reads what QUERY reads" wa wb)
+        query execute)
+    [ (0.5, 0.5); (0.8, 0.2) ]
+
 let suites =
   [
     ( "sqlfront.lexer",
@@ -332,6 +396,7 @@ let suites =
         Alcotest.test_case "unranked limit" `Quick test_sql_unranked_with_limit;
         Alcotest.test_case "single table top-k" `Quick test_sql_single_table_topk;
         Alcotest.test_case "explain" `Quick test_sql_explain;
+        Alcotest.test_case "EXECUTE reads as QUERY" `Quick test_execute_reads_as_query;
       ] );
   ]
 
