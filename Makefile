@@ -82,7 +82,8 @@ bench-nary: build
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
 # `make ci` stays clean-tree. perf-smoke exits 1 when a dashboard join
 # execution allocates more than twice its recorded minor words or reads
-# a different number of tuples; plan-smoke exits 1 when a three-way prepare
+# a different number of tuples, or when a reply-codec row allocates more
+# than twice its recorded minor words per row; plan-smoke exits 1 when a three-way prepare
 # allocates more than twice its recorded minor words or when its plan
 # digest or memo generated/retained counts differ from the pinned ones;
 # nary-smoke exits 1

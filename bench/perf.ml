@@ -2,14 +2,16 @@
 
    Measures wall time for the fig1-style drain query (join + sort + top-k
    over everything), the dashboard join's pull path (minor words, tuples
-   read and time per execution) and compact serve/lint wall times. Each
+   read and time per execution), the reply codec (minor words and time
+   per rendered or decoded row) and compact serve/lint wall times. Each
    measurement appends one JSON row (one object per line) to
    BENCH_RANKOPT.json so successive changes accumulate a perf trajectory.
 
    Smoke mode (`make bench-smoke`, the `perf-smoke` experiment) runs a
    reduced-size subset in a few seconds and prints the rows without
    appending — CI runs it and must leave the working tree clean. It exits
-   1 when the pull path's counted quantities move (see [pull_pinned]).
+   1 when the pull path's counted quantities move (see [pull_pinned]) or
+   the reply codec's words per row more than double ([render_pinned]).
    Every row records [Domain.recommended_domain_count ()] as `cores`. *)
 
 let bench_file = "BENCH_RANKOPT.json"
@@ -153,6 +155,93 @@ let pull_rows ~smoke () =
   in
   (rows, !failed)
 
+(* The reply codec: one reply's rows rendered by [Protocol.render_rows]
+   for three shapes, and the shard-push row decoded cell by cell with
+   the HEX readers (what the coordinator does per pulled row). Per row:
+   minor words and ns. perf-smoke fails when a shape allocates more than
+   twice the words pinned here, as measured on the buffer writers and
+   slice readers. *)
+let render_pinned =
+  [ ("leaderboard", 21); ("dashboard", 19); ("shard_push", 26); ("hex_decode", 30) ]
+
+let render_rows ~smoke () =
+  Bench_util.section "perf: reply codec";
+  let g = Rkutil.Prng.create 25 in
+  let nrows = 58 in
+  let reps = if smoke then 300 else 5000 in
+  let id () = Relalg.Value.Int (Rkutil.Prng.int g 64_000) in
+  let score () = Rkutil.Prng.float g 1.0 in
+  let shapes =
+    [
+      ( "leaderboard", `Text,
+        fun () -> [| id (); Relalg.Value.Float (score ()) |] );
+      ("dashboard", `Text, fun () -> [| id (); id () |]);
+      ( "shard_push", `Hex,
+        fun () ->
+          [| id (); Relalg.Value.Int (Rkutil.Prng.int g 200);
+             Relalg.Value.Float (score ()); id ();
+             Relalg.Value.Int (Rkutil.Prng.int g 200);
+             Relalg.Value.Float (score ()) |] );
+    ]
+  in
+  let failed = ref false in
+  let measure name per_rep =
+    per_rep ();
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      per_rep ()
+    done;
+    let total = float_of_int (reps * nrows) in
+    let words = (Gc.minor_words () -. w0) /. total
+    and ns = (Unix.gettimeofday () -. t0) *. 1e9 /. total in
+    let pinned = List.assoc name render_pinned in
+    Bench_util.row "%-12s %6.1f minor words  %6.0f ns per row  (pinned %d)\n"
+      name words ns pinned;
+    if smoke && words > float_of_int (2 * pinned) then begin
+      Printf.printf
+        "perf-smoke: %s allocates %.1f minor words per row, over twice the \
+         pinned %d\n"
+        name words pinned;
+      failed := true
+    end;
+    Printf.sprintf
+      "{\"bench\":\"render\",\"shape\":\"%s\",\"rows\":%d,\"cores\":%d,\
+       \"minor_words_per_row\":%.1f,\"ns_per_row\":%.0f}"
+      name nrows (cores ()) words ns
+  in
+  let rendered =
+    List.map
+      (fun (name, codec, row) ->
+        let rows = List.init nrows (fun _ -> row ()) in
+        let scores = List.init nrows (fun _ -> score ()) in
+        let lines = ref [] in
+        let r =
+          measure name (fun () ->
+              lines := Server.Protocol.render_rows codec rows scores)
+        in
+        (r, !lines))
+      shapes
+  in
+  let hex_lines = Array.of_list (snd (List.nth rendered 2)) in
+  let decode line =
+    let cells = Array.make 6 Relalg.Value.Null in
+    let c = ref 0 and start = ref 0 in
+    for i = 0 to String.length line - 1 do
+      if String.unsafe_get line i = '\t' then begin
+        cells.(!c) <- Storage.Persist.value_of_slice line !start (i - !start);
+        incr c;
+        start := i + 1
+      end
+    done;
+    ignore
+      (Sys.opaque_identity
+         ( cells,
+           Server.Protocol.score_of_slice `Hex line !start
+             (String.length line - !start) ))
+  in
+  let decoded = measure "hex_decode" (fun () -> Array.iter decode hex_lines) in
+  (List.map fst rendered @ [ decoded ], !failed)
+
 (* Compact serve/lint rows: wall time of a fixed statement burst through
    the service (reusing the serve bench's load generator) and of a fixed
    planlint sweep — enough signal for a trajectory without the full
@@ -195,11 +284,12 @@ let run ?(smoke = false) () =
   (* [let] fixes the order: the operands of [@] evaluate right to left. *)
   let drain = drain_rows ~smoke () in
   let pull, pull_failed = pull_rows ~smoke () in
+  let render, render_failed = render_rows ~smoke () in
   let serve = serve_row ~smoke () in
   let lint = lint_row ~smoke () in
-  let rows = drain @ pull @ serve @ lint in
+  let rows = drain @ pull @ render @ serve @ lint in
   Bench_util.section
     (if smoke then "perf rows (smoke: not appended)"
      else "perf rows appended to " ^ bench_file);
   emit ~append:(not smoke) rows;
-  if pull_failed then exit 1
+  if pull_failed || render_failed then exit 1

@@ -75,12 +75,22 @@ let to_int = function
 
 let is_null = function Null -> true | Int _ | Float _ | Str _ | Bool _ -> false
 
-(* Built without a formatter: a reply renders one of these per cell. *)
-let to_string = function
-  | Null -> "NULL"
-  | Int x -> string_of_int x
-  | Float x -> Printf.sprintf "%g" x
-  | Str s -> Printf.sprintf "%S" s
-  | Bool b -> string_of_bool b
+(* The TEXT cell writer: a reply renders one of these per cell, so it
+   writes into the row's buffer with no formatter and no intermediate
+   string. [%S] is [String.escaped] between quotes. *)
+let add_text b = function
+  | Null -> Buffer.add_string b "NULL"
+  | Int x -> Rkutil.Num_codec.add_int b x
+  | Float x -> Rkutil.Num_codec.add_g b x
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add_text b v;
+  Buffer.contents b
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -44,4 +44,10 @@ val is_null : t -> bool
 
 val pp : Format.formatter -> t -> unit
 
+val add_text : Buffer.t -> t -> unit
+(** The TEXT cell spelling, appended to the buffer: [NULL], ints as
+    [%d], floats as [%g], strings as [%S], [true]/[false] — byte-equal
+    to the [Printf] conversions (see {!Rkutil.Num_codec}). *)
+
 val to_string : t -> string
+(** {!add_text} as a string. *)

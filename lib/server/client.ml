@@ -15,16 +15,24 @@ let connect endpoint =
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
-let request t line =
-  (* Round-trip over a socket: must never run while a Short-class latch
-     is held (the coordinator's Long-class lock legitimately covers it). *)
+(* Socket I/O: must never run while a Short-class latch is held (the
+   coordinator's Long-class lock legitimately covers it). *)
+let send t lines =
   Rkutil.Latch.blocking "client.rpc";
   match
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    input_line t.ic
+    List.iter
+      (fun line ->
+        output_string t.oc line;
+        output_char t.oc '\n')
+      lines;
+    flush t.oc
   with
+  | exception (Sys_error _ | Unix.Unix_error _) -> Error "connection closed"
+  | () -> Ok ()
+
+let receive t =
+  Rkutil.Latch.blocking "client.rpc";
+  match input_line t.ic with
   | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
       Error "connection closed"
   | header -> (
@@ -33,9 +41,12 @@ let request t line =
       | Ok response -> (
           let n = Protocol.payload_count header in
           match List.init n (fun _ -> input_line t.ic) with
-          | exception (End_of_file | Sys_error _) ->
+          | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
               Error "connection closed mid-payload"
           | payload -> Ok { response with Protocol.payload }))
+
+let request t line =
+  match send t [ line ] with Error e -> Error e | Ok () -> receive t
 
 let close t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());

@@ -118,8 +118,8 @@ let dispatch svc session ~codec cmd =
         `Keep )
   | Protocol.Timeout t ->
       Service.set_timeout session t;
-      let v = match t with None -> "default" | Some s -> Printf.sprintf "%g" s in
-      (Protocol.ok_response ~fields:[ ("timeout", v) ] [], `Keep)
+      ( Protocol.ok_response ~fields:[ ("timeout", Protocol.timeout_value t) ] [],
+        `Keep )
   | Protocol.Shard_add _ | Protocol.Shard_list ->
       ( Protocol.err_response ~code:"SHARD"
           "not a coordinator: SHARD verbs need rankopt serve --shards",

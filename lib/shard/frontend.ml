@@ -21,8 +21,7 @@ let render_coord_reply ~codec (r : Coordinator.reply) =
   let fields =
     [
       ("scattered", if r.Coordinator.scattered then "1" else "0");
-      ( "latency_ms",
-        Printf.sprintf "%.3f" (r.Coordinator.latency_s *. 1000.0) );
+      ("latency_ms", Proto.latency_ms r.Coordinator.latency_s);
     ]
     @
     if r.Coordinator.scattered then
@@ -110,8 +109,7 @@ let dispatch cluster session ~codec cmd =
         `Keep )
   | Proto.Timeout t ->
       Coordinator.set_timeout session t;
-      let v = match t with None -> "default" | Some s -> Printf.sprintf "%g" s in
-      (Proto.ok_response ~fields:[ ("timeout", v) ] [], `Keep)
+      (Proto.ok_response ~fields:[ ("timeout", Proto.timeout_value t) ] [], `Keep)
   | Proto.Shard_list ->
       let lines = Coordinator.shard_list coord in
       (Proto.ok_response lines, `Keep)

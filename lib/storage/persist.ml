@@ -13,23 +13,62 @@ let dtype_of_tag = function
   | "bool" -> Value.Tbool
   | s -> failwith ("Persist: unknown type tag " ^ s)
 
-let value_encode = function
-  | Value.Null -> "n:"
-  | Value.Int i -> "i:" ^ string_of_int i
-  | Value.Float f -> "f:" ^ Printf.sprintf "%h" f
-  | Value.Str s -> "s:" ^ String.escaped s
-  | Value.Bool b -> "b:" ^ string_of_bool b
+(* The HEX cell writer: the persist codec and the [WIRE HEX] rows share
+   it, so it appends to the caller's buffer. [String.escaped] returns a
+   string needing no escapes unchanged. *)
+let add_value b = function
+  | Value.Null -> Buffer.add_string b "n:"
+  | Value.Int i ->
+      Buffer.add_string b "i:";
+      Rkutil.Num_codec.add_int b i
+  | Value.Float f ->
+      Buffer.add_string b "f:";
+      Rkutil.Num_codec.add_hex b f
+  | Value.Str s ->
+      Buffer.add_string b "s:";
+      Buffer.add_string b (String.escaped s)
+  | Value.Bool x -> Buffer.add_string b (if x then "b:true" else "b:false")
 
-let value_decode s =
-  if String.length s < 2 || s.[1] <> ':' then failwith ("Persist: bad value " ^ s);
-  let payload = String.sub s 2 (String.length s - 2) in
-  match s.[0] with
+let value_encode v =
+  let b = Buffer.create 24 in
+  add_value b v;
+  Buffer.contents b
+
+(* No byte of [s.[pos] .. s.[pos + len - 1]] is [c1] or [c2]. *)
+let slice_free s pos len c1 c2 =
+  let rec go i = i >= pos + len || (s.[i] <> c1 && s.[i] <> c2 && go (i + 1)) in
+  go pos
+
+(* The slice spells [lit]. *)
+let slice_is s pos len lit =
+  len = String.length lit
+  &&
+  let rec go i = i >= len || (s.[pos + i] = lit.[i] && go (i + 1)) in
+  go 0
+
+(* The HEX cell reader, over a slice so that a row is decoded in place.
+   Payloads the fast readers do not recognize go to the same stdlib
+   functions [value_decode] always used. *)
+let value_of_slice s pos len =
+  if len < 2 || s.[pos + 1] <> ':' then
+    failwith ("Persist: bad value " ^ String.sub s pos len);
+  let p = pos + 2 and n = len - 2 in
+  match s.[pos] with
   | 'n' -> Value.Null
-  | 'i' -> Value.Int (int_of_string payload)
-  | 'f' -> Value.Float (float_of_string payload)
-  | 's' -> Value.Str (Scanf.unescaped payload)
-  | 'b' -> Value.Bool (bool_of_string payload)
+  | 'i' -> Value.Int (Rkutil.Num_codec.int_of_slice s p n)
+  | 'f' -> Value.Float (Rkutil.Num_codec.hex_float_of_slice s p n)
+  | 's' ->
+      (* An escaped string holds a backslash for every byte that needs
+         one; a slice with neither backslash nor quote is its own text. *)
+      if slice_free s p n '\\' '"' then Value.Str (String.sub s p n)
+      else Value.Str (Scanf.unescaped (String.sub s p n))
+  | 'b' ->
+      if slice_is s p n "true" then Value.Bool true
+      else if slice_is s p n "false" then Value.Bool false
+      else Value.Bool (bool_of_string (String.sub s p n))
   | c -> failwith (Printf.sprintf "Persist: bad value tag %c" c)
+
+let value_decode s = value_of_slice s 0 (String.length s)
 
 let write_file path contents =
   let oc = open_out path in
@@ -83,9 +122,11 @@ let save catalog ~dir =
       let rows = Buffer.create 4096 in
       Heap_file.iter
         (fun tu ->
-          Buffer.add_string rows
-            (String.concat "\t"
-               (Array.to_list (Array.map value_encode tu)));
+          Array.iteri
+            (fun i v ->
+              if i > 0 then Buffer.add_char rows '\t';
+              add_value rows v)
+            tu;
           Buffer.add_char rows '\n')
         info.tb_heap;
       write_file (Filename.concat dir (info.tb_name ^ ".tbl")) (Buffer.contents rows))

@@ -11,13 +11,27 @@
     statistics are recomputed. This is an offline snapshot facility, not a
     transactional store. *)
 
+val add_value : Buffer.t -> Relalg.Value.t -> unit
+(** The HEX cell writer: one cell as [<tag>:<payload>] — [n:], [i:%d],
+    [f:%h] (exact round-trip), [s:] with [String.escaped], [b:true] /
+    [b:false] — appended to the buffer. The spelling never contains a
+    tab or newline; it is the [.tbl] row format and the server's
+    [WIRE HEX] row codec. Byte-equal to the [Printf]-built spelling
+    (see {!Rkutil.Num_codec}). *)
+
 val value_encode : Relalg.Value.t -> string
-(** One cell as [<tag>:<payload>] with floats in hex ([%h]) — exact
-    round-trip. Strings are escaped, so the result never contains a tab
-    or newline; doubles as the server's [WIRE HEX] row codec. *)
+(** {!add_value} as a string. *)
+
+val value_of_slice : string -> int -> int -> Relalg.Value.t
+(** The HEX cell reader: [value_of_slice s pos len] decodes the cell
+    [String.sub s pos len] without copying it (strings excepted), with
+    results bit-equal to [int_of_string], [float_of_string],
+    [Scanf.unescaped] and [bool_of_string] on the payload.
+    @raise Failure on malformed input ([Invalid_argument] for a bad
+    bool, as [bool_of_string]). *)
 
 val value_decode : string -> Relalg.Value.t
-(** Inverse of {!value_encode}.
+(** Inverse of {!value_encode}: {!value_of_slice} over the whole string.
     @raise Failure on malformed input. *)
 
 val save : Catalog.t -> dir:string -> unit

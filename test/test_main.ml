@@ -33,6 +33,7 @@ let () =
          Test_ranked_view.suites;
          Test_slab_estimation.suites;
          Test_persist.suites;
+         Test_codec.suites;
          Test_coverage.suites;
          Test_consistency.suites;
          Test_rankcheck.suites;

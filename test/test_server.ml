@@ -723,11 +723,23 @@ let test_cell_text_matches_format () =
       Alcotest.(check string) (format_cell v) (format_cell v) (Relalg.Value.to_string v))
     render_values
 
+(* HEX cell text as the persist codec spelled it with [Printf]. *)
+let printf_hex_cell = function
+  | Relalg.Value.Null -> "n:"
+  | Int i -> Printf.sprintf "i:%d" i
+  | Float f -> Printf.sprintf "f:%h" f
+  | Str s -> "s:" ^ String.escaped s
+  | Bool b -> Printf.sprintf "b:%b" b
+
 (* The list-based row renderer [render_reply] used before it built rows in
-   one buffer, with [Format] cell text. *)
+   one buffer, with [Format] TEXT cells and [Printf] HEX cells and score
+   trailers: independent of the codec writers it checks. *)
 let reference_reply codec (r : Server.Service.reply) =
-  let cell =
-    match codec with `Text -> format_cell | `Hex -> Storage.Persist.value_encode
+  let cell = match codec with `Text -> format_cell | `Hex -> printf_hex_cell in
+  let score_cell s =
+    match codec with
+    | `Text -> Printf.sprintf "score=%.6f" s
+    | `Hex -> Printf.sprintf "score=%h" s
   in
   let fields =
     [
@@ -752,7 +764,7 @@ let reference_reply codec (r : Server.Service.reply) =
         let cells =
           match score with
           | None -> cells
-          | Some s -> cells @ [ Server.Protocol.render_score codec s ]
+          | Some s -> cells @ [ score_cell s ]
         in
         String.concat "\t" cells)
       r.Server.Service.rows scores

@@ -402,6 +402,184 @@ let test_scatter_statements_reused () =
         r.C.rows
   | Error e -> Alcotest.failf "fetch: %s" (Server.Service.error_message e)
 
+let link_stat coord key =
+  match List.assoc_opt key (C.stats coord) with
+  | Some v -> int_of_string v
+  | None -> Alcotest.failf "no %s field" key
+
+let join_topk =
+  "SELECT A.id, B.id FROM A, B WHERE A.key = B.key ORDER BY A.score + \
+   B.score DESC LIMIT ?"
+
+(* Re-EXECUTEs of one gather cursor keep its shard statement names: each
+   shard's EXECUTE replaces the cursor under the name, so a shard holds
+   one statement and one cursor for it however often it runs. *)
+let test_execute_reuses_gather_names () =
+  with_cluster ~n:2 @@ fun _cl coord ses ->
+  (match C.prepare ses ~name:"j" join_topk with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "prepare: %s" (Server.Service.error_message e));
+  for i = 0 to 199 do
+    let k = 1 + (i * 7 mod 30) in
+    match C.execute_prepared ses ~k "j" with
+    | Error e -> Alcotest.failf "execute k=%d: %s" k (Server.Service.error_message e)
+    | Ok r ->
+        Alcotest.(check bool) "scattered" true r.C.scattered;
+        if i mod 50 = 0 then begin
+          let sql =
+            String.sub join_topk 0 (String.length join_topk - 1) ^ string_of_int k
+          in
+          let reference =
+            match Sqlfront.Sql.query (C.mirror coord) sql with
+            | Ok a -> a
+            | Error e -> Alcotest.failf "reference: %s" e
+          in
+          List.iter2
+            (fun want got -> Alcotest.(check (array check_value)) "row" want got)
+            reference.Sqlfront.Sql.rows r.C.rows
+        end
+  done;
+  Alcotest.(check int) "shard statements" 2 (link_stat coord "cluster_link_prepared");
+  Alcotest.(check int) "shard cursors" 2 (link_stat coord "cluster_link_cursors")
+
+(* A second coordinator over the same mirror whose links are [endpoints]. *)
+let with_coordinator coord endpoints f =
+  let co =
+    C.create ~mirror:(C.mirror coord) ~part:(C.part coord) ~endpoints ()
+  in
+  let ses = C.open_session co in
+  Fun.protect
+    ~finally:(fun () ->
+      C.close_session ses;
+      C.shutdown co)
+    (fun () -> f co ses)
+
+(* A scatter that fails on one link leaves nothing open on the others:
+   every link is connected before a statement is prepared anywhere. *)
+let test_failed_scatter_leaks_nothing () =
+  with_cluster ~n:2 @@ fun _cl coord _ses ->
+  let healthy = List.hd (C.endpoints coord) in
+  let missing =
+    Server.Listener.Unix_socket
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "rankopt-absent-%d.sock" (Unix.getpid ())))
+  in
+  with_coordinator coord [ healthy; missing ] @@ fun co ses ->
+  (match C.prepare ses ~name:"j" join_topk with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "prepare: %s" (Server.Service.error_message e));
+  for k = 1 to 20 do
+    match C.execute_prepared ses ~k "j" with
+    | Ok _ -> Alcotest.fail "execute over an unreachable shard succeeded"
+    | Error (Server.Service.Exec_error _) -> ()
+    | Error e -> Alcotest.failf "unexpected: %s" (Server.Service.error_message e)
+  done;
+  let prepared = link_stat co "cluster_link_prepared" in
+  Alcotest.(check bool)
+    (Printf.sprintf "healthy shard statements (%d)" prepared)
+    true (prepared <= 1);
+  Alcotest.(check bool) "healthy shard cursors" true
+    (link_stat co "cluster_link_cursors" <= 1)
+
+(* A line proxy in front of [upstream] that answers the lines [inject]
+   picks with its canned reply instead of forwarding them. *)
+let with_fault_proxy ~upstream ~inject f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rankopt-proxy-%d.sock" (Unix.getpid ()))
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX path);
+  Unix.listen lsock 4;
+  let serve fd =
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    let up = Server.Client.connect upstream in
+    let reply lines =
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+      flush oc
+    in
+    (try
+       while true do
+         let line = input_line ic in
+         match inject line with
+         | Some canned -> reply [ canned ]
+         | None -> (
+             match Server.Client.request up line with
+             | Ok resp -> reply (Server.Protocol.render resp)
+             | Error _ -> raise Exit)
+       done
+     with _ -> ());
+    Server.Client.close up;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            serve (fst (Unix.accept lsock))
+          done
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.shutdown lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      (try Unix.close lsock with Unix.Unix_error _ -> ());
+      Thread.join th;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f (Server.Listener.Unix_socket path))
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* Answer the [nth] line starting with [verb] with [canned]. *)
+let nth_line ~verb ~nth canned =
+  let seen = ref 0 in
+  fun line ->
+    if starts_with ~prefix:verb line then begin
+      incr seen;
+      if !seen = nth then Some canned else None
+    end
+    else None
+
+let topk_sql = "SELECT A.id, A.score FROM A ORDER BY A.score DESC LIMIT 6"
+
+(* A shard ERR in the middle of a batch (the PREPARE between TIMEOUT and
+   EXECUTE) comes back as its typed error; every reply of the batch is
+   still read, so the next statement on the session gets the mirror's
+   rows. *)
+let test_batch_error_keeps_links_framed () =
+  with_cluster ~n:2 @@ fun _cl coord _ses ->
+  let eps = C.endpoints coord in
+  with_fault_proxy ~upstream:(List.hd eps)
+    ~inject:(nth_line ~verb:"PREPARE" ~nth:1 "ERR QUEUE_FULL injected")
+  @@ fun proxied ->
+  with_coordinator coord [ proxied; List.nth eps 1 ] @@ fun co ses ->
+  (match C.query ses topk_sql with
+  | Error (Server.Service.Queue_full "injected") -> ()
+  | Ok _ -> Alcotest.fail "injected ERR did not surface"
+  | Error e -> Alcotest.failf "untyped: %s" (Server.Service.error_message e));
+  ignore (check_matches_single_node co ses topk_sql);
+  ignore (check_matches_single_node co ses topk_sql)
+
+(* A shard's ERR TIMEOUT surfaces as [Svc.Timeout], and the link serves
+   the next statement. *)
+let test_shard_timeout_is_typed () =
+  with_cluster ~n:2 @@ fun _cl coord _ses ->
+  let eps = C.endpoints coord in
+  with_fault_proxy ~upstream:(List.nth eps 1)
+    ~inject:(nth_line ~verb:"EXECUTE" ~nth:1 "ERR TIMEOUT statement deadline exceeded")
+  @@ fun proxied ->
+  with_coordinator coord [ List.hd eps; proxied ] @@ fun co ses ->
+  (match C.query ses topk_sql with
+  | Error Server.Service.Timeout -> ()
+  | Ok _ -> Alcotest.fail "injected TIMEOUT did not surface"
+  | Error e -> Alcotest.failf "untyped: %s" (Server.Service.error_message e));
+  ignore (check_matches_single_node co ses topk_sql)
+
 (* The wire front end end-to-end: coordinator replies carry depths and
    SHARD verbs are live. *)
 let test_frontend_protocol () =
@@ -489,6 +667,14 @@ let suites =
         Alcotest.test_case "stats aggregation" `Quick test_stats_aggregate;
         Alcotest.test_case "scatters reuse shard statements" `Quick
           test_scatter_statements_reused;
+        Alcotest.test_case "re-EXECUTE reuses gather names" `Quick
+          test_execute_reuses_gather_names;
+        Alcotest.test_case "failed scatter leaks nothing" `Quick
+          test_failed_scatter_leaks_nothing;
+        Alcotest.test_case "batch ERR keeps links framed" `Quick
+          test_batch_error_keeps_links_framed;
+        Alcotest.test_case "shard TIMEOUT is typed" `Quick
+          test_shard_timeout_is_typed;
         Alcotest.test_case "frontend protocol" `Quick test_frontend_protocol;
       ] );
   ]
