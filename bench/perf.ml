@@ -268,7 +268,7 @@ let lint_row ~smoke () =
   Bench_util.section "perf: planlint sweep";
   let cases = if smoke then 40 else 200 in
   let dt, outcome =
-    wall (fun () -> Check.Rankcheck.run_lint ~seed:0 ~cases ())
+    wall (fun () -> Check.Rankcheck.run Check.Rankcheck.lint ~seed:0 ~cases ())
   in
   Bench_util.row "%d cases, %d plans linted in %.3fs\n"
     outcome.Check.Rankcheck.o_cases outcome.Check.Rankcheck.o_plans dt;

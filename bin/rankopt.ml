@@ -381,66 +381,41 @@ let client_cmd =
 
 let fuzz_cmd =
   let run seed cases server_mode enum_mode rank_mode vector_mode shard =
-    let t0 = Unix.gettimeofday () in
-    let progress i =
-      if cases > 20 && i > 0 && i mod 50 = 0 then
-        Printf.eprintf "rankcheck: %d/%d cases...\n%!" i cases
+    let flags =
+      List.concat
+        [
+          (if vector_mode then [ "--vector" ] else []);
+          (if enum_mode then [ "--enum" ] else []);
+          (if rank_mode then [ "--rank" ] else []);
+          (if server_mode then [ "--server" ] else []);
+          (match shard with Some n -> [ "--shard"; string_of_int n ] | None -> []);
+        ]
     in
-    let mode, outcome =
-      match shard with
-      | Some n when n >= 2 ->
-          ( Printf.sprintf " (shard mode, %d shards)" n,
-            Check.Rankcheck.run_shard ~progress ~seed ~cases ~shards:n () )
-      | Some n ->
-          ( "",
-            {
-              Check.Rankcheck.o_cases = 0;
-              o_plans = 0;
-              o_failures =
-                [
-                  {
-                    Check.Rankcheck.f_seed = seed;
-                    f_reason =
-                      Printf.sprintf "--shard %d: shard count must be >= 2" n;
-                    f_plan = None;
-                    f_case = Check.Rankcheck.gen_case seed;
-                    f_replay =
-                      Printf.sprintf "rankopt fuzz --shard 2 --seed %d" seed;
-                  };
-                ];
-            } )
-      | None ->
-          if vector_mode then
-            ( " (vector mode)",
-              Check.Rankcheck.run_vector ~progress ~seed ~cases () )
-          else if rank_mode then
-            (" (rank mode)", Check.Rankcheck.run_rank ~progress ~seed ~cases ())
-          else if enum_mode then
-            (" (enum mode)", Check.Rankcheck.run_enum ~progress ~seed ~cases ())
-          else if server_mode then
-            (" (server mode)", Check.Rankcheck.run_server ~progress ~seed ~cases ())
-          else ("", Check.Rankcheck.run ~progress ~seed ~cases ())
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    List.iter
-      (fun f -> Format.printf "%a@.@." Check.Rankcheck.pp_failure f)
-      outcome.Check.Rankcheck.o_failures;
-    Printf.printf
-      "rankcheck%s: %d cases (seeds %d..%d), %d %s checked, %d failure(s) \
-       [%.1fs]\n"
-      mode outcome.Check.Rankcheck.o_cases seed
-      (seed + cases - 1)
-      outcome.Check.Rankcheck.o_plans
-      (if shard <> None then "sharded statements"
-       else if vector_mode then "vectorized plan pairs"
-       else if rank_mode then "window executions"
-       else if enum_mode then "fetch prefixes"
-       else if server_mode then "server executions"
-       else "plans")
-      (List.length outcome.Check.Rankcheck.o_failures)
-      dt;
-    if outcome.Check.Rankcheck.o_failures = [] then `Ok ()
-    else `Error (false, "rankcheck found divergences (replay commands above)")
+    match Check.Rankcheck.mode_of_flags ("fuzz" :: flags) with
+    | Error e -> `Error (true, e)
+    | Ok mode ->
+        let t0 = Unix.gettimeofday () in
+        let progress i =
+          if cases > 20 && i > 0 && i mod 50 = 0 then
+            Printf.eprintf "rankcheck: %d/%d cases...\n%!" i cases
+        in
+        let outcome = Check.Rankcheck.run ~progress mode ~seed ~cases () in
+        let failures = outcome.Check.Rankcheck.o_failures in
+        List.iter
+          (fun f -> Format.printf "%a@.@." Check.Rankcheck.pp_failure f)
+          failures;
+        let title = Check.Rankcheck.title mode in
+        Printf.printf
+          "rankcheck%s: %d cases (seeds %d..%d), %d %s checked, %d failure(s) \
+           [%.1fs]\n"
+          (if title = "" then "" else " (" ^ title ^ ")")
+          outcome.Check.Rankcheck.o_cases seed
+          (seed + cases - 1)
+          outcome.Check.Rankcheck.o_plans (Check.Rankcheck.noun mode)
+          (List.length failures)
+          (Unix.gettimeofday () -. t0);
+        if failures = [] then `Ok ()
+        else `Error (false, "rankcheck found divergences (replay commands above)")
   in
   let cases_arg =
     let doc = "Number of consecutive seeds to check." in
@@ -505,7 +480,8 @@ let fuzz_cmd =
      enumeration against a full-list oracle; with --rank, sweep by-rank \
      windows against a sort-everything oracle; with --vector, sweep \
      vectorized vs tuple-at-a-time execution of every retained plan; with \
-     --shard, sweep single-node vs sharded-coordinator equivalence."
+     --shard, sweep single-node vs sharded-coordinator equivalence. At most \
+     one of these mode flags may be given."
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
@@ -580,7 +556,8 @@ let lint_cmd =
             Printf.eprintf "lint: %d/%d cases...\n%!" i fuzz_cases
         in
         let outcome =
-          Check.Rankcheck.run_lint ~progress ~seed:fseed ~cases:fuzz_cases ()
+          Check.Rankcheck.run ~progress Check.Rankcheck.lint ~seed:fseed
+            ~cases:fuzz_cases ()
         in
         let nfail = List.length outcome.Check.Rankcheck.o_failures in
         if json then
@@ -820,12 +797,13 @@ let sanitize_cmd =
           let serve_errors = sanitize_serve ~seed in
           if serve_errors > 0 then
             fail "serve mix: %d malformed replies" serve_errors;
-          sweep "fuzz --server" (Check.Rankcheck.run_server ~seed ~cases ());
+          sweep "fuzz --server"
+            (Check.Rankcheck.run Check.Rankcheck.server ~seed ~cases ());
           sweep
             (Printf.sprintf "fuzz --shard %d" shards)
-            (Check.Rankcheck.run_shard ~seed
+            (Check.Rankcheck.run (Check.Rankcheck.shard shards) ~seed
                ~cases:(max 1 (cases / 4))
-               ~shards ()))
+               ()))
     in
     if su.Sanitize.Trace.su_events = 0 then
       fail "instrumentation recorded no events (hooks not installed?)";

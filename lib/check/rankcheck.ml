@@ -1,21 +1,23 @@
 (* rankcheck: a seed-deterministic differential fuzz harness.
 
-   Each case generates random tables (duplicates, ties, skewed score
-   distributions, empty relations) and a random ranking query over them,
-   computes the answer with a naive oracle (materialize the full join in
-   relalg, score, total-order sort, take k), then enumerates every plan the
-   optimizer MEMO retains — rank-join and join-then-sort, all join orders,
-   HRJN/NRJN variants, under several enumerator configurations — and
-   executes each one, asserting:
+   One runner checks every mode. A mode is one entry of a table: a case
+   generator, an execution that produces the answer under test, and the
+   oracle that answer must agree with. Every execution starts from the
+   same prelude (materialize the case's tables, bind its query), and every
+   plan-level execution goes through the same lint-then-run loop. Three
+   oracles are shared:
 
-   - planlint structural and estimate rules on every plan;
-   - top-k score-multiset equality against the oracle;
-   - per rank-join node, no over-read past an exhausted-empty input and
-     observed depth within the (slackened) Theorem-2 model bound.
+   - [Scores]: the top-k score multiset, paired under a tolerance;
+   - [Exact]: rows tuple-exact, scores bit-equal, in order;
+   - [Top_k]: rows tuple-exact above the k-th score, boundary rows drawn
+     from the reference list's k-th-score tie group.
 
-   Failures auto-shrink (tables row by row, then query term by term) and
-   report a verbatim replay command: case [i] of [run ~seed ~cases] is
-   exactly case 0 of [run ~seed:(seed + i) ~cases:1]. *)
+   The reference is usually the naive ranked list: materialize the full
+   join in relalg, score it, drop NaN totals, sort score-descending with
+   the canonical tie order. Failures in the in-process modes auto-shrink
+   (tables row by row, then query term by term) and every failure reports
+   a verbatim replay command: case [i] of [run mode ~seed ~cases] is
+   exactly case 0 of [run mode ~seed:(seed + i) ~cases:1]. *)
 
 open Relalg
 
@@ -95,23 +97,13 @@ let gen_case seed =
   let filters =
     List.filter_map
       (fun ts ->
+        let key () = Number (float_of_int (Rkutil.Prng.int prng ts.t_key_domain)) in
         if Rkutil.Prng.int prng 3 <> 0 then None
         else
           match Rkutil.Prng.int prng 3 with
-          | 0 ->
-              Some (Compare (Ge, col ts.t_name "score", Number (grid8 prng 0 7)))
-          | 1 ->
-              Some
-                (Compare
-                   ( Eq,
-                     col ts.t_name "key",
-                     Number (float_of_int (Rkutil.Prng.int prng ts.t_key_domain)) ))
-          | _ ->
-              Some
-                (Compare
-                   ( Le,
-                     col ts.t_name "key",
-                     Number (float_of_int (Rkutil.Prng.int prng ts.t_key_domain)) )))
+          | 0 -> Some (Compare (Ge, col ts.t_name "score", Number (grid8 prng 0 7)))
+          | 1 -> Some (Compare (Eq, col ts.t_name "key", key ()))
+          | _ -> Some (Compare (Le, col ts.t_name "key", key ())))
       tables
   in
   (* Non-negative 0.125-grid weights; each relation is ranked with high
@@ -153,6 +145,69 @@ let gen_case seed =
   in
   { c_seed = seed; c_tables = tables; c_query = query }
 
+
+(* Enum and rank cases snap every score to the 1/8 grid. Query weights
+   already live on that grid, so each weighted term i/8 * j/8 = ij/64 and
+   every total score is a small dyadic rational: exactly representable,
+   and bit-identical no matter how a plan associates the additions. That
+   is what lets those modes demand tuple-exact rows where the plan-level
+   mode settles for score multisets under [scores_close]. A sixteenth of
+   the rows get a NaN score: ranked answers drop NaN-scored rows entirely,
+   and the oracle must agree. *)
+let snap8 prng ts =
+  {
+    ts with
+    t_rows =
+      List.map
+        (fun (i, k, s) ->
+          if Rkutil.Prng.int prng 16 = 0 then (i, k, Float.nan)
+          else (i, k, Float.round (s *. 8.0) /. 8.0))
+        ts.t_rows;
+  }
+
+let enum_case seed =
+  let case = gen_case seed in
+  let prng = Rkutil.Prng.create (seed lxor 0x2545f491) in
+  { case with c_tables = List.map (snap8 prng) case.c_tables }
+
+(* A rank case is a single snapped table plus a WHERE rank() BETWEEN
+   window, sometimes with an extra filter conjunct and sometimes
+   overshooting the table's cardinality: both clamping paths must agree
+   with the oracle. *)
+let rank_case seed =
+  let prng = Rkutil.Prng.create (seed lxor 0x3ad76b21) in
+  let ts = snap8 prng (gen_table prng "T0") in
+  let n = List.length ts.t_rows in
+  let lo = 1 + Rkutil.Prng.int prng (n + 2) in
+  let hi = lo + Rkutil.Prng.int prng 8 in
+  let open Sqlfront.Ast in
+  let where =
+    if Rkutil.Prng.int prng 3 = 0 then
+      [
+        Compare
+          ( Le,
+            Column { table = Some "T0"; name = "key" },
+            Number (float_of_int (Rkutil.Prng.int prng ts.t_key_domain)) );
+      ]
+    else []
+  in
+  let query =
+    {
+      select = [ Star ];
+      from = [ "T0" ];
+      where;
+      rank_between = Some (lo, hi);
+      (* a third of the corpus exercises dense numbering; the snapped
+         score grid guarantees tie blocks for it to differ on *)
+      rank_dense = Rkutil.Prng.int prng 3 = 0;
+      group_by = [];
+      order_by = Some (Column { table = Some "T0"; name = "score" }, Desc);
+      limit = None;
+      limit_param = false;
+    }
+  in
+  { c_seed = seed; c_tables = [ ts ]; c_query = query }
+
 (* ------------------------------------------------------------------ *)
 (* Catalog materialization                                             *)
 (* ------------------------------------------------------------------ *)
@@ -190,10 +245,16 @@ let build_catalog case =
   cat
 
 (* ------------------------------------------------------------------ *)
-(* The oracle: materialize, filter, cross, filter joins, sort, take k  *)
+(* The naive ranked list                                               *)
 (* ------------------------------------------------------------------ *)
 
-let oracle_topk catalog (query : Core.Logical.t) =
+(* Materialize each base relation from its heap, apply its filter, cross
+   them, keep the join conjuncts, score every row with the query's own
+   expression, drop NaN totals and sort score-descending, breaking exact
+   ties by the canonical column order {!Core.Executor.open_cursor} applies.
+   No optimizer or executor code is on this path. The query's k is
+   ignored: each oracle takes the prefix it needs. *)
+let ranked catalog (query : Core.Logical.t) =
   let rels =
     List.map
       (fun (b : Core.Logical.base) ->
@@ -209,7 +270,7 @@ let oracle_topk catalog (query : Core.Logical.t) =
   in
   let crossed =
     match rels with
-    | [] -> invalid_arg "oracle_topk: no relations"
+    | [] -> invalid_arg "ranked: no relations"
     | r0 :: rest -> List.fold_left Relation.cross r0 rest
   in
   let joined =
@@ -225,14 +286,121 @@ let oracle_topk catalog (query : Core.Logical.t) =
           acc)
       crossed query.Core.Logical.joins
   in
+  let schema = Relation.schema joined in
   let score =
     match Core.Logical.scoring_expr query with
-    | Some s -> s
-    | None -> invalid_arg "oracle_topk: not a ranking query"
+    | Some s -> Expr.compile_float schema s
+    | None -> invalid_arg "ranked: not a ranking query"
   in
-  let k = Option.value ~default:max_int query.Core.Logical.k in
-  Relation.top_k ~score ~k joined
+  let perm = Core.Executor.canonical_perm schema in
+  let rows =
+    Relation.tuples joined
+    |> List.filter_map (fun tu ->
+           let s = score tu in
+           if Float.is_nan s then None else Some (tu, s))
+    |> List.sort (fun (t1, s1) (t2, s2) ->
+           match Float.compare s2 s1 with
+           | 0 -> Core.Executor.canonical_compare perm t1 t2
+           | c -> c)
+  in
+  (schema, rows)
 
+(* Map reply rows, whose columns (fully qualified names) follow the chosen
+   join order, into the oracle's joined schema, so oracle tuples compare
+   cell for cell with them. *)
+let projector schema columns =
+  let names = List.map Schema.column_name (Schema.columns schema) in
+  if List.sort String.compare names <> List.sort String.compare columns then
+    Error
+      (Printf.sprintf "reply columns [%s] are not the oracle's [%s]"
+         (String.concat "; " columns) (String.concat "; " names))
+  else
+    let idxs =
+      List.map (fun c -> Option.get (List.find_index (String.equal c) names)) columns
+    in
+    Ok (fun t -> Tuple.make (List.map (Tuple.get t) idxs))
+
+(* ------------------------------------------------------------------ *)
+(* The shared oracles                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type oracle =
+  | Scores of (float -> float -> bool)
+  | Exact
+  | Top_k
+
+let scores_close a b =
+  Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
+
+(* The wire renders scores with 6 decimals, so compare with an absolute
+   epsilon wider than the rendering granularity. *)
+let wire_close a b = Float.abs (a -. b) <= 1e-5
+
+let take k l = List.filteri (fun i _ -> i < k) l
+
+let show_rows rows =
+  String.concat "; "
+    (List.map (fun (t, s) -> Printf.sprintf "%s@%.9g" (Tuple.to_string t) s) rows)
+
+(* [agree oracle ~k ~expected ~got]: does [got] answer the top-[k] of the
+   reference list [expected]? Every oracle first requires the size of
+   [expected]'s k-prefix. *)
+let agree oracle ~k ~expected ~got =
+  let want = take k expected in
+  let diverge what =
+    Error
+      (Printf.sprintf "%s (oracle [%s], got [%s])" what (show_rows want)
+         (show_rows got))
+  in
+  if List.length want <> List.length got then
+    Error
+      (Printf.sprintf "size mismatch: oracle %d rows, got %d" (List.length want)
+         (List.length got))
+  else
+    match oracle with
+    | Scores close ->
+        let desc l = List.sort (fun a b -> Float.compare b a) (List.map snd l) in
+        if List.for_all2 close (desc want) (desc got) then Ok ()
+        else diverge "score multisets diverge"
+    | Exact -> (
+        let same (t1, s1) (t2, s2) = Float.compare s1 s2 = 0 && Tuple.equal t1 t2 in
+        match
+          List.find_index Fun.id (List.map2 (fun w g -> not (same w g)) want got)
+        with
+        | None -> Ok ()
+        | Some i -> diverge (Printf.sprintf "rows diverge at rank %d" i))
+    | Top_k ->
+        let rec sorted = function
+          | (_, a) :: ((_, b) :: _ as rest) -> Float.compare a b >= 0 && sorted rest
+          | _ -> true
+        in
+        (* Rows are classified against the k-th score with the same
+           tolerance: strictly-above rows are uniquely determined and must
+           match as a multiset; rows in the boundary band may resolve to
+           any member of the reference's boundary tie group (a single-node
+           Top-N keeps an arbitrary subset of a tie too). *)
+        let b = match List.rev want with [] -> Float.nan | (_, s) :: _ -> s in
+        let at_boundary (_, s) = scores_close s b in
+        let above l =
+          List.sort Tuple.compare
+            (List.filter_map
+               (fun ((t, s) as r) ->
+                 if s > b && not (at_boundary r) then Some t else None)
+               l)
+        in
+        let tie_group = List.filter at_boundary expected in
+        if not (sorted got) then diverge "rows not in non-increasing score order"
+        else if not (List.for_all2 (fun (_, a) (_, b) -> scores_close a b) want got)
+        then diverge "score sequences diverge"
+        else if not (List.equal Tuple.equal (above want) (above got)) then
+          diverge "rows above the boundary tie group diverge"
+        else if
+          not
+            (List.for_all
+               (fun (t, _) -> List.exists (fun (t', _) -> Tuple.equal t t') tie_group)
+               (List.filter at_boundary got))
+        then diverge "a boundary row is not in the oracle's tie group"
+        else Ok ()
 (* ------------------------------------------------------------------ *)
 (* Plan space: every retained MEMO plan under several configurations   *)
 (* ------------------------------------------------------------------ *)
@@ -253,16 +421,15 @@ let enumerate_plans env (query : Core.Logical.t) =
      best plan: apply Top-k, inserting a sort when the plan's order does not
      already satisfy the score order. *)
   let finish (sp : Core.Memo.subplan) =
-    if Core.Logical.is_ranking query then
-      match want with
-      | Some w when Core.Plan.order_satisfies ~have:sp.Core.Memo.order ~want:(Some w)
-        ->
-          Core.Plan.Top_k { k; input = sp.Core.Memo.plan }
-      | Some w ->
-          Core.Plan.Top_k
-            { k; input = Core.Plan.Sort { order = w; input = sp.Core.Memo.plan } }
-      | None -> sp.Core.Memo.plan
-    else sp.Core.Memo.plan
+    match want with
+    | Some w when Core.Logical.is_ranking query ->
+        let input =
+          if Core.Plan.order_satisfies ~have:sp.Core.Memo.order ~want:(Some w) then
+            sp.Core.Memo.plan
+          else Core.Plan.Sort { order = w; input = sp.Core.Memo.plan }
+        in
+        Core.Plan.Top_k { k; input }
+    | _ -> sp.Core.Memo.plan
   in
   let configs =
     [
@@ -296,22 +463,8 @@ let enumerate_plans env (query : Core.Logical.t) =
   List.rev !plans
 
 (* ------------------------------------------------------------------ *)
-(* Per-plan assertions                                                 *)
+(* Per-plan depth and counter assertions                               *)
 (* ------------------------------------------------------------------ *)
-
-let scores_close a b =
-  Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
-
-let sorted_desc scores = List.sort (fun a b -> Float.compare b a) scores
-
-(* Score result tuples with the query's own scoring expression rather than
-   trusting the executor's reported score (which reflects the plan's
-   physical order expression — e.g. an unweighted index key that sorts
-   identically to the weighted score). Scoring returned tuples directly is
-   also the stronger check: it validates the rows, not a side channel. *)
-let plan_scores score (res : Core.Executor.run_result) =
-  let eval = Expr.compile_float res.Core.Executor.schema score in
-  sorted_desc (List.map (fun (tu, _) -> eval tu) res.Core.Executor.rows)
 
 (* Observed depths vs an exact Theorem-2 bound. Two rules:
 
@@ -543,125 +696,517 @@ let depth_check catalog plan (res : Core.Executor.run_result) =
       | Some msg -> Error msg
       | None -> Ok ())
 
+(* A run's rank-join counters, one entry per node in plan pre-order (both
+   runs of one plan report its nodes in the same order). *)
+let rank_counters res =
+  List.map
+    (fun (label, _, st) ->
+      Printf.sprintf "%s depths [%s] emitted %d" label
+        (String.concat ";"
+           (List.map string_of_int (Array.to_list (Exec.Exec_stats.depths st))))
+        (Exec.Exec_stats.emitted st))
+    (rank_join_nodes res)
+
 (* ------------------------------------------------------------------ *)
-(* Checking one case                                                   *)
+(* Executions                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [Ok n]: all [n] enumerated plans agreed with the oracle and passed every
-   invariant. [Error (reason, plan)] otherwise. *)
-let check_case case : (int, string * string option) result =
+(* What every execution starts from: the case's tables materialized and
+   its query bound. *)
+type ctx = {
+  case : case;
+  catalog : Storage.Catalog.t;
+  query : Core.Logical.t;
+  env : Core.Cost_model.env;
+}
+
+(* [Ok n]: [n] checks passed. [Error (reason, plan)] otherwise. *)
+type verdict = (int, string * string option) result
+
+let ( let* ) = Result.bind
+
+let limit ctx = Option.value ~default:max_int ctx.query.Core.Logical.k
+
+let oneline s = String.map (function '\n' -> ' ' | c -> c) s
+
+let paired rows scores =
+  if List.length rows <> List.length scores then
+    Error "reply rows and scores disagree in length"
+  else Ok (List.combine rows scores)
+
+(* The lint-then-run loop of every plan-level execution: lint [plan] with
+   the full catalog, then [run] it. *)
+let plan_loop ctx plans run : verdict =
+  List.fold_left
+    (fun acc plan ->
+      let* n = acc in
+      let desc = Some (Core.Plan.describe plan) in
+      let check () =
+        match
+          Lint.Engine.errors
+            (Lint.Engine.lint_plan ~query:ctx.query ~env:ctx.env ctx.catalog plan)
+        with
+        | d :: _ -> Error ("planlint: " ^ Lint.Diag.to_string d)
+        | [] -> run plan
+      in
+      match check () with
+      | Ok () -> Ok (n + 1)
+      | Error m -> Error (m, desc)
+      | exception e -> Error ("raised: " ^ Printexc.to_string e, desc))
+    (Ok 0) plans
+
+(* Every enumerated plan against the naive list. Result tuples are
+   re-scored with the query's own expression rather than trusting the
+   executor's reported score (which reflects the plan's physical order
+   expression, e.g. an unweighted index key that sorts like the weighted
+   score), so the check validates the rows, not a side channel. Rank-join
+   depths must also stay within the simulated Theorem-2 bound. *)
+let exec_plans oracle ctx =
+  let score = Option.get (Core.Logical.scoring_expr ctx.query) in
+  let _, expected = ranked ctx.catalog ctx.query in
+  plan_loop ctx (enumerate_plans ctx.env ctx.query) (fun plan ->
+      let res = Core.Executor.run ctx.catalog plan in
+      let eval = Expr.compile_float res.Core.Executor.schema score in
+      let got = List.map (fun (tu, _) -> (tu, eval tu)) res.Core.Executor.rows in
+      let* () = agree oracle ~k:(limit ctx) ~expected ~got in
+      depth_check ctx.catalog plan res)
+
+(* Every enumerated plan run tuple-at-a-time ([~vectorized:false], the
+   pre-batching interpreter) is the reference for its batch-at-a-time run.
+   The batch kernels replicate the scalar interpreter exactly (Null
+   propagation, NaN ordering, constant folding in the Value domain), so
+   the oracle allows no tolerance; rank joins stay streaming sinks, so
+   their depth and emitted counters must match too. *)
+let exec_vector oracle ctx =
+  plan_loop ctx (enumerate_plans ctx.env ctx.query) (fun plan ->
+      let serial = Core.Executor.run ~vectorized:false ctx.catalog plan in
+      let vec = Core.Executor.run ~vectorized:true ctx.catalog plan in
+      let* () =
+        agree oracle ~k:max_int ~expected:serial.Core.Executor.rows
+          ~got:vec.Core.Executor.rows
+      in
+      let a = rank_counters serial and b = rank_counters vec in
+      if a = b then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "rank-join counters diverge: [%s] tuple-at-a-time, [%s] vectorized"
+             (String.concat "; " a) (String.concat "; " b)))
+
+(* Lint only: optimize with emit-time linting on (every subplan the MEMO
+   retains is checked as it is stored), lint each finished plan and the
+   optimizer's chosen statement, execute nothing. *)
+let exec_lint ctx =
+  Lint.Engine.Emit.reset ();
+  Lint.Engine.Emit.enable ();
+  Fun.protect ~finally:Lint.Engine.Emit.disable @@ fun () ->
+  let plans = enumerate_plans ctx.env ctx.query in
+  let planned = Core.Optimizer.optimize ~env:ctx.env ctx.catalog ctx.query in
+  let* n = plan_loop ctx plans (fun _ -> Ok ()) in
+  let clean diags plan =
+    match Lint.Engine.errors diags with
+    | [] -> Ok ()
+    | d :: _ -> Error ("planlint: " ^ Lint.Diag.to_string d, plan)
+  in
+  let* () =
+    clean (Lint.Engine.lint_planned planned)
+      (Some (Core.Plan.describe planned.Core.Optimizer.plan))
+  in
+  let* () = clean (Lint.Engine.Emit.diagnostics ()) None in
+  Ok (n + Lint.Engine.Emit.linted () + 1)
+
+(* Both physical variants of a rank window (counted index descent and
+   drain-sort-slice) go through the plan loop; then the printed query
+   re-enters through the parser and the optimizer's own access-path
+   choice. The reference is the window of the naive list over the whole
+   table, with any residual filter pruning inside the window. *)
+let exec_windows oracle ctx =
+  let base = List.hd ctx.query.Core.Logical.relations in
+  let table = base.Core.Logical.name in
+  let lo, hi = Option.value ~default:(1, 0) ctx.query.Core.Logical.rank_range in
+  let dense = ctx.query.Core.Logical.rank_dense in
+  let schema, rows =
+    ranked ctx.catalog
+      {
+        ctx.query with
+        Core.Logical.relations = [ { base with Core.Logical.filter = None } ];
+      }
+  in
+  let window =
+    let lo = max 1 lo in
+    if not dense then List.filteri (fun i _ -> i >= lo - 1 && i <= hi - 1) rows
+    else begin
+      (* dense numbering, derived independently of the engine: walk the
+         descending run counting distinct scores *)
+      let _, _, rev =
+        List.fold_left
+          (fun (d, prev, acc) ((_, s) as e) ->
+            let d =
+              match prev with Some p when Float.compare p s = 0 -> d | _ -> d + 1
+            in
+            (d, Some s, if d >= lo && d <= hi then e :: acc else acc))
+          (0, None, []) rows
+      in
+      List.rev rev
+    end
+  in
+  let expected =
+    match base.Core.Logical.filter with
+    | None -> window
+    | Some pred ->
+        let predf = Expr.compile schema pred in
+        List.filter (fun (tu, _) -> predf tu = Value.Bool true) window
+  in
+  let score = Option.get (Core.Logical.scoring_expr ctx.query) in
+  let variant index =
+    let access = Core.Plan.Rank_index_scan { table; index; score; lo; hi; dense } in
+    match base.Core.Logical.filter with
+    | Some pred -> Core.Plan.Filter { pred; input = access }
+    | None -> access
+  in
+  let* n =
+    plan_loop ctx [ variant (Some (table ^ "_score")); variant None ] (fun plan ->
+        agree oracle ~k:max_int ~expected
+          ~got:(Core.Executor.run ctx.catalog plan).Core.Executor.rows)
+  in
+  let sql = Format.asprintf "%a" Sqlfront.Ast.pp_query ctx.case.c_query in
+  match Sqlfront.Sql.query ctx.catalog sql with
+  | Error e -> Error ("sql path: " ^ e, None)
+  | Ok ans ->
+      Result.map_error
+        (fun m ->
+          ( "sql path: " ^ m,
+            Some (Core.Plan.describe ans.Sqlfront.Sql.planned.Core.Optimizer.plan) ))
+        (let* got = paired ans.Sqlfront.Sql.rows ans.Sqlfront.Sql.scores in
+         let* () = agree oracle ~k:max_int ~expected ~got in
+         Ok (n + 1))
+
+(* Ranked enumeration through a [Service] session: PREPARE, EXECUTE at the
+   case's k, then FETCH in deterministically varied batch sizes. Every
+   growing prefix must agree with the naive list, exhaustion must land
+   exactly at its length, and a further FETCH must return nothing. A
+   statement that is not cursor-eligible must park no cursor. *)
+let exec_session oracle ctx =
+  let schema, full = ranked ctx.catalog ctx.query in
+  let k0 = Option.value ~default:1 ctx.case.c_query.Sqlfront.Ast.limit in
+  let tpl = Sqlfront.Sql.template_of_ast ctx.case.c_query in
+  (* Mirror the service's (deterministic) planning to learn up front
+     whether the statement is cursor-eligible. *)
+  let plan_desc, eligible =
+    match
+      Result.bind (Sqlfront.Sql.instantiate tpl ~k:k0 ())
+        (Sqlfront.Sql.prepare_ast ctx.catalog)
+    with
+    | Ok p ->
+        ( Some (Core.Plan.describe p.Sqlfront.Sql.planned.Core.Optimizer.plan),
+          Sqlfront.Sql.cursor_eligible p )
+    | Error _ | (exception _) -> (None, false)
+  in
+  let svc =
+    Server.Service.create
+      ~config:{ Server.Service.default_config with workers = 2 }
+      ctx.catalog
+  in
+  Fun.protect ~finally:(fun () -> Server.Service.shutdown svc) @@ fun () ->
+  let sess = Server.Service.open_session svc in
+  Fun.protect ~finally:(fun () -> Server.Service.close_session sess) @@ fun () ->
+  let err e =
+    Printf.sprintf "server ERR %s: %s"
+      (Server.Service.error_code e)
+      (Server.Service.error_message e)
+  in
+  let svc_ok r = Result.map_error err r in
+  Result.map_error (fun m -> (m, plan_desc))
+  @@
+  let* _ =
+    svc_ok (Server.Service.prepare sess ~name:"q" (oneline tpl.Sqlfront.Sql.tpl_text))
+  in
+  let* reply = svc_ok (Server.Service.execute_prepared sess ~k:k0 "q") in
+  if not eligible then
+    match Server.Service.fetch sess ~name:"q" 1 with
+    | Error (Server.Service.Unknown_cursor _) -> Ok 1
+    | Ok _ -> Error "FETCH succeeded on a non-enumerable statement"
+    | Error e -> Error ("non-enumerable FETCH: " ^ err e)
+  else
+    let* project = projector schema reply.Server.Service.columns in
+    let expected = List.map (fun (t, s) -> (project t, s)) full in
+    let total = List.length expected in
+    let extend got (r : Server.Service.reply) =
+      let* batch = paired r.Server.Service.rows r.Server.Service.scores in
+      let got = got @ batch in
+      let* () = agree oracle ~k:(List.length got) ~expected ~got in
+      Ok (got, List.length batch)
+    in
+    let prng = Rkutil.Prng.create (ctx.case.c_seed lxor 0x51ed27) in
+    let rec fetch_loop got checked =
+      if List.length got >= total then Ok checked
+      else
+        let n = 1 + Rkutil.Prng.int prng 4 in
+        let* r = svc_ok (Server.Service.fetch sess ~name:"q" n) in
+        let* got, produced = extend got r in
+        if produced < n && List.length got < total then
+          Error
+            (Printf.sprintf "cursor exhausted at %d rows but the oracle has %d"
+               (List.length got) total)
+        else fetch_loop got (checked + 1)
+    in
+    let* got, _ = extend [] reply in
+    let* checked = fetch_loop got 1 in
+    let* past = svc_ok (Server.Service.fetch sess ~name:"q" 3) in
+    let* () =
+      if past.Server.Service.rows = [] then Ok ()
+      else Error "cursor kept producing rows past exhaustion"
+    in
+    let* () = svc_ok (Server.Service.close_cursor sess "q") in
+    Ok checked
+
+(* Trailing "score=<f>" cell of a result row; header lines have none. *)
+let wire_scores response =
+  List.filter_map
+    (fun line ->
+      match List.rev (String.split_on_char '\t' line) with
+      | last :: _ when String.starts_with ~prefix:"score=" last ->
+          float_of_string_opt (String.sub last 6 (String.length last - 6))
+      | _ -> None)
+    response.Server.Protocol.payload
+
+(* A live [Listener] over the wire: PREPARE with LIMIT ?, then EXECUTE
+   twice at two k values against the naive list. The second replay at
+   each k must be a plan-cache hit, and afterwards every cached variant
+   must pass the planlint cache rule (PL10) plus the full catalog. *)
+let exec_wire oracle ctx =
+  let _, expected = ranked ctx.catalog ctx.query in
+  let tpl = Sqlfront.Sql.template_of_ast ctx.case.c_query in
+  let k0 = Option.value ~default:1 ctx.case.c_query.Sqlfront.Ast.limit in
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rankcheck-%d-%d.sock" (Unix.getpid ()) ctx.case.c_seed)
+  in
+  let endpoint = Server.Listener.Unix_socket sock in
+  let listener =
+    Server.Listener.start
+      ~config:{ Server.Service.default_config with workers = 2 }
+      endpoint ctx.catalog
+  in
+  Fun.protect ~finally:(fun () -> Server.Listener.stop listener) @@ fun () ->
+  let client = Server.Client.connect endpoint in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let request line =
+    match Server.Client.request client line with
+    | Error e -> Error ("transport: " ^ e)
+    | Ok r when not r.Server.Protocol.ok ->
+        Error
+          (Printf.sprintf "server ERR %s: %s" r.Server.Protocol.code
+             r.Server.Protocol.message)
+    | Ok r -> Ok r
+  in
+  let replay k i =
+    Result.map_error (Printf.sprintf "k=%d replay %d: %s" k i)
+    @@
+    let* resp = request (Printf.sprintf "EXECUTE q %d" k) in
+    let got = List.map (fun s -> ([||], s)) (wire_scores resp) in
+    let* () = agree oracle ~k ~expected ~got in
+    if i = 1 && List.assoc_opt "cached" resp.Server.Protocol.fields <> Some "1"
+    then Error "expected a cache hit"
+    else Ok ()
+  in
+  let audit (key, epoch, prepared) =
+    match Lint.Engine.errors (Lint.Engine.lint_prepared ~key ~epoch prepared) with
+    | [] -> Ok ()
+    | dg :: _ -> Error ("planlint cache: " ^ Lint.Diag.to_string dg)
+  in
+  let each f l =
+    List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) l
+  in
+  Result.map_error (fun m -> (m, None))
+  @@
+  let* _ =
+    request (Printf.sprintf "PREPARE q %s" (oneline tpl.Sqlfront.Sql.tpl_text))
+  in
+  let replays = [ (k0, 0); (k0, 1); (k0 + 3, 0); (k0 + 3, 1) ] in
+  let* () = each (fun (k, i) -> replay k i) replays in
+  let entries = Server.Service.cache_entries (Server.Listener.service listener) in
+  let* () = each audit entries in
+  Ok (List.length replays + List.length entries)
+
+(* The scatter/gather coordinator over an in-process cluster of [shards]
+   engine shards hash-partitioned on [key]. Generated queries join only on
+   [key], so every case is co-partitioned and must scatter. Plan shapes
+   associate the weighted sum differently, so the [Top_k] oracle compares
+   scores within float association jitter. A routed INSERT then goes
+   through the coordinator (mirror first, then the owning shard) and the
+   query re-runs, so mis-routed DML, stale scatter caches and epoch bugs
+   surface as divergence. *)
+let exec_cluster ~shards oracle ctx =
+  let sql = Format.asprintf "%a" Sqlfront.Ast.pp_query ctx.case.c_query in
+  let config = { Server.Service.default_config with workers = 1 } in
+  let cluster = Shard.Cluster.start ~config ~n:shards ctx.catalog in
+  Fun.protect ~finally:(fun () -> Shard.Cluster.stop cluster) @@ fun () ->
+  let ses = Shard.Coordinator.open_session (Shard.Cluster.coordinator cluster) in
+  Fun.protect ~finally:(fun () -> Shard.Coordinator.close_session ses) @@ fun () ->
+  let query sql =
+    Result.map_error Server.Service.error_message (Shard.Coordinator.query ses sql)
+  in
+  let round label =
+    Result.map_error (fun m -> label ^ ": " ^ m)
+    @@
+    let schema, full = ranked ctx.catalog ctx.query in
+    let* reply = query sql in
+    if not reply.Shard.Coordinator.scattered then
+      Error "co-partitioned top-k did not scatter"
+    else
+      let* project = projector schema reply.Shard.Coordinator.columns in
+      let* got = paired reply.Shard.Coordinator.rows reply.Shard.Coordinator.scores in
+      agree oracle ~k:(limit ctx)
+        ~expected:(List.map (fun (t, s) -> (project t, s)) full)
+        ~got
+  in
+  Result.map_error (fun m -> (m, None))
+  @@
+  let* () = round "initial" in
+  (* key 0 always exists in every join's key domain *)
+  let* r =
+    Result.map_error (( ^ ) "routed INSERT: ")
+      (query "INSERT INTO T0 VALUES (100001, 0, 1.75)")
+  in
+  let* () =
+    if r.Shard.Coordinator.affected = Some 1 then Ok ()
+    else Error "routed INSERT: expected affected=1"
+  in
+  let* () = round "after routed INSERT" in
+  Ok 3
+
+(* ------------------------------------------------------------------ *)
+(* The mode table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type mode = {
+  title : string;  (* "vector mode"; "" for plain mode *)
+  args : string list;  (* the rankopt words selecting the mode *)
+  noun : string;  (* what [o_plans] counts *)
+  gen : int -> case;
+  exec : ctx -> verdict;
+  oracle : oracle option;  (* the oracle [exec] answers to; none for lint *)
+  shrinks : bool;
+}
+
+let entry ~title ~args ~noun ~gen ~shrinks oracle exec =
+  { title; args; noun; gen; exec = exec oracle; oracle = Some oracle; shrinks }
+
+let plain =
+  entry ~title:"" ~args:[ "fuzz" ] ~noun:"plans" ~gen:gen_case ~shrinks:true
+    (Scores scores_close) exec_plans
+
+let vector =
+  entry ~title:"vector mode" ~args:[ "fuzz"; "--vector" ]
+    ~noun:"vectorized plan pairs" ~gen:gen_case ~shrinks:true Exact exec_vector
+
+let enum =
+  entry ~title:"enum mode" ~args:[ "fuzz"; "--enum" ] ~noun:"fetch prefixes"
+    ~gen:enum_case ~shrinks:true Exact exec_session
+
+let rank =
+  entry ~title:"rank mode" ~args:[ "fuzz"; "--rank" ] ~noun:"window executions"
+    ~gen:rank_case ~shrinks:true Exact exec_windows
+
+(* The live-server modes start a listener or a cluster per check, so
+   their failures are reported unshrunk. *)
+let server =
+  entry ~title:"server mode" ~args:[ "fuzz"; "--server" ]
+    ~noun:"server executions" ~gen:gen_case ~shrinks:false (Scores wire_close)
+    exec_wire
+
+let shard n =
+  entry
+    ~title:(Printf.sprintf "shard mode, %d shards" n)
+    ~args:[ "fuzz"; "--shard"; string_of_int n ]
+    ~noun:"sharded statements" ~gen:gen_case ~shrinks:false Top_k
+    (exec_cluster ~shards:n)
+
+(* Lint failures are already localized by the diagnostic's plan path. *)
+let lint =
+  {
+    title = "lint mode";
+    args = [ "lint" ];
+    noun = "plans linted";
+    gen = gen_case;
+    exec = exec_lint;
+    oracle = None;
+    shrinks = false;
+  }
+
+let modes = [ plain; vector; enum; rank; server; shard 4; lint ]
+let title m = m.title
+let noun m = m.noun
+let oracle m = m.oracle
+
+let replay m seed =
+  match m.args with
+  | [ "lint" ] -> Printf.sprintf "rankopt lint --fuzz-seed %d --fuzz-cases 1" seed
+  | args ->
+      Printf.sprintf "rankopt %s --seed %d --cases 1" (String.concat " " args) seed
+
+let mode_of_flags = function
+  | [ "fuzz"; "--shard"; n ] -> (
+      match int_of_string_opt n with
+      | Some n when n >= 2 -> Ok (shard n)
+      | _ -> Error (Printf.sprintf "--shard %s: shard count must be >= 2" n))
+  | args -> (
+      match List.find_opt (fun m -> m.args = args) modes with
+      | Some m -> Ok m
+      | None ->
+          Error
+            (Printf.sprintf
+               "%s: give at most one of --vector, --enum, --rank, --server, \
+                --shard N"
+               (String.concat " " args)))
+
+(* ------------------------------------------------------------------ *)
+(* Checking, shrinking and the sweep                                   *)
+(* ------------------------------------------------------------------ *)
+
+let check mode case : verdict =
   let catalog = build_catalog case in
   match Sqlfront.Binder.bind_result catalog case.c_query with
   | Error e -> Error (e, None)
   | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
   | Ok bound -> (
       let query = bound.Sqlfront.Binder.logical in
-      match oracle_topk catalog query with
-      | exception e -> Error ("oracle raised: " ^ Printexc.to_string e, None)
-      | expected -> (
-          let score =
-            match Core.Logical.scoring_expr query with
-            | Some s -> s
-            | None -> assert false (* generated queries always rank *)
-          in
-          let expected_scores = sorted_desc (List.map snd expected) in
-          let k = Option.value ~default:1 query.Core.Logical.k in
-          let env =
-            Core.Cost_model.default_env ~k_min:(min k 1000) catalog query
-          in
-          match enumerate_plans env query with
-          | exception e ->
-              Error ("enumeration raised: " ^ Printexc.to_string e, None)
-          | plans ->
-              let rec check_all n = function
-                | [] -> Ok n
-                | plan :: rest -> (
-                    let desc = Some (Core.Plan.describe plan) in
-                    match
-                      Lint.Engine.errors
-                        (Lint.Engine.lint_plan ~query ~env catalog plan)
-                    with
-                    | d :: _ -> Error ("planlint: " ^ Lint.Diag.to_string d, desc)
-                    | exception e ->
-                        Error ("planlint raised: " ^ Printexc.to_string e, desc)
-                    | [] -> (
-                        match Core.Executor.run catalog plan with
-                        | exception e ->
-                            Error ("execution raised: " ^ Printexc.to_string e, desc)
-                        | res -> (
-                            let got = plan_scores score res in
-                            if List.length got <> List.length expected_scores then
-                              Error
-                                ( Printf.sprintf
-                                    "top-k size mismatch: oracle %d rows, plan %d"
-                                    (List.length expected_scores)
-                                    (List.length got),
-                                  desc )
-                            else if
-                              not (List.for_all2 scores_close expected_scores got)
-                            then
-                              Error
-                                ( Printf.sprintf
-                                    "top-k scores diverge from oracle (oracle [%s], plan [%s])"
-                                    (String.concat "; "
-                                       (List.map (Printf.sprintf "%.9g")
-                                          expected_scores))
-                                    (String.concat "; "
-                                       (List.map (Printf.sprintf "%.9g") got)),
-                                  desc )
-                            else
-                              match depth_check catalog plan res with
-                              | Error msg -> Error (msg, desc)
-                              | Ok () -> check_all (n + 1) rest)))
-              in
-              check_all 0 plans))
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let still_fails case = Result.is_error (check_case case)
-
-let replace_table case ts =
-  {
-    case with
-    c_tables =
-      List.map
-        (fun t -> if String.equal t.t_name ts.t_name then ts else t)
-        case.c_tables;
-  }
+      let k = Option.value ~default:1 query.Core.Logical.k in
+      let env = Core.Cost_model.default_env ~k_min:(min k 1000) catalog query in
+      match mode.exec { case; catalog; query; env } with
+      | v -> v
+      | exception e -> Error ("raised: " ^ Printexc.to_string e, None))
 
 (* Drop table rows one at a time, then query terms (non-join WHERE
-   conjuncts), then try k = 1 — keeping every step that still fails. *)
-let shrink case =
+   conjuncts), then try k = 1, keeping every step that still fails. *)
+let shrink mode case =
   let budget = ref 600 in
   let try_smaller current candidate =
     if !budget <= 0 then current
     else begin
       decr budget;
-      if still_fails candidate then candidate else current
+      if Result.is_error (check mode candidate) then candidate else current
     end
   in
+  (* Row ids are unique within a table; rows may hold NaN scores, which
+     structural equality never matches. *)
+  let drop_row case name id =
+    let drop t =
+      if String.equal t.t_name name then
+        { t with t_rows = List.filter (fun (i, _, _) -> i <> id) t.t_rows }
+      else t
+    in
+    { case with c_tables = List.map drop case.c_tables }
+  in
   let shrink_rows case =
-    let current = ref case in
-    List.iter
-      (fun ts ->
-        let rows = ref ts.t_rows in
-        List.iter
-          (fun row ->
-            let candidate_rows = List.filter (fun r -> r <> row) !rows in
-            let candidate =
-              replace_table !current
-                { ts with t_rows = candidate_rows }
-            in
-            let next = try_smaller !current candidate in
-            if next != !current then begin
-              current := next;
-              rows := candidate_rows
-            end)
-          ts.t_rows)
-      case.c_tables;
-    !current
+    List.fold_left
+      (fun case ts ->
+        List.fold_left
+          (fun case (id, _, _) -> try_smaller case (drop_row case ts.t_name id))
+          case ts.t_rows)
+      case case.c_tables
   in
   let is_join_conjunct (Sqlfront.Ast.Compare (op, a, b)) =
     match op, a, b with
@@ -672,22 +1217,14 @@ let shrink case =
     | _ -> false
   in
   let shrink_filters case =
-    let current = ref case in
-    List.iter
-      (fun cond ->
-        if not (is_join_conjunct cond) then begin
-          let q = !current.c_query in
-          let candidate =
-            {
-              !current with
-              c_query =
-                { q with Sqlfront.Ast.where = List.filter (( <> ) cond) q.Sqlfront.Ast.where };
-            }
-          in
-          current := try_smaller !current candidate
-        end)
-      case.c_query.Sqlfront.Ast.where;
-    !current
+    List.fold_left
+      (fun case cond ->
+        if is_join_conjunct cond then case
+        else
+          let q = case.c_query in
+          let where = List.filter (( <> ) cond) q.Sqlfront.Ast.where in
+          try_smaller case { case with c_query = { q with Sqlfront.Ast.where } })
+      case case.c_query.Sqlfront.Ast.where
   in
   let shrink_k case =
     match case.c_query.Sqlfront.Ast.limit with
@@ -699,18 +1236,13 @@ let shrink case =
     | _ -> case
   in
   (* Row shrinking may unlock further row shrinking (and vice versa): run to
-     a small fixpoint, bounded by the budget. *)
+     a small fixpoint, bounded by the budget. A step that keeps nothing
+     returns its input itself. *)
   let rec fix case n =
     let smaller = shrink_k (shrink_filters (shrink_rows case)) in
-    if n <= 0 || smaller = case then case else fix smaller (n - 1)
+    if n <= 0 || smaller == case then case else fix smaller (n - 1)
   in
   fix case 4
-
-(* ------------------------------------------------------------------ *)
-(* Reporting and the driver                                            *)
-(* ------------------------------------------------------------------ *)
-
-let replay_command seed = Printf.sprintf "rankopt fuzz --seed %d --cases 1" seed
 
 let pp_table fmt ts =
   Format.fprintf fmt "%s(id, key, score) [%d rows]:" ts.t_name
@@ -729,1043 +1261,32 @@ let pp_failure fmt f =
   List.iter (fun ts -> Format.fprintf fmt "  %a@," pp_table ts) f.f_case.c_tables;
   Format.fprintf fmt "  replay: %s@]" f.f_replay
 
-(* The one sweep driver every mode shares: check [cases] consecutive seeds,
-   case [i] generated from [seed + i]. A failed check becomes a failure
-   whose reason carries the mode's [prefix] and whose replay command is
-   [replay] applied to the case's seed; with [shrink], the reported case is
-   the shrunk counterexample and the reason is re-derived from it. *)
-let sweep ?(progress = fun _ -> ()) ?shrink ~gen ~check ~prefix ~replay ~seed
-    ~cases () =
+let run ?(progress = fun _ -> ()) mode ~seed ~cases () =
   let failures = ref [] in
   let checked = ref 0 in
   for i = 0 to cases - 1 do
     progress i;
-    let case = gen (seed + i) in
-    match check case with
+    let case = mode.gen (seed + i) in
+    match check mode case with
     | Ok n -> checked := !checked + n
     | Error e ->
+        (* The shrunk case's own reason, or the original one if shrinking
+           lost the failure. *)
         let case, (reason, plan) =
-          match shrink with
-          | None -> (case, e)
-          | Some shrink -> (
-              let shrunk = shrink case in
-              match check shrunk with
-              | Error e' -> (shrunk, e')
-              | Ok _ -> (shrunk, e))
+          if not mode.shrinks then (case, e)
+          else
+            let shrunk = shrink mode case in
+            (shrunk, match check mode shrunk with Error e' -> e' | Ok _ -> e)
         in
+        let prefix = if mode.title = "" then "" else mode.title ^ ": " in
         failures :=
           {
             f_seed = seed + i;
             f_reason = prefix ^ reason;
             f_plan = plan;
             f_case = case;
-            f_replay = replay (seed + i);
+            f_replay = replay mode (seed + i);
           }
           :: !failures
   done;
   { o_cases = cases; o_plans = !checked; o_failures = List.rev !failures }
-
-let run ?progress ~seed ~cases () =
-  sweep ?progress ~shrink ~gen:gen_case ~check:check_case ~prefix:""
-    ~replay:replay_command ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Lint-only mode: static sweep, no execution                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Optimize the case with emit-time linting on (every subplan the MEMO
-   retains is checked as it is stored), then run the full catalog over each
-   finished plan and over the optimizer's chosen statement — without
-   executing anything. [Ok n]: [n] plans linted with zero diagnostics. *)
-let lint_case case : (int, string * string option) result =
-  let catalog = build_catalog case in
-  match Sqlfront.Binder.bind_result catalog case.c_query with
-  | Error e -> Error (e, None)
-  | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
-  | Ok bound -> (
-      let query = bound.Sqlfront.Binder.logical in
-      let k = Option.value ~default:1 query.Core.Logical.k in
-      let env = Core.Cost_model.default_env ~k_min:(min k 1000) catalog query in
-      Lint.Engine.Emit.reset ();
-      Lint.Engine.Emit.enable ();
-      let result =
-        try
-          let plans = enumerate_plans env query in
-          let planned = Core.Optimizer.optimize ~env catalog query in
-          let per_plan =
-            List.find_map
-              (fun plan ->
-                match
-                  Lint.Engine.errors
-                    (Lint.Engine.lint_plan ~query ~env catalog plan)
-                with
-                | [] -> None
-                | d :: _ -> Some (d, Some (Core.Plan.describe plan)))
-              plans
-          in
-          let statement =
-            match Lint.Engine.errors (Lint.Engine.lint_planned planned) with
-            | [] -> None
-            | d :: _ -> Some (d, Some (Core.Plan.describe planned.Core.Optimizer.plan))
-          in
-          let emitted =
-            match Lint.Engine.errors (Lint.Engine.Emit.diagnostics ()) with
-            | [] -> None
-            | d :: _ -> Some (d, None)
-          in
-          let counted = Lint.Engine.Emit.linted () + List.length plans + 1 in
-          match per_plan, statement, emitted with
-          | Some (d, p), _, _ | None, Some (d, p), _ | None, None, Some (d, p) ->
-              Error ("planlint: " ^ Lint.Diag.to_string d, p)
-          | None, None, None -> Ok counted
-        with e -> Error ("lint sweep raised: " ^ Printexc.to_string e, None)
-      in
-      Lint.Engine.Emit.disable ();
-      result)
-
-(* No shrinking: lint failures are already localized by the diagnostic's
-   plan path. *)
-let run_lint ?progress ~seed ~cases () =
-  sweep ?progress ~gen:gen_case ~check:lint_case ~prefix:""
-    ~replay:(Printf.sprintf "rankopt lint --fuzz-seed %d --fuzz-cases 1")
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Server mode: replay through a live server vs direct execution       *)
-(* ------------------------------------------------------------------ *)
-
-(* The wire rounds scores to 6 decimals, so compare with an absolute
-   epsilon wider than the rendering granularity. *)
-let wire_scores_close a b = Float.abs (a -. b) <= 1e-5
-
-(* Trailing "score=<f>" cell of a result row; header lines have none. *)
-let wire_scores response =
-  List.filter_map
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [] -> None
-      | cells -> (
-          let last = List.nth cells (List.length cells - 1) in
-          match String.length last > 6 && String.sub last 0 6 = "score=" with
-          | false -> None
-          | true -> float_of_string_opt (String.sub last 6 (String.length last - 6))))
-    response.Server.Protocol.payload
-
-let check_case_server case : (int, string * string option) result =
-  let catalog = build_catalog case in
-  let tpl = Sqlfront.Sql.template_of_ast case.c_query in
-  let k0 = Option.value ~default:1 case.c_query.Sqlfront.Ast.limit in
-  let ks = [ k0; k0 + 3 ] in
-  (* Direct, single-threaded execution of the same template at [k] — the
-     oracle (itself differentially tested against the naive oracle by the
-     plan-level modes above). *)
-  let direct k =
-    match Sqlfront.Sql.instantiate tpl ~k () with
-    | Error e -> Error ("instantiate: " ^ e)
-    | Ok ast -> (
-        match Sqlfront.Sql.prepare_ast catalog ast with
-        | Error e -> Error ("direct prepare: " ^ e)
-        | Ok p -> (
-            match Sqlfront.Sql.run_prepared catalog p with
-            | Error e -> Error ("direct run: " ^ e)
-            | Ok ans -> Ok (sorted_desc ans.Sqlfront.Sql.scores)))
-  in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rankcheck-%d-%d.sock" (Unix.getpid ()) case.c_seed)
-  in
-  let endpoint = Server.Listener.Unix_socket sock in
-  let listener =
-    Server.Listener.start
-      ~config:{ Server.Service.default_config with workers = 2 }
-      endpoint catalog
-  in
-  Fun.protect ~finally:(fun () -> Server.Listener.stop listener) @@ fun () ->
-  let client = Server.Client.connect endpoint in
-  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
-  let request line =
-    match Server.Client.request client line with
-    | Error e -> Error ("transport: " ^ e)
-    | Ok r when not r.Server.Protocol.ok ->
-        Error
-          (Printf.sprintf "server ERR %s: %s" r.Server.Protocol.code
-             r.Server.Protocol.message)
-    | Ok r -> Ok r
-  in
-  let oneline s =
-    String.map (function '\n' -> ' ' | c -> c) s
-  in
-  let ( let* ) = Result.bind in
-  let checked = ref 0 in
-  let result =
-    let* _ =
-      request (Printf.sprintf "PREPARE q %s" (oneline tpl.Sqlfront.Sql.tpl_text))
-    in
-    List.fold_left
-      (fun acc k ->
-        let* () = acc in
-        let* expected = direct k in
-        (* Replay twice: the first may optimize, the second must be served
-           from the plan cache (the stored variant's k-interval contains
-           its own k). Both must agree with direct execution. *)
-        let rec replay i =
-          if i >= 2 then Ok ()
-          else
-            let* resp = request (Printf.sprintf "EXECUTE q %d" k) in
-            let got = sorted_desc (wire_scores resp) in
-            if List.length got <> List.length expected then
-              Error
-                (Printf.sprintf
-                   "k=%d replay %d: size mismatch (direct %d rows, server %d)"
-                   k i (List.length expected) (List.length got))
-            else if not (List.for_all2 wire_scores_close expected got) then
-              Error
-                (Printf.sprintf
-                   "k=%d replay %d: scores diverge (direct [%s], server [%s])"
-                   k i
-                   (String.concat "; " (List.map (Printf.sprintf "%.6f") expected))
-                   (String.concat "; " (List.map (Printf.sprintf "%.6f") got)))
-            else if
-              i = 1
-              && List.assoc_opt "cached" resp.Server.Protocol.fields
-                 <> Some "1"
-            then Error (Printf.sprintf "k=%d replay %d: expected a cache hit" k i)
-            else begin
-              incr checked;
-              replay (i + 1)
-            end
-        in
-        replay 0)
-      (Ok ()) ks
-  in
-  (* PL10 audit: every variant the server's plan cache now holds must pass
-     the planlint cache rule (canonical key, sane k-interval containing the
-     bound k) plus the full catalog on its plan. *)
-  let lint_cache () =
-    let svc = Server.Listener.service listener in
-    List.find_map
-      (fun (key, epoch, prepared) ->
-        match
-          Lint.Engine.errors (Lint.Engine.lint_prepared ~key ~epoch prepared)
-        with
-        | [] ->
-            incr checked;
-            None
-        | dg :: _ -> Some ("planlint cache: " ^ Lint.Diag.to_string dg))
-      (Server.Service.cache_entries svc)
-  in
-  match result with
-  | Ok () -> (
-      match lint_cache () with
-      | None -> Ok !checked
-      | Some reason -> Error (reason, None))
-  | Error reason -> Error (reason, None)
-
-let run_server ?progress ~seed ~cases () =
-  sweep ?progress ~gen:gen_case ~check:check_case_server
-    ~prefix:"server-mode: "
-    ~replay:(Printf.sprintf "rankopt fuzz --server --seed %d --cases 1")
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Vector mode: batched execution vs the tuple-at-a-time reference     *)
-(* ------------------------------------------------------------------ *)
-
-(* Every MEMO-retained plan is executed twice — once with the executor's
-   vectorized spines disabled ([~vectorized:false], the pre-batching
-   tuple-at-a-time interpreter) and once batch-at-a-time (the default) —
-   and the two runs must be *bit identical*: same tuples, same scores,
-   same order. The batch kernels replicate the scalar expression
-   interpreter exactly (Null propagation, NaN ordering, constant folding
-   in the Value domain), so no tolerance is allowed. Rank joins stay
-   streaming sinks under vectorization; their per-input depth counters
-   and emitted counts must also match exactly, proving the batching
-   boundary never changes how far a rank join reads (Theorem 1/2
-   accounting is untouched). *)
-
-let rows_identical a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (t1, s1) (t2, s2) ->
-         Relalg.Tuple.equal t1 t2 && Float.compare s1 s2 = 0)
-       a b
-
-let vector_stats_divergence label a b =
-  let da = Exec.Exec_stats.depths a and db = Exec.Exec_stats.depths b in
-  let show d =
-    String.concat ";" (List.map string_of_int (Array.to_list d))
-  in
-  if da <> db then
-    Some
-      (Printf.sprintf
-         "rank join %s: input depths [%s] (serial) vs [%s] (vectorized)" label
-         (show da) (show db))
-  else if Exec.Exec_stats.emitted a <> Exec.Exec_stats.emitted b then
-    Some
-      (Printf.sprintf "rank join %s: emitted %d (serial) vs %d (vectorized)"
-         label
-         (Exec.Exec_stats.emitted a)
-         (Exec.Exec_stats.emitted b))
-  else None
-
-(* Rank-node stats are reported in plan pre-order by both runs of the same
-   plan, so position-wise pairing is exact. *)
-let vector_counters_diverge serial vec =
-  let a = rank_join_nodes serial and b = rank_join_nodes vec in
-  if List.length a <> List.length b then
-    Some
-      (Printf.sprintf "rank-join node count %d (serial) vs %d (vectorized)"
-         (List.length a) (List.length b))
-  else
-    List.find_map
-      (fun ((la, _, sa), (lb, _, sb)) ->
-        if not (String.equal la lb) then
-          Some (Printf.sprintf "rank-join node pairing: %s vs %s" la lb)
-        else vector_stats_divergence la sa sb)
-      (List.combine a b)
-
-let check_case_vector case : (int, string * string option) result =
-  let catalog = build_catalog case in
-  match Sqlfront.Binder.bind_result catalog case.c_query with
-  | Error e -> Error (e, None)
-  | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
-  | Ok bound -> (
-      let query = bound.Sqlfront.Binder.logical in
-      let k = Option.value ~default:1 query.Core.Logical.k in
-      let env = Core.Cost_model.default_env ~k_min:(min k 1000) catalog query in
-      match enumerate_plans env query with
-      | exception e ->
-          Error ("enumeration raised: " ^ Printexc.to_string e, None)
-      | plans ->
-          let rec check_all n = function
-            | [] -> Ok n
-            | plan :: rest -> (
-                let desc = Some (Core.Plan.describe plan) in
-                match Core.Executor.run ~vectorized:false catalog plan with
-                | exception e ->
-                    Error
-                      ( "tuple-at-a-time execution raised: "
-                        ^ Printexc.to_string e,
-                        desc )
-                | serial -> (
-                    match Core.Executor.run ~vectorized:true catalog plan with
-                    | exception e ->
-                        Error
-                          ( "vectorized execution raised: "
-                            ^ Printexc.to_string e,
-                            desc )
-                    | vec ->
-                        if
-                          not
-                            (rows_identical serial.Core.Executor.rows
-                               vec.Core.Executor.rows)
-                        then
-                          Error
-                            ( Printf.sprintf
-                                "vectorized run diverges from tuple-at-a-time: \
-                                 rows %d vs %d, or tuple order/scores differ"
-                                (List.length vec.Core.Executor.rows)
-                                (List.length serial.Core.Executor.rows),
-                              desc )
-                        else
-                          match vector_counters_diverge serial vec with
-                          | Some msg -> Error (msg, desc)
-                          | None -> check_all (n + 1) rest))
-          in
-          check_all 0 plans)
-
-let run_vector ?progress ~seed ~cases () =
-  sweep ?progress ~gen:gen_case ~check:check_case_vector
-    ~prefix:"vector-mode: "
-    ~replay:(Printf.sprintf "rankopt fuzz --vector --seed %d --cases 1")
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Enumeration mode: cursor FETCH prefixes vs a full ranked-list oracle *)
-(* ------------------------------------------------------------------ *)
-
-(* Enumeration cases reuse the generator but snap every score to the 1/8
-   grid. Query weights already live on that grid, so each weighted term
-   i/8 * j/8 = ij/64 and every total score is a small dyadic rational —
-   exactly representable, and bit-identical no matter how a plan
-   associates the additions. That is what lets this mode demand
-   tuple-exact prefixes where the plan-level modes settle for score
-   multisets under [scores_close]. A sixteenth of the rows get a NaN
-   score: the cursor contract drops NaN-scored answers entirely, and the
-   oracle must agree. *)
-let enum_case seed =
-  let case = gen_case seed in
-  let prng = Rkutil.Prng.create (seed lxor 0x2545f491) in
-  let tables =
-    List.map
-      (fun ts ->
-        {
-          ts with
-          t_rows =
-            List.map
-              (fun (i, k, s) ->
-                if Rkutil.Prng.int prng 16 = 0 then (i, k, Float.nan)
-                else (i, k, Float.round (s *. 8.0) /. 8.0))
-              ts.t_rows;
-        })
-      case.c_tables
-  in
-  { case with c_tables = tables }
-
-(* The full ranked answer list as the cursor contract defines it:
-   materialize the join naively, score every row, drop NaN totals, sort
-   score-descending, and break exact-score ties by the canonical column
-   order — the same normalization {!Core.Executor.open_cursor} applies,
-   so every resumable plan shape must reproduce this exact sequence. *)
-let oracle_enum catalog (query : Core.Logical.t) =
-  let scored = oracle_topk catalog { query with Core.Logical.k = None } in
-  let schema =
-    match query.Core.Logical.relations with
-    | [] -> invalid_arg "oracle_enum: no relations"
-    | b0 :: rest ->
-        List.fold_left
-          (fun acc (b : Core.Logical.base) ->
-            Schema.concat acc
-              (Storage.Catalog.table catalog b.Core.Logical.name)
-                .Storage.Catalog.tb_schema)
-          (Storage.Catalog.table catalog b0.Core.Logical.name)
-            .Storage.Catalog.tb_schema rest
-  in
-  let perm = Core.Executor.canonical_perm schema in
-  let rows =
-    scored
-    |> List.filter (fun (_, s) -> not (Float.is_nan s))
-    |> List.sort (fun (t1, s1) (t2, s2) ->
-           match Float.compare s2 s1 with
-           | 0 -> Core.Executor.canonical_compare perm t1 t2
-           | c -> c)
-  in
-  (schema, rows)
-
-(* Map the server reply's column order (fully qualified names) back into
-   the oracle's joined schema, so oracle tuples can be compared cell for
-   cell against projected reply rows. *)
-let enum_projector schema columns =
-  let by_name = Hashtbl.create 16 in
-  List.iteri
-    (fun i c -> Hashtbl.replace by_name (Schema.column_name c) i)
-    (Schema.columns schema);
-  match
-    List.map
-      (fun name ->
-        match Hashtbl.find_opt by_name name with
-        | Some i -> i
-        | None -> raise Exit)
-      columns
-  with
-  | idxs ->
-      Some (fun t -> Tuple.make (List.map (fun i -> Tuple.get t i) idxs))
-  | exception Exit -> None
-
-let check_case_enum case : (int, string * string option) result =
-  let catalog = build_catalog case in
-  match Sqlfront.Binder.bind_result catalog case.c_query with
-  | Error e -> Error (e, None)
-  | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
-  | Ok bound -> (
-      let query = bound.Sqlfront.Binder.logical in
-      match oracle_enum catalog query with
-      | exception e -> Error ("oracle raised: " ^ Printexc.to_string e, None)
-      | schema, expected_raw -> (
-          let k0 = Option.value ~default:1 case.c_query.Sqlfront.Ast.limit in
-          let tpl = Sqlfront.Sql.template_of_ast case.c_query in
-          (* Mirror the service's (deterministic) planning to learn up
-             front whether the statement is cursor-eligible. *)
-          let plan_desc = ref None in
-          let eligible =
-            match Sqlfront.Sql.instantiate tpl ~k:k0 () with
-            | Error _ | (exception _) -> false
-            | Ok ast -> (
-                match Sqlfront.Sql.prepare_ast catalog ast with
-                | Error _ | (exception _) -> false
-                | Ok p ->
-                    plan_desc :=
-                      Some
-                        (Core.Plan.describe
-                           p.Sqlfront.Sql.planned.Core.Optimizer.plan);
-                    Sqlfront.Sql.cursor_eligible p)
-          in
-          let svc =
-            Server.Service.create
-              ~config:{ Server.Service.default_config with workers = 2 }
-              catalog
-          in
-          Fun.protect ~finally:(fun () -> Server.Service.shutdown svc)
-          @@ fun () ->
-          let sess = Server.Service.open_session svc in
-          Fun.protect ~finally:(fun () -> Server.Service.close_session sess)
-          @@ fun () ->
-          let oneline s = String.map (function '\n' -> ' ' | c -> c) s in
-          let err e =
-            Printf.sprintf "server ERR %s: %s"
-              (Server.Service.error_code e)
-              (Server.Service.error_message e)
-          in
-          let ( let* ) = Result.bind in
-          let checked = ref 0 in
-          let result =
-            let* _ =
-              Result.map_error err
-                (Server.Service.prepare sess ~name:"q"
-                   (oneline tpl.Sqlfront.Sql.tpl_text))
-            in
-            let* reply =
-              Result.map_error err
-                (Server.Service.execute_prepared sess ~k:k0 "q")
-            in
-            if not eligible then
-              (* Not cursor-resumable: the only contract to check is that
-                 EXECUTE parked no cursor. *)
-              match Server.Service.fetch sess ~name:"q" 1 with
-              | Error (Server.Service.Unknown_cursor _) ->
-                  incr checked;
-                  Ok ()
-              | Ok _ ->
-                  Error "FETCH succeeded on a non-enumerable statement"
-              | Error e -> Error ("non-enumerable FETCH: " ^ err e)
-            else
-              let* project =
-                match
-                  enum_projector schema reply.Server.Service.columns
-                with
-                | Some f -> Ok f
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "reply columns [%s] not all present in the oracle \
-                          schema"
-                         (String.concat "; " reply.Server.Service.columns))
-              in
-              let expected =
-                List.map (fun (t, s) -> (project t, s)) expected_raw
-              in
-              let total = List.length expected in
-              let got = ref [] in
-              let extend (r : Server.Service.reply) =
-                let scores =
-                  (* Ranked replies always carry scores; guard anyway so a
-                     regression fails the case instead of raising. *)
-                  if
-                    List.length r.Server.Service.scores
-                    = List.length r.Server.Service.rows
-                  then Ok r.Server.Service.scores
-                  else Error "reply rows and scores disagree in length"
-                in
-                Result.map
-                  (fun scores ->
-                    let batch = List.combine r.Server.Service.rows scores in
-                    got := !got @ batch;
-                    List.length batch)
-                  scores
-              in
-              let compare_prefix () =
-                let n = List.length !got in
-                if n > total then
-                  Error
-                    (Printf.sprintf
-                       "cursor produced %d rows but the oracle has only %d"
-                       n total)
-                else begin
-                  let rec go i gs es =
-                    match gs, es with
-                    | [], _ -> Ok ()
-                    | (gt, gscore) :: gs', (et, escore) :: es' ->
-                        if Float.compare gscore escore <> 0 then
-                          Error
-                            (Printf.sprintf
-                               "rank %d: score %.17g diverges from oracle \
-                                %.17g"
-                               i gscore escore)
-                        else if not (Tuple.equal gt et) then
-                          Error
-                            (Printf.sprintf
-                               "rank %d: tuple diverges from the oracle at \
-                                equal score %.17g"
-                               i gscore)
-                        else go (i + 1) gs' es'
-                    | _ :: _, [] -> assert false
-                  in
-                  let r = go 0 !got expected in
-                  if Result.is_ok r then incr checked;
-                  r
-                end
-              in
-              let* _ = extend reply in
-              let* () = compare_prefix () in
-              (* Vary the fetch sizes deterministically: exhaustion must be
-                 reached exactly at the oracle's row count, with every
-                 intermediate prefix tuple-exact. *)
-              let prng = Rkutil.Prng.create (case.c_seed lxor 0x51ed27) in
-              let rec fetch_loop () =
-                if List.length !got >= total then Ok ()
-                else
-                  let n = 1 + Rkutil.Prng.int prng 4 in
-                  let* r =
-                    Result.map_error err
-                      (Server.Service.fetch sess ~name:"q" n)
-                  in
-                  let* produced = extend r in
-                  let* () = compare_prefix () in
-                  if produced < n && List.length !got < total then
-                    Error
-                      (Printf.sprintf
-                         "cursor exhausted at %d rows but the oracle has %d"
-                         (List.length !got) total)
-                  else fetch_loop ()
-              in
-              let* () = fetch_loop () in
-              let* past =
-                Result.map_error err (Server.Service.fetch sess ~name:"q" 3)
-              in
-              let* () =
-                if past.Server.Service.rows = [] then Ok ()
-                else Error "cursor kept producing rows past exhaustion"
-              in
-              Result.map_error err (Server.Service.close_cursor sess "q")
-          in
-          match result with
-          | Ok () -> Ok !checked
-          | Error reason -> Error (reason, !plan_desc)))
-
-let run_enum ?progress ~seed ~cases () =
-  sweep ?progress ~gen:enum_case ~check:check_case_enum ~prefix:"enum-mode: "
-    ~replay:(Printf.sprintf "rankopt fuzz --enum --seed %d --cases 1")
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Rank mode: by-rank windows vs a sort-everything oracle              *)
-(* ------------------------------------------------------------------ *)
-
-(* A rank case is a single scored table (snapped to the 1/8 grid so tie
-   blocks are common, a sixteenth of the rows NaN-scored) plus a
-   WHERE rank() BETWEEN window, sometimes with an extra filter conjunct
-   and sometimes overshooting the table's cardinality — both clamping
-   paths must agree with the oracle. *)
-let rank_case seed =
-  let prng = Rkutil.Prng.create (seed lxor 0x3ad76b21) in
-  let ts = gen_table prng "T0" in
-  let ts =
-    {
-      ts with
-      t_rows =
-        List.map
-          (fun (i, k, s) ->
-            if Rkutil.Prng.int prng 16 = 0 then (i, k, Float.nan)
-            else (i, k, Float.round (s *. 8.0) /. 8.0))
-          ts.t_rows;
-    }
-  in
-  let n = List.length ts.t_rows in
-  let lo = 1 + Rkutil.Prng.int prng (n + 2) in
-  let hi = lo + Rkutil.Prng.int prng 8 in
-  let open Sqlfront.Ast in
-  let where =
-    if Rkutil.Prng.int prng 3 = 0 then
-      [
-        Compare
-          ( Le,
-            Column { table = Some "T0"; name = "key" },
-            Number (float_of_int (Rkutil.Prng.int prng ts.t_key_domain)) );
-      ]
-    else []
-  in
-  let query =
-    {
-      select = [ Star ];
-      from = [ "T0" ];
-      where;
-      rank_between = Some (lo, hi);
-      (* a third of the corpus exercises dense numbering; the snapped
-         score grid guarantees tie blocks for it to differ on *)
-      rank_dense = Rkutil.Prng.int prng 3 = 0;
-      group_by = [];
-      order_by =
-        Some (Column { table = Some "T0"; name = "score" }, Desc);
-      limit = None;
-      limit_param = false;
-    }
-  in
-  { c_seed = seed; c_tables = [ ts ]; c_query = query }
-
-(* The oracle: sort every non-NaN row score-descending with the canonical
-   tie order, slice ranks lo..hi, then apply any residual filter — the
-   window is computed over the whole table, filters prune within it. *)
-let oracle_rank catalog (query : Core.Logical.t) lo hi =
-  let base =
-    match query.Core.Logical.relations with
-    | [ b ] -> b
-    | _ -> invalid_arg "oracle_rank: single relation expected"
-  in
-  let info = Storage.Catalog.table catalog base.Core.Logical.name in
-  let schema = info.Storage.Catalog.tb_schema in
-  let score =
-    match Core.Logical.scoring_expr query with
-    | Some e -> e
-    | None -> invalid_arg "oracle_rank: scored relation expected"
-  in
-  let scoref = Expr.compile_float schema score in
-  let perm = Core.Executor.canonical_perm schema in
-  let ranked =
-    Storage.Heap_file.to_list info.Storage.Catalog.tb_heap
-    |> List.filter_map (fun tu ->
-           let s = scoref tu in
-           if Float.is_nan s then None else Some (tu, s))
-    |> List.sort (fun (t1, s1) (t2, s2) ->
-           match Float.compare s2 s1 with
-           | 0 -> Core.Executor.canonical_compare perm t1 t2
-           | c -> c)
-  in
-  let lo = max 1 lo in
-  let window =
-    if hi < lo then []
-    else if not query.Core.Logical.rank_dense then
-      List.filteri (fun i _ -> i >= lo - 1 && i <= hi - 1) ranked
-    else begin
-      (* dense numbering, derived independently of the engine: walk the
-         descending run counting distinct scores *)
-      let _, _, rev =
-        List.fold_left
-          (fun (d, prev, acc) ((_, s) as e) ->
-            let d =
-              match prev with
-              | Some p when Float.compare p s = 0 -> d
-              | _ -> d + 1
-            in
-            (d, Some s, if d >= lo && d <= hi then e :: acc else acc))
-          (0, None, []) ranked
-      in
-      List.rev rev
-    end
-  in
-  match base.Core.Logical.filter with
-  | None -> window
-  | Some pred ->
-      let predf = Expr.compile schema pred in
-      List.filter
-        (fun (tu, _) ->
-          match predf tu with Value.Bool b -> b | _ -> false)
-        window
-
-let tuple_ids rows =
-  List.map
-    (fun (tu, _) ->
-      match Tuple.get tu 0 with Value.Int i -> i | _ -> -1)
-    rows
-
-(* Execute both physical variants of the window — counted index descent
-   and drain-sort-slice — against the oracle, then the full SQL path
-   (parser, binder, optimizer's cost arbitration) on the printed query.
-   Every row list must be tuple-exact: same ids, same scores, same
-   order. *)
-let check_case_rank case : (int, string * string option) result =
-  let catalog = build_catalog case in
-  match Sqlfront.Binder.bind_result catalog case.c_query with
-  | Error e -> Error (e, None)
-  | exception e -> Error ("bind raised: " ^ Printexc.to_string e, None)
-  | Ok bound -> (
-      let query = bound.Sqlfront.Binder.logical in
-      let lo, hi =
-        match query.Core.Logical.rank_range with
-        | Some w -> w
-        | None -> (1, 0)
-      in
-      match oracle_rank catalog query lo hi with
-      | exception e -> Error ("oracle raised: " ^ Printexc.to_string e, None)
-      | expected -> (
-          let score =
-            match Core.Logical.scoring_expr query with
-            | Some s -> s
-            | None -> assert false
-          in
-          let env = Core.Cost_model.default_env catalog query in
-          let base = List.hd query.Core.Logical.relations in
-          let wrap access =
-            match base.Core.Logical.filter with
-            | Some pred -> Core.Plan.Filter { pred; input = access }
-            | None -> access
-          in
-          let dense = query.Core.Logical.rank_dense in
-          let variants =
-            [
-              wrap
-                (Core.Plan.Rank_index_scan
-                   { table = "T0"; index = Some "T0_score"; score; lo; hi; dense });
-              wrap
-                (Core.Plan.Rank_index_scan
-                   { table = "T0"; index = None; score; lo; hi; dense });
-            ]
-          in
-          let expected_ids = tuple_ids expected in
-          let expected_scores = List.map snd expected in
-          let compare_rows desc rows =
-            if tuple_ids rows <> expected_ids then
-              Error
-                ( Printf.sprintf "window rows diverge: oracle [%s], got [%s]"
-                    (String.concat ";" (List.map string_of_int expected_ids))
-                    (String.concat ";"
-                       (List.map string_of_int (tuple_ids rows))),
-                  desc )
-            else if
-              not (List.for_all2 scores_close expected_scores (List.map snd rows))
-            then Error ("window scores diverge from oracle", desc)
-            else Ok ()
-          in
-          let rec check_plans n = function
-            | [] -> Ok n
-            | plan :: rest -> (
-                let desc = Some (Core.Plan.describe plan) in
-                match
-                  Lint.Engine.errors
-                    (Lint.Engine.lint_plan ~query ~env catalog plan)
-                with
-                | d :: _ -> Error ("planlint: " ^ Lint.Diag.to_string d, desc)
-                | exception e ->
-                    Error ("planlint raised: " ^ Printexc.to_string e, desc)
-                | [] -> (
-                    match Core.Executor.run catalog plan with
-                    | exception e ->
-                        Error ("execution raised: " ^ Printexc.to_string e, desc)
-                    | res -> (
-                        match compare_rows desc res.Core.Executor.rows with
-                        | Error e -> Error e
-                        | Ok () -> check_plans (n + 1) rest)))
-          in
-          match check_plans 0 variants with
-          | Error e -> Error e
-          | Ok n -> (
-              (* End to end: the printed query re-enters through the parser
-                 and the optimizer's own access-path choice. *)
-              let sql = Format.asprintf "%a" Sqlfront.Ast.pp_query case.c_query in
-              match Sqlfront.Sql.query catalog sql with
-              | Error e -> Error ("sql path: " ^ e, None)
-              | exception e ->
-                  Error ("sql path raised: " ^ Printexc.to_string e, None)
-              | Ok ans ->
-                  let desc =
-                    Some
-                      (Core.Plan.describe
-                         ans.Sqlfront.Sql.planned.Core.Optimizer.plan)
-                  in
-                  let ids =
-                    List.map
-                      (fun tu ->
-                        match Tuple.get tu 0 with Value.Int i -> i | _ -> -1)
-                      ans.Sqlfront.Sql.rows
-                  in
-                  if ids <> expected_ids then
-                    Error
-                      ( Printf.sprintf
-                          "sql path rows diverge: oracle [%s], got [%s]"
-                          (String.concat ";"
-                             (List.map string_of_int expected_ids))
-                          (String.concat ";" (List.map string_of_int ids)),
-                        desc )
-                  else Ok (n + 1))))
-
-let run_rank ?progress ~seed ~cases () =
-  sweep ?progress ~gen:rank_case ~check:check_case_rank ~prefix:"rank-mode: "
-    ~replay:(Printf.sprintf "rankopt fuzz --rank --seed %d --cases 1")
-    ~seed ~cases ()
-
-(* ------------------------------------------------------------------ *)
-(* Shard mode: sharded coordinator vs single node                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Differential check for the scatter/gather coordinator. Each case's
-   top-k join runs once on a single node and once through an in-process
-   cluster of [shards] engine shards hash-partitioned on [key] (the
-   generated queries join exclusively on [key], so every case is
-   co-partitioned and must scatter). The sharded answer must match the
-   full single-node ranked list: score sequence equal to within float
-   association jitter (plan shapes associate the weighted sum
-   differently), tuple-exact rows above the k-th score, and boundary rows drawn
-   from the oracle's k-th-score tie group — the one set where any
-   member is a correct answer on a single node too (Top-N keeps an
-   arbitrary subset of a boundary tie). A routed INSERT then goes
-   through the coordinator and the query re-runs, so mis-routed DML,
-   stale scatter caches and epoch bugs all surface as divergence. *)
-
-let check_case_shard ~shards case : (int, string) result =
-  let catalog = build_catalog case in
-  let tpl = Sqlfront.Sql.template_of_ast case.c_query in
-  let k = Option.value ~default:1 case.c_query.Sqlfront.Ast.limit in
-  let sql = Format.asprintf "%a" Sqlfront.Ast.pp_query case.c_query in
-  (* Single-node oracle: the full ranked list (k larger than any join),
-     from which the expected prefix and boundary tie group are read. *)
-  let direct_full () =
-    match Sqlfront.Sql.instantiate tpl ~k:1_000_000 () with
-    | Error e -> Error ("instantiate: " ^ e)
-    | Ok ast -> (
-        match Sqlfront.Sql.prepare_ast catalog ast with
-        | Error e -> Error ("direct prepare: " ^ e)
-        | Ok p -> (
-            match Sqlfront.Sql.run_prepared catalog p with
-            | Error e -> Error ("direct run: " ^ e)
-            | Ok ans ->
-                if
-                  List.length ans.Sqlfront.Sql.scores
-                  <> List.length ans.Sqlfront.Sql.rows
-                then Error "direct: row/score arity mismatch"
-                else
-                  Ok
-                    ( ans.Sqlfront.Sql.columns,
-                      List.map2
-                        (fun r s -> (r, s))
-                        ans.Sqlfront.Sql.rows ans.Sqlfront.Sql.scores )))
-  in
-  (* [SELECT *] output column order follows the chosen join order, which
-     the two sides may pick differently; compare rows under a
-     name-sorted column permutation. *)
-  let name_perm columns =
-    let cols = List.mapi (fun i c -> (i, c)) columns in
-    let sorted =
-      List.sort (fun (_, a) (_, b) -> String.compare a b) cols
-    in
-    Array.of_list (List.map fst sorted)
-  in
-  let permute perm (tu : Tuple.t) = Array.map (fun i -> tu.(i)) perm in
-  let config = { Server.Service.default_config with workers = 1 } in
-  let cluster = Shard.Cluster.start ~config ~n:shards catalog in
-  Fun.protect ~finally:(fun () -> Shard.Cluster.stop cluster) @@ fun () ->
-  let ses = Shard.Coordinator.open_session (Shard.Cluster.coordinator cluster) in
-  Fun.protect ~finally:(fun () -> Shard.Coordinator.close_session ses)
-  @@ fun () ->
-  let ( let* ) = Result.bind in
-  let tuple_cmp (a, _) (b, _) = Tuple.compare a b in
-  let compare_round label =
-    let* dcols, full = direct_full () in
-    match Shard.Coordinator.query ses sql with
-    | Error e ->
-        Error
-          (Printf.sprintf "%s: coordinator: %s" label
-             (Server.Service.error_message e))
-    | Ok reply ->
-        let fail fmt = Printf.ksprintf (fun m -> Error (label ^ ": " ^ m)) fmt in
-        if not reply.Shard.Coordinator.scattered then
-          fail "co-partitioned top-k did not scatter"
-        else if
-          List.length reply.Shard.Coordinator.scores
-          <> List.length reply.Shard.Coordinator.rows
-        then fail "coordinator row/score arity mismatch"
-        else if
-          List.sort String.compare dcols
-          <> List.sort String.compare reply.Shard.Coordinator.columns
-        then
-          fail "column sets diverge (single node [%s], sharded [%s])"
-            (String.concat "; " dcols)
-            (String.concat "; " reply.Shard.Coordinator.columns)
-        else begin
-          let perm_e = name_perm dcols in
-          let perm_g = name_perm reply.Shard.Coordinator.columns in
-          let got =
-            List.map2
-              (fun r s -> (permute perm_g r, s))
-              reply.Shard.Coordinator.rows reply.Shard.Coordinator.scores
-          in
-          let full = List.map (fun (r, s) -> (permute perm_e r, s)) full in
-          let kk = min k (List.length full) in
-          let expected = List.filteri (fun i _ -> i < kk) full in
-          let rec is_sorted = function
-            | (_, a) :: ((_, b) :: _ as rest) ->
-                Float.compare a b >= 0 && is_sorted rest
-            | _ -> true
-          in
-          if List.length got <> kk then
-            fail "size mismatch: single node %d rows, sharded %d" kk
-              (List.length got)
-          else if not (is_sorted got) then
-            fail "sharded rows not in non-increasing score order"
-          else if
-            (* Different plan shapes associate the weighted score sum
-               differently (rank-join accumulation vs one expression
-               evaluation), so scores agree only to within float
-               association jitter — exactly like the plan-level modes. *)
-            not (List.for_all2 (fun (_, a) (_, b) -> scores_close a b) expected got)
-          then
-            fail "score sequence diverges (single node [%s], sharded [%s])"
-              (String.concat "; "
-                 (List.map
-                    (fun (r, s) -> Printf.sprintf "%s@%h" (Tuple.to_string r) s)
-                    expected))
-              (String.concat "; "
-                 (List.map
-                    (fun (r, s) -> Printf.sprintf "%s@%h" (Tuple.to_string r) s)
-                    got))
-          else begin
-            (* Rows are classified against the k-th score with the same
-               tolerance: strictly-above rows are uniquely determined and
-               must match as a multiset; rows in the boundary band may
-               resolve to any member of the oracle's boundary tie group
-               (single-node Top-N keeps an arbitrary subset of a tie). *)
-            let boundary =
-              match List.rev expected with [] -> None | (_, s) :: _ -> Some s
-            in
-            let strict l =
-              match boundary with
-              | None -> l
-              | Some b ->
-                  List.filter
-                    (fun (_, s) -> s > b && not (scores_close s b)) l
-            in
-            let exp_strict = List.sort tuple_cmp (strict expected) in
-            let got_strict = List.sort tuple_cmp (strict got) in
-            if
-              List.length exp_strict <> List.length got_strict
-              || not
-                   (List.for_all2
-                      (fun (a, _) (b, _) -> Tuple.equal a b)
-                      exp_strict got_strict)
-            then
-              fail "rows above the boundary tie group diverge (single node [%s], sharded [%s])"
-                (String.concat "; "
-                   (List.map (fun (r, _) -> Tuple.to_string r) exp_strict))
-                (String.concat "; "
-                   (List.map (fun (r, _) -> Tuple.to_string r) got_strict))
-            else begin
-              let at_boundary l =
-                match boundary with
-                | None -> []
-                | Some b -> List.filter (fun (_, s) -> scores_close s b) l
-              in
-              let tie_group = at_boundary full in
-              if
-                List.for_all
-                  (fun (r, _) ->
-                    List.exists (fun (r', _) -> Tuple.equal r r') tie_group)
-                  (at_boundary got)
-              then Ok ()
-              else fail "a sharded boundary row is not in the oracle tie group"
-            end
-          end
-        end
-  in
-  try
-    let* () = compare_round "initial" in
-    (* Route an INSERT through the coordinator (mirror first, then the
-       owning shard); key 0 always exists in every join's key domain. *)
-    let* () =
-      match
-        Shard.Coordinator.query ses "INSERT INTO T0 VALUES (100001, 0, 1.75)"
-      with
-      | Error e -> Error ("routed INSERT: " ^ Server.Service.error_message e)
-      | Ok r when r.Shard.Coordinator.affected <> Some 1 ->
-          Error "routed INSERT: expected affected=1"
-      | Ok _ -> Ok ()
-    in
-    let* () = compare_round "after routed INSERT" in
-    Ok 3
-  with e -> Error ("shard-mode raised: " ^ Printexc.to_string e)
-
-let run_shard ?progress ~seed ~cases ~shards () =
-  sweep ?progress ~gen:gen_case
-    ~check:(fun case ->
-      Result.map_error (fun r -> (r, None)) (check_case_shard ~shards case))
-    ~prefix:(Printf.sprintf "shard-mode (%d shards): " shards)
-    ~replay:(Printf.sprintf "rankopt fuzz --shard %d --seed %d --cases 1" shards)
-    ~seed ~cases ()

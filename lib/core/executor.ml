@@ -476,6 +476,14 @@ let compile ?metrics ?interrupt ?(vectorized = true) catalog plan =
   let op, profile = go `Bulk plan in
   (op, List.rev !rank_joins, profile)
 
+(* The score a run or cursor reports per row: the plan's order
+   expression when its output binds it, 0 otherwise. *)
+let order_score plan schema =
+  match Plan.order_of plan with
+  | Some { Plan.expr; _ } when Expr.bound_by schema expr ->
+      Expr.compile_float schema expr
+  | _ -> fun _ -> 0.0
+
 let run ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
   let op, rank_joins, profile =
     compile ?metrics ?interrupt ?vectorized catalog plan
@@ -486,12 +494,7 @@ let run ?metrics ?interrupt ?vectorized ?fetch_limit catalog plan =
     List.map (fun n -> { nary_label = n.label; nary_stats = n.stats }) nary
   in
   let schema = op.Exec.Operator.schema in
-  let score =
-    match Plan.order_of plan with
-    | Some { Plan.expr; _ } when Expr.bound_by schema expr ->
-        Expr.compile_float schema expr
-    | _ -> fun _ -> 0.0
-  in
+  let score = order_score plan schema in
   let io = Storage.Catalog.io catalog in
   let before = Storage.Io_stats.snapshot io in
   let tuples =
@@ -527,12 +530,7 @@ let open_cursor ?interrupt catalog plan =
      over-read, so the whole plan compiles tuple-at-a-time. *)
   let op, _, _ = compile ?interrupt ~vectorized:false catalog plan in
   let schema = op.Exec.Operator.schema in
-  let score =
-    match Plan.order_of plan with
-    | Some { Plan.expr; _ } when Expr.bound_by schema expr ->
-        Expr.compile_float schema expr
-    | _ -> fun _ -> 0.0
-  in
+  let score = order_score plan schema in
   let perm = canonical_perm schema in
   op.Exec.Operator.open_ ();
   let exhausted = ref false in

@@ -70,6 +70,25 @@ let plan_of ?config catalog text =
   let* p = prepare_ast ?config catalog ast in
   Ok (p.bound, p.planned)
 
+(* The reply's column names and, under an explicit SELECT list, one cell
+   function per target over rows of [schema]. A cell function takes the
+   row's 0-based absolute rank (what rank() reports, plus one) and the
+   tuple. *)
+let projection schema (bound : Binder.bound) =
+  match bound.Binder.projection with
+  | None -> (List.map Schema.column_name (Schema.columns schema), None)
+  | Some targets ->
+      ( List.map snd targets,
+        Some
+          (List.map
+             (fun (oc, _) ->
+               match oc with
+               | Binder.Col e ->
+                   let f = Expr.compile schema e in
+                   fun _i tu -> f tu
+               | Binder.Rank -> fun i _tu -> Value.Int (i + 1))
+             targets) )
+
 (* Post-executor answer assembly: projection (including the absolute
    rank() numbering, dense on dense windows) and the per-row scores. The
    shard coordinator calls this on gathered rows so a scattered execution
@@ -80,12 +99,11 @@ let project_rows ({ bound; planned } : prepared) schema result_rows =
   let rank_range =
     planned.Core.Optimizer.query.Core.Logical.rank_range
   in
-  let columns, rows =
-    match bound.Binder.projection with
-    | None ->
-        ( List.map Schema.column_name (Schema.columns schema),
-          List.map fst result_rows )
-    | Some targets ->
+  let columns, fns = projection schema bound in
+  let rows =
+    match fns with
+    | None -> List.map fst result_rows
+    | Some fns ->
         (* rank() positions are absolute: a window starting at rank [lo]
            numbers its first row [lo], not 1. On a dense window the number
            advances only when the score changes, so tie blocks share it. *)
@@ -106,21 +124,10 @@ let project_rows ({ bound; planned } : prepared) schema result_rows =
             fun i -> nums.(i))
           else fun i -> rank_base + i
         in
-        let fns =
-          List.map
-            (fun (oc, _) ->
-              match oc with
-              | Binder.Col e ->
-                  let f = Expr.compile schema e in
-                  fun _i tu -> f tu
-              | Binder.Rank -> fun i _tu -> Value.Int (i + 1))
-            targets
-        in
-        ( List.map snd targets,
-          List.mapi
-            (fun i (tu, _) ->
-              Array.of_list (List.map (fun f -> f (rank_at i) tu) fns))
-            result_rows )
+        List.mapi
+          (fun i (tu, _) ->
+            Array.of_list (List.map (fun f -> f (rank_at i) tu) fns))
+          result_rows
   in
   {
     columns;
@@ -210,23 +217,7 @@ let open_cursor ?interrupt catalog ({ bound; planned } as p) =
       planned.Core.Optimizer.plan
   in
   let schema = Core.Executor.cursor_schema cur_exec in
-  let cur_columns, cur_project =
-    match bound.Binder.projection with
-    | None ->
-        (List.map Schema.column_name (Schema.columns schema), None)
-    | Some targets ->
-        let fns =
-          List.map
-            (fun (oc, _) ->
-              match oc with
-              | Binder.Col e ->
-                  let f = Expr.compile schema e in
-                  fun _i tu -> f tu
-              | Binder.Rank -> fun i _tu -> Value.Int (i + 1))
-            targets
-        in
-        (List.map snd targets, Some fns)
-  in
+  let cur_columns, cur_project = projection schema bound in
   { cur_prepared = p; cur_exec; cur_columns; cur_project; cur_pos = 0 }
 
 let cursor_columns cur = cur.cur_columns

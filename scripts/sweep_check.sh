@@ -28,4 +28,11 @@ check 150 fuzz --shard 4 --seed 0 --cases 50
 check 600 fuzz --rank --seed 0 --cases 200
 check 253 fuzz --server --seed 0 --cases 50
 check 48661 lint --fuzz-seed 0 --fuzz-cases 300
+# Two mode flags at once select no mode: a usage error before any case.
+if dune exec bin/rankopt.exe -- fuzz --vector --enum --cases 1 >/dev/null 2>&1; then
+  echo "sweep-check: rankopt fuzz --vector --enum: expected a usage error, got exit 0"
+  fail=1
+else
+  echo "sweep-check: rankopt fuzz --vector --enum: usage error"
+fi
 exit $fail

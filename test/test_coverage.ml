@@ -35,16 +35,6 @@ let test_prng_copy_and_pick () =
     (let b = Rkutil.Prng.bool g in
      b || not b)
 
-let test_running_stats_empty_merge () =
-  let a = Rkutil.Running_stats.create () in
-  let b = Rkutil.Running_stats.create () in
-  Rkutil.Running_stats.add b 3.0;
-  let m = Rkutil.Running_stats.merge a b in
-  Alcotest.(check int) "count" 1 (Rkutil.Running_stats.count m);
-  Test_util.check_floats_close "mean" 3.0 (Rkutil.Running_stats.mean m);
-  Alcotest.(check bool) "pp renders" true
-    (String.length (Format.asprintf "%a" Rkutil.Running_stats.pp m) > 0)
-
 let test_schema_pp_and_nth () =
   let s =
     Schema.of_columns
@@ -211,7 +201,6 @@ let suites =
         Alcotest.test_case "value dtype" `Quick test_value_dtype;
         Alcotest.test_case "log_binomial" `Quick test_log_binomial;
         Alcotest.test_case "prng copy/pick" `Quick test_prng_copy_and_pick;
-        Alcotest.test_case "stats empty merge" `Quick test_running_stats_empty_merge;
         Alcotest.test_case "schema pp/nth" `Quick test_schema_pp_and_nth;
         Alcotest.test_case "relation project/rename" `Quick test_relation_project_and_rename;
         Alcotest.test_case "relation cross" `Quick test_relation_cross;

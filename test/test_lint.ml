@@ -401,7 +401,7 @@ let test_fuzz_corpus_clean () =
   (* A fixed slice of the differential-fuzz corpus: every MEMO-retained
      plan of every case must lint with zero diagnostics. The open-ended
      sweep is `rankopt lint --fuzz-seed 0 --fuzz-cases 6000`. *)
-  let outcome = Check.Rankcheck.run_lint ~seed:7000 ~cases:12 () in
+  let outcome = Check.Rankcheck.run Check.Rankcheck.lint ~seed:7000 ~cases:12 () in
   (match outcome.Check.Rankcheck.o_failures with
   | [] -> ()
   | f :: _ ->

@@ -10,7 +10,7 @@ let fail_on f =
 (* The acceptance sweep: 200 consecutive seeds starting at 42, every
    enumerated plan against the oracle, zero divergences. *)
 let test_fixed_seed_sweep () =
-  let outcome = Rankcheck.run ~seed:42 ~cases:200 () in
+  let outcome = Rankcheck.run Rankcheck.plain ~seed:42 ~cases:200 () in
   (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
   Alcotest.(check int) "cases" 200 outcome.Rankcheck.o_cases;
   Alcotest.(check bool)
@@ -26,10 +26,10 @@ let test_replay_composition () =
       let b = Rankcheck.gen_case seed in
       Alcotest.(check bool) "gen_case deterministic" true (a = b))
     [ 0; 7; 42; 1647; 99991 ];
-  let bulk = Rankcheck.run ~seed:500 ~cases:5 () in
+  let bulk = Rankcheck.run Rankcheck.plain ~seed:500 ~cases:5 () in
   let singles =
     List.init 5 (fun i ->
-        let o = Rankcheck.run ~seed:(500 + i) ~cases:1 () in
+        let o = Rankcheck.run Rankcheck.plain ~seed:(500 + i) ~cases:1 () in
         o.Rankcheck.o_plans)
   in
   Alcotest.(check int)
@@ -114,7 +114,7 @@ let inlj_filter_case =
   }
 
 let test_inlj_filter_regression () =
-  match Rankcheck.check_case inlj_filter_case with
+  match Rankcheck.check Rankcheck.plain inlj_filter_case with
   | Ok plans -> Alcotest.(check bool) "plans checked" true (plans > 0)
   | Error (reason, _) -> Alcotest.failf "counterexample regressed: %s" reason
 
@@ -159,7 +159,7 @@ let empty_input_case =
   }
 
 let test_empty_input_regression () =
-  match Rankcheck.check_case empty_input_case with
+  match Rankcheck.check Rankcheck.plain empty_input_case with
   | Ok plans -> Alcotest.(check bool) "plans checked" true (plans > 0)
   | Error (reason, _) -> Alcotest.failf "counterexample regressed: %s" reason
 
@@ -168,7 +168,7 @@ let test_empty_input_regression () =
    rank-join depth/emitted counters. The open-ended sweep is
    `rankopt fuzz --vector`. *)
 let test_vector_fixed_seed_sweep () =
-  let outcome = Rankcheck.run_vector ~seed:0 ~cases:120 () in
+  let outcome = Rankcheck.run Rankcheck.vector ~seed:0 ~cases:120 () in
   (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
   Alcotest.(check int) "cases" 120 outcome.Rankcheck.o_cases;
   Alcotest.(check bool)
@@ -179,7 +179,7 @@ let test_vector_fixed_seed_sweep () =
    service must be tuple-exact (ties, NaN drops and all) against the full
    ranked-list oracle. The open-ended sweep is `rankopt fuzz --enum`. *)
 let test_enum_fixed_seed_sweep () =
-  let outcome = Rankcheck.run_enum ~seed:0 ~cases:200 () in
+  let outcome = Rankcheck.run Rankcheck.enum ~seed:0 ~cases:200 () in
   (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
   Alcotest.(check int) "cases" 200 outcome.Rankcheck.o_cases;
   Alcotest.(check bool)
@@ -226,7 +226,7 @@ let test_enum_case_coverage () =
    is the identity (nothing to minimize), and shrunk output of any case
    stays well-formed. *)
 let test_rank_fixed_seed_sweep () =
-  let outcome = Rankcheck.run_rank ~seed:0 ~cases:50 () in
+  let outcome = Rankcheck.run Rankcheck.rank ~seed:0 ~cases:50 () in
   (match outcome.Rankcheck.o_failures with f :: _ -> fail_on f | [] -> ());
   Alcotest.(check int) "cases" 50 outcome.Rankcheck.o_cases;
   (* Both physical variants plus the SQL path per case. *)
@@ -268,8 +268,90 @@ let test_rank_case_coverage () =
 
 let test_shrink_wellformed () =
   let case = Rankcheck.gen_case 42 in
-  let shrunk = Rankcheck.shrink case in
+  let shrunk = Rankcheck.shrink Rankcheck.plain case in
   Alcotest.(check bool) "passing case untouched" true (case = shrunk)
+
+(* The shared oracles must reject wrong answers. The reference ranked
+   list has a three-row tie group (ids 3, 4, 5) straddling k = 4. Every
+   oracle a mode answers to is fed hand-built wrong answers; each must be
+   refused, while the answers the oracle's contract allows are accepted. *)
+let test_oracles_reject_wrong_answers () =
+  let row id s = (Relalg.Tuple.make [ Relalg.Value.Int id ], s) in
+  let expected =
+    [ row 1 0.875; row 2 0.75; row 3 0.5; row 4 0.5; row 5 0.5; row 6 0.25 ]
+  in
+  let right = [ row 1 0.875; row 2 0.75; row 3 0.5; row 4 0.5 ] in
+  let dropped = [ row 1 0.875; row 2 0.75; row 3 0.5 ] in
+  let off = [ row 1 (0.875 +. 1e-3); row 2 0.75; row 3 0.5; row 4 0.5 ] in
+  let swapped = [ row 1 0.875; row 2 0.75; row 4 0.5; row 3 0.5 ] in
+  let other_tie = [ row 1 0.875; row 2 0.75; row 3 0.5; row 5 0.5 ] in
+  let outsider = [ row 1 0.875; row 2 0.75; row 3 0.5; row 9 0.5 ] in
+  let impostor = [ row 1 0.875; row 9 0.75; row 3 0.5; row 4 0.5 ] in
+  let verdict oracle got =
+    Result.is_ok (Rankcheck.agree oracle ~k:4 ~expected ~got)
+  in
+  let kinds = ref [] in
+  List.iter
+    (fun mode ->
+      match Rankcheck.oracle mode with
+      | None -> ()
+      | Some oracle ->
+          let name = Rankcheck.replay mode 0 in
+          let expect what want got =
+            Alcotest.(check bool) (name ^ ": " ^ what) want (verdict oracle got)
+          in
+          expect "right answer" true right;
+          expect "row dropped" false dropped;
+          expect "score off by 1e-3" false off;
+          let exact, top_k =
+            match oracle with
+            | Rankcheck.Scores _ -> (false, false)
+            | Rankcheck.Exact -> (true, false)
+            | Rankcheck.Top_k -> (false, true)
+          in
+          kinds := (exact, top_k) :: !kinds;
+          (* tie order and tie membership matter only where the contract
+             makes them matter *)
+          expect "tie group swapped" (not exact) swapped;
+          expect "other tie-group member" (not exact) other_tie;
+          expect "boundary row outside the tie group" (not (exact || top_k))
+            outsider;
+          expect "wrong row above the boundary" (not (exact || top_k)) impostor)
+    Rankcheck.modes;
+  Alcotest.(check bool) "all three oracles in use" true
+    (List.for_all
+       (fun kind -> List.mem kind !kinds)
+       [ (false, false); (true, false); (false, true) ])
+
+(* Each mode's replay command selects that same mode again through the
+   flag table; two modes at once, or fewer than two shards, are usage
+   errors before any case runs. *)
+let test_mode_flags () =
+  List.iter
+    (fun mode ->
+      let cmd = Rankcheck.replay mode 17 in
+      let rec selecting = function
+        | [] | ("--seed" | "--fuzz-seed") :: _ -> []
+        | w :: rest -> w :: selecting rest
+      in
+      match
+        Rankcheck.mode_of_flags (selecting (List.tl (String.split_on_char ' ' cmd)))
+      with
+      | Ok m -> Alcotest.(check string) cmd cmd (Rankcheck.replay m 17)
+      | Error e -> Alcotest.failf "%s: %s" cmd e)
+    Rankcheck.modes;
+  List.iter
+    (fun flags ->
+      Alcotest.(check bool)
+        (String.concat " " flags)
+        true
+        (Result.is_error (Rankcheck.mode_of_flags flags)))
+    [
+      [ "fuzz"; "--vector"; "--enum" ];
+      [ "fuzz"; "--rank"; "--server" ];
+      [ "fuzz"; "--vector"; "--shard"; "4" ];
+      [ "fuzz"; "--shard"; "1" ];
+    ]
 
 let suites =
   [
@@ -292,5 +374,9 @@ let suites =
           test_rank_fixed_seed_sweep;
         Alcotest.test_case "rank-case coverage" `Quick test_rank_case_coverage;
         Alcotest.test_case "shrink well-formed" `Quick test_shrink_wellformed;
+        Alcotest.test_case "oracles reject wrong answers" `Quick
+          test_oracles_reject_wrong_answers;
+        Alcotest.test_case "mode flags and replay commands" `Quick
+          test_mode_flags;
       ] );
   ]

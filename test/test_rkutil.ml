@@ -38,14 +38,14 @@ let test_prng_uniform_mean () =
 let test_prng_gaussian_moments () =
   let g = Rkutil.Prng.create 6 in
   let n = 50_000 in
-  let stats = Rkutil.Running_stats.create () in
-  for _ = 1 to n do
-    Rkutil.Running_stats.add stats (Rkutil.Prng.gaussian g)
-  done;
-  Alcotest.(check bool) "mean near 0" true
-    (Float.abs (Rkutil.Running_stats.mean stats) < 0.03);
-  Alcotest.(check bool) "sd near 1" true
-    (Float.abs (Rkutil.Running_stats.stddev stats -. 1.0) < 0.03)
+  let xs = List.init n (fun _ -> Rkutil.Prng.gaussian g) in
+  let mean = List.fold_left ( +. ) 0.0 xs /. float_of_int n in
+  let var =
+    List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs
+    /. float_of_int (n - 1)
+  in
+  Alcotest.(check bool) "mean near 0" true (Float.abs mean < 0.03);
+  Alcotest.(check bool) "sd near 1" true (Float.abs (Float.sqrt var -. 1.0) < 0.03)
 
 let test_prng_shuffle_permutation () =
   let g = Rkutil.Prng.create 8 in
@@ -182,39 +182,6 @@ let test_heap_clear_releases_elements () =
   | Some (x, _) -> Alcotest.(check int) "min first" 1 x
   | None -> Alcotest.fail "pop after refill"
 
-let test_running_stats_against_direct () =
-  let xs = [ 1.0; 4.0; 9.0; 16.0; 25.0 ] in
-  let s = Rkutil.Running_stats.create () in
-  List.iter (Rkutil.Running_stats.add s) xs;
-  let n = float_of_int (List.length xs) in
-  let mean = List.fold_left ( +. ) 0.0 xs /. n in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs /. (n -. 1.0)
-  in
-  Test_util.check_floats_close "mean" mean (Rkutil.Running_stats.mean s);
-  Test_util.check_floats_close "variance" var (Rkutil.Running_stats.variance s);
-  Alcotest.(check (float 0.0)) "min" 1.0 (Rkutil.Running_stats.min s);
-  Alcotest.(check (float 0.0)) "max" 25.0 (Rkutil.Running_stats.max s);
-  Alcotest.(check int) "count" 5 (Rkutil.Running_stats.count s)
-
-let prop_running_stats_merge =
-  QCheck.Test.make ~name:"running_stats: merge = concat" ~count:200
-    QCheck.(pair (list (float_bound_exclusive 100.0)) (list (float_bound_exclusive 100.0)))
-    (fun (xs, ys) ->
-      let sa = Rkutil.Running_stats.create () in
-      List.iter (Rkutil.Running_stats.add sa) xs;
-      let sb = Rkutil.Running_stats.create () in
-      List.iter (Rkutil.Running_stats.add sb) ys;
-      let merged = Rkutil.Running_stats.merge sa sb in
-      let direct = Rkutil.Running_stats.create () in
-      List.iter (Rkutil.Running_stats.add direct) (xs @ ys);
-      Test_util.floats_close ~eps:1e-6
-        (Rkutil.Running_stats.mean merged)
-        (Rkutil.Running_stats.mean direct)
-      && Test_util.floats_close ~eps:1e-6
-           (Rkutil.Running_stats.variance merged)
-           (Rkutil.Running_stats.variance direct))
-
 let with_pool domains f =
   let pool = Rkutil.Task_pool.create ~domains in
   Fun.protect ~finally:(fun () -> Rkutil.Task_pool.shutdown pool) (fun () -> f pool)
@@ -294,11 +261,6 @@ let suites =
         Alcotest.test_case "bisect decreasing" `Quick test_bisect_monotone_decreasing;
         Alcotest.test_case "clamp" `Quick test_clamp;
         Alcotest.test_case "ceil_to_int" `Quick test_ceil_to_int;
-      ] );
-    ( "rkutil.running_stats",
-      [
-        Alcotest.test_case "against direct" `Quick test_running_stats_against_direct;
-        QCheck_alcotest.to_alcotest prop_running_stats_merge;
       ] );
     ( "rkutil.task_pool",
       [

@@ -682,7 +682,7 @@ let test_error_identifiers () =
 (* ------------------------------------------------------------------ *)
 
 let test_rankcheck_server_slice () =
-  let outcome = Check.Rankcheck.run_server ~seed:1 ~cases:3 () in
+  let outcome = Check.Rankcheck.run Check.Rankcheck.server ~seed:1 ~cases:3 () in
   (match outcome.Check.Rankcheck.o_failures with
   | [] -> ()
   | f :: _ -> Alcotest.fail f.Check.Rankcheck.f_reason);
